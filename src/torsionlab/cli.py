@@ -94,64 +94,73 @@ def main(argv=None):
     ap.add_argument("--exact", action="store_true", help="require exact rational input")
     ap.add_argument("--tol", type=float, default=None, help="rank tolerance override")
     ap.add_argument("--json", action="store_true", help="compact canonical JSON output")
+    # --json is also accepted after any subcommand; SUPPRESS keeps an earlier one
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="compact canonical JSON output"
+    )
+
+    def add(subs, name, **kw):
+        return subs.add_parser(name, parents=[json_flag], **kw)
+
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", help="check a complex file against its invariants")
+    p = add(sub, "validate", help="check a complex file against its invariants")
     p.add_argument("complex")
 
-    p = sub.add_parser("chi", help="Euler characteristic of a complex file")
+    p = add(sub, "chi", help="Euler characteristic of a complex file")
     p.add_argument("complex")
 
-    p = sub.add_parser("homology", help="integral homology of a complex file")
+    p = add(sub, "homology", help="integral homology of a complex file")
     p.add_argument("complex")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("subdivide", help="barycentric subdivision of a triple")
+    p = add(sub, "subdivide", help="barycentric subdivision of a triple")
     p.add_argument("--complex", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--spray")
     p.add_argument("--out-prefix", help="write PREFIX.{complex,bundle,spray}.json")
 
-    p = sub.add_parser("transport", help="parallel transport along a path")
+    p = add(sub, "transport", help="parallel transport along a path")
     p.add_argument("--complex", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--path", required=True, help='JSON: {"src": v, "steps": [{"edge": e, "dir": 1}, ...]}')
 
-    p = sub.add_parser("kt", help="volume-distortion class, or one loop evaluation")
+    p = add(sub, "kt", help="volume-distortion class, or one loop evaluation")
     p.add_argument("--complex", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--loop", help="JSON loop; omitted: tabulate on the H1 basis")
 
-    p = sub.add_parser("euler", help="Euler-structure operations")
+    p = add(sub, "euler", help="Euler-structure operations")
     esub = p.add_subparsers(dest="euler_cmd", required=True)
-    pd = esub.add_parser("diff", help="difference class of two sprays")
+    pd = add(esub, "diff", help="difference class of two sprays")
     pd.add_argument("--complex", required=True)
     pd.add_argument("--spray", required=True)
     pd.add_argument("--spray2", required=True)
-    pa = esub.add_parser("act", help="act on a spray by an H1 class")
+    pa = add(esub, "act", help="act on a spray by an H1 class")
     pa.add_argument("--complex", required=True)
     pa.add_argument("--spray")
     pa.add_argument("--coords", required=True, help="comma-separated integers")
-    pl = esub.add_parser("loop-modify", help="prepend a based loop to every leg")
+    pl = add(esub, "loop-modify", help="prepend a based loop to every leg")
     pl.add_argument("--complex", required=True)
     pl.add_argument("--spray")
     pl.add_argument("--loop", required=True)
 
-    p = sub.add_parser("torsion", help="torsion computations")
+    p = add(sub, "torsion", help="torsion computations")
     tsub = p.add_subparsers(dest="torsion_cmd", required=True)
-    pc = tsub.add_parser("compute", help="torsion result of one triple")
+    pc = add(tsub, "compute", help="torsion result of one triple")
     pc.add_argument("--complex", required=True)
     pc.add_argument("--bundle", required=True)
     pc.add_argument("--spray")
-    pcmp = tsub.add_parser("compare", help="torsion results and ratios of two triples")
+    pcmp = add(tsub, "compare", help="torsion results and ratios of two triples")
     for tag in ("", "2"):
         pcmp.add_argument(f"--complex{tag}", required=True)
         pcmp.add_argument(f"--bundle{tag}", required=True)
         pcmp.add_argument(f"--spray{tag}")
 
-    p = sub.add_parser("analytic", help="analytic torsion models")
+    p = add(sub, "analytic", help="analytic torsion models")
     asub = p.add_subparsers(dest="analytic_cmd", required=True)
-    pa = asub.add_parser("circle", help="circle with given holonomy matrix")
+    pa = add(asub, "circle", help="circle with given holonomy matrix")
     pa.add_argument("--holonomy", required=True, help="JSON matrix (rows)")
     pa.add_argument("--circumference", type=float, default=1.0)
     pa.add_argument(
@@ -161,15 +170,15 @@ def main(argv=None):
         help="terms in the spectral-product route (default 100000)",
     )
 
-    p = sub.add_parser("suite", help="invariance suites")
+    p = add(sub, "suite", help="invariance suites")
     ssub = p.add_subparsers(dest="suite_cmd", required=True)
-    pr = ssub.add_parser("run", help="run one named suite")
+    pr = add(ssub, "run", help="run one named suite")
     pr.add_argument("name", choices=sorted(SUITES))
 
-    p = sub.add_parser("corpus", help="built-in complexes")
+    p = add(sub, "corpus", help="built-in complexes")
     csub = p.add_subparsers(dest="corpus_cmd", required=True)
-    csub.add_parser("list", help="list corpus names")
-    pg = csub.add_parser("get", help="emit one corpus triple")
+    add(csub, "list", help="list corpus names")
+    pg = add(csub, "get", help="emit one corpus triple")
     pg.add_argument("name")
     pg.add_argument("--out-dir", help="write NAME.{complex,bundle,spray}.json here")
 

@@ -45,3 +45,7 @@ class ZeroModeError(TorsionLabError):
 
 class SprayError(TorsionLabError):
     pass
+
+
+class FloatRangeError(TorsionLabError, OverflowError):
+    """An exact rational value lies outside the range of a double."""

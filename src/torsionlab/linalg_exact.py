@@ -3,14 +3,23 @@
 Matrices are lists of lists.  Rational routines work over ``fractions.Fraction``
 and never touch floats; integer routines (Smith normal form and friends) work
 over Python ints, so there is no overflow anywhere.
+
+Products are scaled-integer products: each operand is written as an integer
+matrix over one common denominator (the lcm of its entry denominators), the
+integer matrices are multiplied -- in numpy int64 when a magnitude bound
+proves no entry can overflow, with Python ints otherwise -- and each result
+entry is one normalized ``Fraction(v, den_a * den_b)``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import FloatRangeError
 
 
 class SingularMatrixError(ValueError):
@@ -53,13 +62,50 @@ def transpose(a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
+def _scaled_integers(m):
+    """(ints, den, peak) with m == ints / den entrywise.
+
+    ``den`` is the lcm of the entry denominators and ``peak`` the largest
+    absolute value in ``ints`` (0 for a zero or empty matrix).
+    """
+    den = math.lcm(*{x.denominator for row in m for x in row})
+    if den == 1:
+        ints = [[x.numerator for x in row] for row in m]
+    else:
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    peak = max((abs(v) for row in ints for v in row), default=0)
+    return ints, den, peak
+
+
+def _int_matmul(ia, pa, ib, pb):
+    """Exact product of integer matrices whose entries are bounded by pa, pb.
+
+    numpy int64 is used when pa * pb * inner < 2**62, so no partial sum can
+    overflow; otherwise the product is taken in Python ints.
+    """
+    inner = len(ib)
+    cols = len(ib[0]) if ib else 0
+    if not (pa and pb):
+        return [[0] * cols for _ in ia]
+    if pa * pb * inner < 2**62:
+        return (np.array(ia, dtype=np.int64) @ np.array(ib, dtype=np.int64)).tolist()
+    bt = list(zip(*ib))
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in ia]
+
+
 def matmul(a, b):
+    """Exact product of rational matrices; every entry is a Fraction."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = transpose(b)
-    return [[sum(ra_i[k] * bt_j[k] for k in range(ca)) for bt_j in bt] for ra_i in a]
+    ia, da, pa = _scaled_integers(a)
+    ib, db, pb = _scaled_integers(b)
+    den = da * db
+    prod = _int_matmul(ia, pa, ib, pb)
+    if den == 1:
+        return [[Fraction(v) for v in row] for row in prod]
+    return [[Fraction(v, den) for v in row] for row in prod]
 
 
 def madd(a, b):
@@ -88,7 +134,10 @@ def is_zero(a):
 
 
 def to_float(a):
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
+    try:
+        return np.array([[float(x) for x in row] for row in a], dtype=float)
+    except OverflowError:
+        raise FloatRangeError("exact matrix entry is too large for a float") from None
 
 
 def det(a):
@@ -247,35 +296,11 @@ def vol_sq(m):
 def product_is_zero(a, b):
     """Exact test a @ b == 0 for Fraction matrices, via scaled integers.
 
-    Clearing denominators turns the test into an integer matmul; numpy int64
-    is used when a conservative magnitude bound permits, else exact Python
-    ints.  Equivalent to is_zero(matmul(a, b)) but far faster on big inputs.
+    Equivalent to is_zero(matmul(a, b)) but builds no Fractions.
     """
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ra == 0 or ca == 0 or rb == 0 or cb == 0:
-        return True
-
-    def scaled(m):
-        den = 1
-        for row in m:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [[int(x * den) for x in row] for row in m]
-        peak = max((abs(v) for row in ints for v in row), default=0)
-        return ints, peak
-
-    ia, pa = scaled(a)
-    ib, pb = scaled(b)
-    if pa and pb and pa * pb * ca < 2**62:
-        prod = np.array(ia, dtype=np.int64) @ np.array(ib, dtype=np.int64)
-        return not prod.any()
-    bt = list(zip(*ib))
-    for row in ia:
-        for col in bt:
-            if sum(x * y for x, y in zip(row, col)) != 0:
-                return False
-    return True
+    ia, _, pa = _scaled_integers(a)
+    ib, _, pb = _scaled_integers(b)
+    return not any(map(any, _int_matmul(ia, pa, ib, pb)))
 
 
 # ---------------------------------------------------------------------------

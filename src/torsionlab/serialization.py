@@ -45,7 +45,7 @@ def path_from_jsonable(data, src, dst, where="path"):
 
 
 def complex_to_jsonable(cx):
-    return {
+    out = {
         "name": cx.name,
         "base_vertex": cx.base_vertex,
         "cells": [
@@ -62,6 +62,11 @@ def complex_to_jsonable(cx):
             for r in cx.incidences
         ],
     }
+    if cx.simplex_vertices:
+        out["simplex_vertices"] = [
+            {"cell": cid, "vertices": list(vs)} for cid, vs in cx.simplex_vertices.items()
+        ]
+    return out
 
 
 def complex_from_jsonable(data):
@@ -79,7 +84,12 @@ def complex_from_jsonable(data):
         incidences.append(
             Incidence(r["coface"], r["face"], coeff, path_from_jsonable(r["path"], src, dst))
         )
-    return ComplexDescription(cells, incidences, data["base_vertex"], data.get("name", ""))
+    simplex_vertices = {
+        s["cell"]: tuple(s["vertices"]) for s in data.get("simplex_vertices", ())
+    }
+    return ComplexDescription(
+        cells, incidences, data["base_vertex"], data.get("name", ""), simplex_vertices
+    )
 
 
 def _entry_to_jsonable(x):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
-from .errors import IllConditionedError, TorsionLabError
+from .errors import FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
 from .flat_bundle import require_flat, transport
 
@@ -110,10 +110,11 @@ def assemble(complex_, bundle, spray):
     require_flat(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
+    walks = {(): bundle.identity()}
     leg_t = {}
     leg_t_inv = {}
     for cid, leg in spray.legs:
-        m = transport(bundle, leg)
+        m = _walk_transport(bundle, leg.steps, walks)
         leg_t[cid] = m
         leg_t_inv[cid] = lx.inverse(m) if bundle.exact else np.linalg.inv(m)
     exact = bundle.exact
@@ -132,7 +133,7 @@ def assemble(complex_, bundle, spray):
             if rec.coface not in ri:
                 continue
             block = bundle.mul(
-                bundle.mul(leg_t[rec.coface], transport(bundle, rec.path)),
+                bundle.mul(leg_t[rec.coface], _walk_transport(bundle, rec.path.steps, walks)),
                 leg_t_inv[rec.face],
             )
             i0, j0 = k * ri[rec.coface], k * ci[rec.face]
@@ -154,6 +155,23 @@ def assemble(complex_, bundle, spray):
     if bundle.reference_basis is not None:
         tcc = to_frame(tcc, bundle.reference_basis_float())
     return tcc
+
+
+def _walk_transport(bundle, steps, walks):
+    """transport() along ``steps``, extending the longest walk already in ``walks``.
+
+    ``walks`` maps step tuples to their transports and gains every prefix
+    computed here.  The products are the ones transport() takes, in its order,
+    so float results are bit-identical to it.
+    """
+    n = len(steps)
+    while steps[:n] not in walks:
+        n -= 1
+    m = walks[steps[:n]]
+    for i in range(n, len(steps)):
+        m = bundle.mul(m, bundle.matrix(*steps[i]))
+        walks[steps[: i + 1]] = m
+    return m
 
 
 def _check_boundary_squared(tcc):
@@ -332,9 +350,21 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
             log_t += (-1) ** (d + 1) * math.log(lx.vol_float(b, scale=max(scale, 1.0)))
         return math.exp(log_t)
     if method == "exact":
-        sq = t_comb_squared_exact(tcc)
-        return math.sqrt(float(sq))
+        return _sqrt_float(t_comb_squared_exact(tcc))
     raise ValueError(f"unknown t_comb method {method!r}")
+
+
+def _sqrt_float(x):
+    """sqrt of a positive Fraction as a float.
+
+    Bit for bit math.sqrt(float(x)) while x is a normal double, since x / 4**k
+    lies in [1/2, 4) and rounding commutes with the power-of-two scaling; it
+    stays finite when only the root fits in a double.
+    """
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    if abs(k) > 1000:
+        raise FloatRangeError(f"exact torsion is about 2**{k}, outside the float range")
+    return math.ldexp(math.sqrt(float(x / Fraction(4) ** k)), k)
 
 
 def t_comb_squared_exact(tcc):

@@ -22,8 +22,8 @@ EXPECTED_DIGESTS = {
     "lens-7-2": "48f2bc15ba36c0304279b73bec9f0c990a82fc941cdbce63dd5831719b7e1330",
     "point": "542b718ec683840a9fd55580ba0556afd01ffb4305016052101e3eab3f60fba2",
     "rp2": "f78c2f2a7119ce9775551d073657b80dc880e20be247f68211c8db7281fe540a",
-    "sphere": "ad839ead67dfd9e16e0cc8f4589efd163b6e63afdfff8415431400cc55ae3772",
-    "tetra-solid": "e5fbd2277e8ed14aed9793c96130f3237a929b04cc376149f7a00297d8d3c91f",
+    "sphere": "98ab299550897343c5715d747f677a9ff2872202f49ad3eee695296aa578c305",
+    "tetra-solid": "0dd9b7850bb480c7206ba6c3d524c5d5ba238854dbc8cacf6d9c2decf165ae32",
     "torus": "420cac1927f5967ef782ad1593ef31e991454e322a0d9206012f4118beee4933",
 }
 

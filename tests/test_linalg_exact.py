@@ -119,3 +119,102 @@ def test_rank_kernel_float_scale_guard():
     rk, kern = lx.rank_kernel_float(noise, scale=1.0)
     assert rk == 0 and kern.shape == (3, 3)
     assert lx.vol_float(noise, scale=1.0) == 1.0
+
+
+def reference_matmul(a, b):
+    """Plain triple-loop Fraction product, the definition matmul must meet."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def random_fraction_matrix(rng, r, c, num_bits, max_den):
+    lim = 2**num_bits
+    return [
+        [Fraction(int(rng.integers(-lim, lim)), int(rng.integers(1, max_den + 1))) for _ in range(c)]
+        for _ in range(r)
+    ]
+
+
+def assert_all_fractions(m):
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert all(type(x.numerator) is int and type(x.denominator) is int for row in m for x in row)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("num_bits,max_den", [(3, 1), (10, 1), (6, 12), (40, 7)])
+    def test_matches_reference(self, num_bits, max_den):
+        rng = np.random.default_rng(num_bits * 100 + max_den)
+        for _ in range(25):
+            r, n, c = (int(x) for x in rng.integers(1, 7, size=3))
+            a = random_fraction_matrix(rng, r, n, num_bits, max_den)
+            b = random_fraction_matrix(rng, n, c, num_bits, max_den)
+            got = lx.matmul(a, b)
+            assert got == reference_matmul(a, b)
+            assert_all_fractions(got)
+
+    def test_entries_past_int64_bound(self):
+        # entries past 2**63 cannot enter int64 at all: Python-int product
+        rng = np.random.default_rng(7)
+        big = 2**70
+        a = [[Fraction(big + int(rng.integers(-9, 10)), 3), Fraction(-big, 5)] for _ in range(3)]
+        b = [[Fraction(int(rng.integers(-9, 10)), 7) + big for _ in range(4)] for _ in range(2)]
+        got = lx.matmul(a, b)
+        assert got == reference_matmul(a, b)
+        assert_all_fractions(got)
+        # peak_a * peak_b * inner = 2**61 stays in int64, 2**63 leaves it
+        half = [[Fraction(2**30), Fraction(2**30)]]
+        assert lx.matmul(half, lx.transpose(half)) == [[Fraction(2**61)]]
+        a = [[Fraction(2**31), Fraction(2**31)]]
+        assert lx.matmul(a, lx.transpose(a)) == [[Fraction(2**63)]]
+
+    def test_int_entries_give_fractions(self):
+        got = lx.matmul([[1, 2], [3, 4]], [[5], [6]])
+        assert got == [[17], [39]]
+        assert_all_fractions(got)
+
+    def test_empty_shapes(self):
+        assert lx.matmul([], []) == []
+        assert lx.matmul([[], []], []) == [[], []]
+        assert lx.matmul(lx.fmat([[1, 2]]), [[], []]) == [[]]
+        assert lx.matmul(lx.zeros(2, 3), lx.zeros(3, 2)) == lx.zeros(2, 2)
+        assert_all_fractions(lx.matmul(lx.zeros(2, 3), lx.zeros(3, 2)))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            lx.matmul(lx.identity(2), lx.identity(3))
+        with pytest.raises(ValueError):
+            lx.matmul([], lx.identity(1))
+
+    def test_pivots_stay_exact(self):
+        # det/inverse divide by product entries; an int pivot would turn 1/x into a float
+        m = lx.matmul(lx.fmat([[2, 1], [1, 1]]), lx.fmat([[1, 1], [0, 3]]))
+        inv = lx.inverse(m)
+        assert_all_fractions(inv)
+        assert lx.matmul(m, inv) == lx.identity(2)
+        assert type(lx.det(m)) is Fraction
+
+
+def test_product_is_zero_matches_matmul():
+    rng = np.random.default_rng(11)
+    for num_bits in (3, 45):
+        for _ in range(20):
+            a = random_fraction_matrix(rng, 2, 3, num_bits, 4)  # nonzero kernel
+            k = lx.cols_to_matrix(lx.right_kernel(a), 3)
+            assert lx.product_is_zero(a, k)
+            assert lx.is_zero(lx.matmul(a, k))
+            b = random_fraction_matrix(rng, 3, 2, num_bits, 4)
+            assert lx.product_is_zero(a, b) == lx.is_zero(lx.matmul(a, b))
+    assert lx.product_is_zero([], [])
+    assert lx.product_is_zero([[], []], [])
+
+
+def test_to_float_out_of_range_is_typed():
+    from torsionlab.errors import FloatRangeError, TorsionLabError
+
+    with pytest.raises(FloatRangeError) as info:
+        lx.to_float([[Fraction(10**400)]])
+    assert isinstance(info.value, TorsionLabError)

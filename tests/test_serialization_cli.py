@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.cli import main as cli_main
-from torsionlab.corpus import corpus_get
+from torsionlab.corpus import corpus_get, corpus_list
 from torsionlab.flat_bundle import FlatBundle
 from torsionlab.serialization import (
     FormatError,
@@ -22,13 +23,15 @@ from torsionlab.serialization import (
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", ["torus", "lens-5-2", "sphere"])
+    @pytest.mark.parametrize("name", corpus_list())
     def test_complex_round_trip(self, name):
         cx = corpus_get(name).complex
         data = complex_to_jsonable(cx)
         back = complex_from_jsonable(json.loads(json.dumps(data)))
         assert back.validate().ok
         assert canonical_dumps(complex_to_jsonable(back)) == canonical_dumps(data)
+        assert back.simplex_vertices == cx.simplex_vertices
+        assert ("simplex_vertices" in data) == (cx.simplex_vertices is not None)
 
     def test_bundle_round_trip_exact(self):
         b = FlatBundle(2, {"a": [["1/2", 0], [1, 3]], "b": [[2, 0], [0, "7/3"]]})
@@ -239,6 +242,48 @@ class TestCli:
         assert self.run("suite", "run", "flatness") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] and out["suite"] == "flatness"
+
+    def test_json_flag_after_subcommand(self, capsys):
+        assert self.run("--json", "suite", "run", "flatness") == 0
+        before = capsys.readouterr().out
+        assert self.run("suite", "run", "flatness", "--json") == 0
+        assert capsys.readouterr().out == before
+        assert self.run("corpus", "list", "--json") == 0
+        assert capsys.readouterr().out == canonical_dumps({"names": corpus_list()}) + "\n"
+
+    def test_simplicial_corpus_file_subdivides(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        assert self.run("corpus", "get", "tetra-solid", "--out-dir", str(work)) == 0
+        capsys.readouterr()
+        rc = self.run(
+            "subdivide",
+            "--complex",
+            str(work / "tetra-solid.complex.json"),
+            "--bundle",
+            str(work / "tetra-solid.bundle.json"),
+            "--spray",
+            str(work / "tetra-solid.spray.json"),
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        item = corpus_get("tetra-solid")
+        direct = barycentric_subdivide(item.complex, item.bundle, item.spray)[0]
+        assert out["complex"] == complex_to_jsonable(direct)
+
+    def test_huge_rational_entry_exits_2(self, tmp_path, capsys):
+        save_json(tmp_path / "c.json", complex_to_jsonable(corpus_get("circle-1cell").complex))
+        save_json(tmp_path / "b.json", {"rank": 1, "edges": [{"edge": "e", "matrix": [10**400]}]})
+        rc = self.run(
+            "torsion",
+            "compute",
+            "--complex",
+            str(tmp_path / "c.json"),
+            "--bundle",
+            str(tmp_path / "b.json"),
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

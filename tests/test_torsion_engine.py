@@ -13,7 +13,8 @@ from torsionlab.corpus import (
     lens_rotation_bundle,
     random_flat_bundle,
 )
-from torsionlab.errors import IllConditionedError, TorsionLabError
+from torsionlab.barycentric import barycentric_subdivide
+from torsionlab.errors import FloatRangeError, IllConditionedError, TorsionLabError
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, h1_zero
 from torsionlab.flat_bundle import FlatBundle, transport
 from torsionlab.torsion_engine import (
@@ -67,6 +68,69 @@ class TestAssemble:
             up = tcc.boundaries_exact[d]
             dn = tcc.boundaries_exact[d - 1]
             assert lx.is_zero(lx.matmul(up, dn))
+
+
+def per_incidence_boundaries(cx, bundle, spray):
+    """Boundaries built one incidence at a time as leg . transport(path) . leg^-1,
+    every transport taken from scratch, accumulated in assemble's order."""
+    k = bundle.rank
+    inv = lx.inverse if bundle.exact else np.linalg.inv
+    legs = {cid: transport(bundle, leg) for cid, leg in spray.legs}
+    out = {}
+    for d in range(1, cx.dim + 1):
+        ri = {c.id: i for i, c in enumerate(cx.cells_of_dim(d))}
+        ci = {c.id: j for j, c in enumerate(cx.cells_of_dim(d - 1))}
+        shape = (k * len(ri), k * len(ci))
+        m = lx.zeros(*shape) if bundle.exact else np.zeros(shape)
+        for rec in cx.incidences:
+            if rec.coface not in ri:
+                continue
+            block = bundle.mul(
+                bundle.mul(legs[rec.coface], transport(bundle, rec.path)), inv(legs[rec.face])
+            )
+            i0, j0 = k * ri[rec.coface], k * ci[rec.face]
+            if bundle.exact:
+                for a in range(k):
+                    for b in range(k):
+                        m[i0 + a][j0 + b] += rec.coeff * block[a][b]
+            else:
+                m[i0 : i0 + k, j0 : j0 + k] += rec.coeff * block
+        out[d] = m
+    return out
+
+
+class TestSharedWalkTransports:
+    def test_lens_exact_blocks_equal_per_incidence(self):
+        cx = build_lens(7, 1)
+        bundle = FlatBundle(6, {"e": companion_matrix_cyclotomic(7)})
+        spray = canonical_spray(cx)
+        tcc = assemble(cx, bundle, spray)
+        assert tcc.boundaries_exact == per_incidence_boundaries(cx, bundle, spray)
+        assert all(
+            type(x) is Fraction for m in tcc.boundaries_exact.values() for row in m for x in row
+        )
+
+    def test_subdivided_torus_exact_blocks_equal_per_incidence(self):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        assert tcc.boundaries_exact == per_incidence_boundaries(cx, bundle, spray)
+
+    def test_lens_float_blocks_bit_identical(self):
+        cx = build_lens(7, 1)
+        bundle = lens_rotation_bundle(7, 1, turns=3)
+        spray = canonical_spray(cx)
+        tcc = assemble(cx, bundle, spray)
+        want = per_incidence_boundaries(cx, bundle, spray)
+        assert sorted(tcc.boundaries) == sorted(want)
+        for d, m in want.items():
+            assert np.array_equal(tcc.boundaries[d], m)
+
+    def test_lens_19_cyclotomic(self):
+        cx = build_lens(19, 1)
+        tcc = assemble(cx, FlatBundle(18, {"e": companion_matrix_cyclotomic(19)}), canonical_spray(cx))
+        assert t_comb_squared_exact(tcc) == 19**4
 
 
 class TestLaplacians:
@@ -178,6 +242,23 @@ class TestTComb:
         cx, _, spray = triple("circle-1cell")
         tcc = assemble(cx, FlatBundle(1, {"e": [["5/2"]]}), spray)
         assert t_comb_squared_exact(tcc) == Fraction(9, 4)
+
+    def test_exact_route_outside_float_range(self):
+        cx, _, spray = triple("circle-1cell")
+        # t^2 = 10**400 does not fit a float, t = 10**200 does
+        tcc = assemble(cx, FlatBundle(1, {"e": [[10**200 + 1]]}), spray)
+        assert t_comb_squared_exact(tcc) == 10**400
+        assert t_comb(tcc, "exact") == 1e200
+        tcc = assemble(cx, FlatBundle(1, {"e": [[Fraction(10**200 + 1, 10**200)]]}), spray)
+        assert t_comb(tcc, "exact") == 1e-200
+        tcc.boundaries_exact[1] = [[Fraction(10**700)]]
+        with pytest.raises(FloatRangeError):
+            t_comb(tcc, "exact")
+
+    def test_huge_rational_entry_is_typed_error(self):
+        cx, _, spray = triple("circle-1cell")
+        with pytest.raises(FloatRangeError):
+            assemble(cx, FlatBundle(1, {"e": [[10**400]]}), spray)
 
     def test_two_term_acyclic_equals_det(self):
         rng = np.random.default_rng(33)
