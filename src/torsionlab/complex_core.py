@@ -11,7 +11,6 @@ what twisted assembly consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -121,6 +120,7 @@ class ComplexDescription:
         self._walks = {}
         self._h1 = None
         self._tree = None
+        self._divisors = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -252,13 +252,11 @@ class ComplexDescription:
             prod = bd1 @ bd
             faces = self.cells_of_dim(d - 2)
             cofs = self.cells_of_dim(d)
-            for i, f in enumerate(faces):
-                for j, cf in enumerate(cofs):
-                    if prod[i][j] != 0:
-                        rep.add(
-                            "boundary-squared",
-                            f"d(d({cf.id!r})) has coefficient {prod[i][j]} on {f.id!r}",
-                        )
+            for i, j in np.argwhere(prod):
+                rep.add(
+                    "boundary-squared",
+                    f"d(d({cofs[j].id!r})) has coefficient {prod[i, j]} on {faces[i].id!r}",
+                )
         self._validation = rep
         return rep
 
@@ -313,15 +311,55 @@ class ComplexDescription:
         n = len(self.cells_of_dim(degree))
         if n == 0:
             return 0, []
-        bd = self.boundary_matrix_int(degree)
-        bd_up = self.boundary_matrix_int(degree + 1)
-        rank_down = _int_rank(bd)
-        _, d_up, _ = lx.smith_normal_form(bd_up) if bd_up and bd_up[0] else (None, [], None)
-        divisors = [d_up[i][i] for i in range(min(len(d_up), len(d_up[0]) if d_up else 0))] if d_up else []
-        divisors = [x for x in divisors if x != 0]
-        betti = n - rank_down - len(divisors)
-        torsion = sorted(x for x in divisors if x > 1)
-        return betti, torsion
+        up = self._boundary_divisors(degree + 1)
+        betti = n - len(self._boundary_divisors(degree)) - len(up)
+        return betti, sorted(x for x in up if x > 1)
+
+    def _boundary_divisors(self, d):
+        """Nonzero invariant factors of the integer boundary matrix of degree d.
+
+        Sparse elimination: a +-1 entry clears its row by unimodular column
+        operations, then leaves with its row and column as one factor 1.  The
+        residual without unit entries, usually empty, goes to Smith normal form.
+        """
+        if d in self._divisors:
+            return self._divisors[d]
+        cols, rows = {}, {}  # column -> {row: coeff}; row -> {column: None}
+        for c in self.cells_of_dim(d):
+            col = {}
+            for rec in self._incident_by_coface.get(c.id, ()):
+                col[rec.face] = col.get(rec.face, 0) + rec.coeff
+            cols[c.id] = col = {f: x for f, x in col.items() if x}
+            for f in col:
+                rows.setdefault(f, {})[c.id] = None
+        divisors, todo = [], list(cols)
+        while todo:
+            c = todo.pop()
+            unit = [f for f, x in cols.get(c, {}).items() if x in (1, -1)]
+            if not unit:
+                continue
+            piv = min(unit, key=lambda f: len(rows[f]))  # least fill-in
+            col = cols.pop(c)
+            for f in col:
+                del rows[f][c]
+            s = col.pop(piv)
+            for c2 in rows.pop(piv):
+                col2 = cols[c2]
+                q = col2.pop(piv) * s
+                for f, x in col.items():
+                    col2[f] = col2.get(f, 0) - q * x
+                    rows[f][c2] = None
+                    if not col2[f]:
+                        del col2[f], rows[f][c2]
+                todo.append(c2)
+            divisors.append(1)
+        residual = [col for col in cols.values() if col]
+        if residual:
+            faces = list({f: None for col in residual for f in col})
+            _, snf, _ = lx.smith_normal_form([[col.get(f, 0) for col in residual] for f in faces])
+            divisors += [snf[i][i] for i in range(min(len(faces), len(residual))) if snf[i][i]]
+        self._divisors[d] = divisors
+        return divisors
 
     # -- spanning tree and H1 machinery --------------------------------------
 
@@ -430,12 +468,6 @@ class ComplexDescription:
             raise PathComplexMismatchError(f"2-cell {face_id!r} walk does not close at its anchor")
         self._walks[face_id] = walk
         return walk
-
-
-def _int_rank(m):
-    if not m or not m[0]:
-        return 0
-    return lx.rank([[Fraction(x) for x in row] for row in m])
 
 
 class H1Lattice:

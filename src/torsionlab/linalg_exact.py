@@ -134,10 +134,15 @@ def is_zero(a):
 
 
 def to_float(a):
+    """Float copy of an exact matrix; FloatRangeError if an entry leaves the double range."""
     try:
-        return np.array([[float(x) for x in row] for row in a], dtype=float)
+        rows = [[float(x) for x in row] for row in a]
     except OverflowError:
         raise FloatRangeError("exact matrix entry is too large for a float") from None
+    for row, frow in zip(a, rows):
+        if 0.0 in frow and any(x for x, f in zip(row, frow) if not f):
+            raise FloatRangeError("nonzero exact matrix entry is too small for a float")
+    return np.array(rows, dtype=float)
 
 
 def det(a):

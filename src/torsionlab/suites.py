@@ -81,7 +81,7 @@ class SuiteReport:
     suite: str
     records: list = field(default_factory=list)
     version: str = _version
-    mode: str = "float"
+    mode: str = "exact"  # every suite draws exact rational inputs
 
     @property
     def passed(self):
@@ -121,8 +121,8 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 
 
-def suite_flatness(exact=True):
-    rep = SuiteReport("flatness", mode="exact" if exact else "float")
+def suite_flatness():
+    rep = SuiteReport("flatness")
     # corpus bundles are flat
     worst = 0.0
     names = corpus_list()
@@ -233,8 +233,8 @@ def _coordinate_box(lat, radius):
 # ---------------------------------------------------------------------------
 
 
-def suite_euler_action(exact=True):
-    rep = SuiteReport("euler-action", mode="exact" if exact else "float")
+def suite_euler_action():
+    rep = SuiteReport("euler-action")
     names = ["circle-1cell", "torus", "klein"]
     box_ok, free_ok, coc_ok = True, True, True
     for name in names:
@@ -326,8 +326,8 @@ def _random_loops(cx, rng, count):
 # ---------------------------------------------------------------------------
 
 
-def suite_torsion_invariance(exact=True, n_random=100):
-    rep = SuiteReport("torsion-invariance", mode="exact" if exact else "float")
+def suite_torsion_invariance(n_random=100):
+    rep = SuiteReport("torsion-invariance")
     rng = np.random.default_rng(20240813)
 
     # exactness: integer boundary-of-boundary and twisted D D = 0, flatness 0
@@ -546,8 +546,8 @@ def _random_orthogonal(rng, n):
 # ---------------------------------------------------------------------------
 
 
-def suite_subdivision(exact=True, rounds=2):
-    rep = SuiteReport("subdivision", mode="exact" if exact else "float")
+def suite_subdivision(rounds=2):
+    rep = SuiteReport("subdivision")
     rng = np.random.default_rng(20240814)
 
     names = ["circle-1cell", "circle-2vertex", "torus", "klein", "rp2", "sphere", "tetra-solid"]
@@ -641,8 +641,8 @@ def _subdivision_ft_drift(name, bundle, rounds):
 # ---------------------------------------------------------------------------
 
 
-def suite_cheeger_muller(exact=True, count=50, truncation=1_000_000):
-    rep = SuiteReport("cheeger-muller", mode="exact" if exact else "float")
+def suite_cheeger_muller(count=50, truncation=1_000_000):
+    rep = SuiteReport("cheeger-muller")
     rng = np.random.default_rng(20240815)
     holos = []
     while len(holos) < count:
@@ -704,8 +704,8 @@ def suite_cheeger_muller(exact=True, count=50, truncation=1_000_000):
 # ---------------------------------------------------------------------------
 
 
-def suite_ft_transformation(exact=True, count=50):
-    rep = SuiteReport("ft-transformation", mode="exact" if exact else "float")
+def suite_ft_transformation(count=50):
+    rep = SuiteReport("ft-transformation")
     rng = np.random.default_rng(20240816)
 
     worst = 0.0
@@ -797,12 +797,12 @@ INVARIANT_COVERAGE = {
 }
 
 
-def run_suite(name, exact=True):
+def run_suite(name):
     """Execute one named suite and return its deterministic report."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](exact=exact)
+    return SUITES[name]()
 
 
-def run_all(exact=True):
-    return {name: run_suite(name, exact) for name in sorted(SUITES)}
+def run_all():
+    return {name: run_suite(name) for name in sorted(SUITES)}

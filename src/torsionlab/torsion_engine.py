@@ -125,10 +125,9 @@ def assemble(complex_, bundle, spray):
         cols = order.get(d - 1, [])
         ri = {c: i for i, c in enumerate(rows)}
         ci = {c: j for j, c in enumerate(cols)}
-        if exact:
-            m = lx.zeros(k * len(rows), k * len(cols))
-        else:
-            m = np.zeros((k * len(rows), k * len(cols)))
+        shape = (k * len(rows), k * len(cols))
+        m = lx.zeros(*shape) if exact else np.zeros(shape)
+        written = set()  # origins of the blocks an exact fill touched
         for rec in complex_.incidences:
             if rec.coface not in ri:
                 continue
@@ -138,6 +137,7 @@ def assemble(complex_, bundle, spray):
             )
             i0, j0 = k * ri[rec.coface], k * ci[rec.face]
             if exact:
+                written.add((i0, j0))
                 for a in range(k):
                     for b in range(k):
                         m[i0 + a][j0 + b] += rec.coeff * block[a][b]
@@ -145,7 +145,7 @@ def assemble(complex_, bundle, spray):
                 m[i0 : i0 + k, j0 : j0 + k] += rec.coeff * block
         if exact:
             boundaries_exact[d] = m
-            boundaries[d] = lx.to_float(m)
+            boundaries[d] = _float_blocks(m, shape, written, k)
         else:
             boundaries[d] = m
     tcc = TwistedChainComplex(
@@ -172,6 +172,20 @@ def _walk_transport(bundle, steps, walks):
         m = bundle.mul(m, bundle.matrix(*steps[i]))
         walks[steps[: i + 1]] = m
     return m
+
+
+def _float_blocks(m, shape, origins, k):
+    """lx.to_float(m) for an exact m that is 0 outside the k x k blocks at origins.
+
+    Only the written entries are converted and range-checked, so a sparse
+    boundary costs no per-entry pass over its zeros.
+    """
+    out = np.zeros(shape)
+    n, span = shape[1], range(k)
+    flat = [(i0 + a) * n + j0 + b for i0, j0 in origins for a in span for b in span]
+    if flat:
+        np.put(out, flat, lx.to_float([[m[f // n][f % n] for f in flat]])[0])
+    return out
 
 
 def _check_boundary_squared(tcc):

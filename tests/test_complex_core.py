@@ -1,5 +1,9 @@
+import math
+
 import pytest
 
+from torsionlab import linalg_exact as lx
+from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.complex_core import (
     Cell,
     ComplexDescription,
@@ -9,8 +13,8 @@ from torsionlab.complex_core import (
     point_complex,
     simplicial_complex,
 )
-from torsionlab.corpus import build_lens, corpus_get
-from torsionlab.errors import InvalidComplexError
+from torsionlab.corpus import build_lens, corpus_get, corpus_list
+from torsionlab.errors import InvalidComplexError, UnsupportedStructureError
 
 
 def circle():
@@ -19,6 +23,41 @@ def circle():
 
 def torus():
     return corpus_get("torus").complex
+
+
+def subdivisions(name, rounds):
+    """The corpus complex and its barycentric subdivisions, as far as supported."""
+    item = corpus_get(name)
+    cx, bundle, spray = item.complex, item.bundle, item.spray
+    out = [cx]
+    for _ in range(rounds):
+        try:
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        except UnsupportedStructureError:  # cellular 3-complexes (lens spaces)
+            break
+        out.append(cx)
+    return out
+
+
+def dense_homology(cx, degree):
+    """Reference H_degree from dense Smith normal forms of the boundary matrices."""
+
+    def divisors(d):
+        m = cx.boundary_matrix_int(d)
+        if not m or not m[0]:
+            return []
+        _, snf, _ = lx.smith_normal_form(m)
+        return [snf[i][i] for i in range(min(len(m), len(m[0]))) if snf[i][i]]
+
+    n = len(cx.cells_of_dim(degree))
+    if n == 0:
+        return 0, []
+    up = divisors(degree + 1)
+    return n - len(divisors(degree)) - len(up), sorted(x for x in up if x > 1)
+
+
+def full_homology(cx):
+    return [cx.integral_homology(d) for d in range(cx.dim + 1)]
 
 
 class TestValidation:
@@ -45,6 +84,26 @@ class TestValidation:
         assert not rep.ok
         joined = rep.summary()
         assert "F" in joined and "v" in joined
+
+    def test_boundary_squared_messages_in_row_major_order(self):
+        # every record of one 2-cell made +1: violations in degrees 2 and 3
+        good = corpus_get("tetra-solid").complex
+        face = good.cells_of_dim(2)[0].id
+        incs = [
+            Incidence(r.coface, r.face, 1, r.path) if r.coface == face else r
+            for r in good.incidences
+        ]
+        bad = ComplexDescription(good.cells, incs, good.base_vertex, "bad")
+        want = []
+        for d in range(2, bad.dim + 1):
+            b1, b2 = bad.boundary_matrix_int(d - 1), bad.boundary_matrix_int(d)
+            for i, f in enumerate(bad.cells_of_dim(d - 2)):
+                for j, cf in enumerate(bad.cells_of_dim(d)):
+                    x = sum(b1[i][k] * b2[k][j] for k in range(len(b2)))
+                    if x:
+                        want.append(f"d(d({cf.id!r})) has coefficient {x} on {f.id!r}")
+        got = [m for code, m in bad.validate().violations if code == "boundary-squared"]
+        assert len(got) > 2 and got == want
 
     def test_torus_is_valid_and_coefficients_cancel(self):
         cx = torus()
@@ -95,6 +154,46 @@ class TestIntegralHomology:
 
     def test_klein_degree_one(self):
         assert corpus_get("klein").complex.integral_homology(1) == (1, [2])
+
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_matches_dense_snf_through_two_rounds(self, name):
+        # tetra-solid stops at one round: its second subdivision takes ~5 s and
+        # the dense reference on its 2745 cells about a minute
+        for r, cx in enumerate(subdivisions(name, 1 if name == "tetra-solid" else 2)):
+            for d in range(cx.dim + 2):
+                assert cx.integral_homology(d) == dense_homology(cx, d), (name, r, d)
+
+    def test_lens_spaces_match_dense_snf(self):
+        for p in (2, 3, 5, 7):
+            for q in range(1, p):
+                if math.gcd(p, q) == 1:
+                    lens = build_lens(p, q)
+                    for d in range(5):
+                        assert lens.integral_homology(d) == dense_homology(lens, d), (p, q, d)
+
+    def test_non_unit_residual(self):
+        # one 2-cell attached along a^3: no unit pivot, H_1 = Z/3 from the residual
+        cx = cw_complex_from_words("z3", ["v"], {"a": ("v", "v")}, {"F": [("a", 1)] * 3}, "v")
+        assert [cx.integral_homology(d) for d in range(3)] == [(1, []), (0, [3]), (0, [])]
+        # 2-cells along a^2 and a^3: the residual [2 3] has invariant factor 1
+        cx = cw_complex_from_words(
+            "z23", ["v"], {"a": ("v", "v")}, {"F": [("a", 1)] * 2, "G": [("a", 1)] * 3}, "v"
+        )
+        assert [cx.integral_homology(d) for d in range(3)] == [(1, []), (0, []), (1, [])]
+
+    def test_cancelling_boundary_column(self):
+        # a 2-cell along a a^-1: its records cancel, so it is a 2-cycle (S^1 v S^2)
+        cx = cw_complex_from_words(
+            "fold", ["v"], {"a": ("v", "v")}, {"F": [("a", 1), ("a", -1)]}, "v"
+        )
+        assert cx.boundary_matrix_int(2) == [[0]]
+        assert [cx.integral_homology(d) for d in range(3)] == [(1, []), (1, []), (1, [])]
+
+    @pytest.mark.parametrize("name", ["torus", "klein", "rp2"])
+    def test_subdivision_invariance_three_rounds(self, name):
+        cxs = subdivisions(name, 3)
+        assert len(cxs) == 4
+        assert full_homology(cxs[-1]) == full_homology(cxs[0])
 
 
 class TestEdgePaths:

@@ -218,3 +218,11 @@ def test_to_float_out_of_range_is_typed():
     with pytest.raises(FloatRangeError) as info:
         lx.to_float([[Fraction(10**400)]])
     assert isinstance(info.value, TorsionLabError)
+
+
+def test_to_float_underflow_is_typed():
+    from torsionlab.errors import FloatRangeError
+
+    with pytest.raises(FloatRangeError):
+        lx.to_float([[Fraction(0), Fraction(1, 10**400)]])
+    assert np.array_equal(lx.to_float([[Fraction(0), Fraction(1, 10**300)]]), [[0.0, 1e-300]])

@@ -285,6 +285,22 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_tiny_nonzero_entry_exits_2(self, tmp_path, capsys):
+        save_json(tmp_path / "c.json", complex_to_jsonable(corpus_get("circle-1cell").complex))
+        tiny = f"{10**400 + 1}/{10**400}"  # holonomy 1 + 10**-400
+        save_json(tmp_path / "b.json", {"rank": 1, "edges": [{"edge": "e", "matrix": [tiny]}]})
+        rc = self.run(
+            "torsion",
+            "compute",
+            "--complex",
+            str(tmp_path / "c.json"),
+            "--bundle",
+            str(tmp_path / "b.json"),
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "too small" in err and "Traceback" not in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "torsionlab.cli", "--version"],

@@ -127,6 +127,22 @@ class TestSharedWalkTransports:
         for d, m in want.items():
             assert np.array_equal(tcc.boundaries[d], m)
 
+    def test_exact_float_boundaries_are_dense_to_float(self):
+        # the float copy converts only written blocks; it must equal the dense conversion
+        torus, _, spray = triple("torus")
+        hyperbolic = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        lens = build_lens(7, 1)
+        cases = [
+            (lens, FlatBundle(6, {"e": companion_matrix_cyclotomic(7)}), canonical_spray(lens)),
+            barycentric_subdivide(torus, hyperbolic, spray)[:3],
+        ]
+        for cx, bundle, spray in cases:
+            tcc = assemble(cx, bundle, spray)
+            for d, m in tcc.boundaries_exact.items():
+                want = lx.to_float(m)
+                assert tcc.boundaries[d].shape == want.shape
+                assert np.array_equal(tcc.boundaries[d], want)
+
     def test_lens_19_cyclotomic(self):
         cx = build_lens(19, 1)
         tcc = assemble(cx, FlatBundle(18, {"e": companion_matrix_cyclotomic(19)}), canonical_spray(cx))
@@ -259,6 +275,14 @@ class TestTComb:
         cx, _, spray = triple("circle-1cell")
         with pytest.raises(FloatRangeError):
             assemble(cx, FlatBundle(1, {"e": [[10**400]]}), spray)
+
+    def test_tiny_nonzero_entry_is_typed_error(self):
+        # holonomy 1 + 10**-400: the boundary entry 10**-400 is nonzero but rounds to 0.0,
+        # which would make an acyclic complex look non-acyclic with t_comb 1
+        cx, _, spray = triple("circle-1cell")
+        bundle = FlatBundle(1, {"e": [[1 + Fraction(1, 10**400)]]})
+        with pytest.raises(FloatRangeError):
+            ft_torsion(cx, bundle, spray)
 
     def test_two_term_acyclic_equals_det(self):
         rng = np.random.default_rng(33)
