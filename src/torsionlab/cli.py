@@ -38,7 +38,7 @@ from .serialization import (
     spray_to_jsonable,
 )
 from .suites import SUITES, run_suite
-from .torsion_engine import RANK_TOL, assemble, ft_torsion, t_comb
+from .torsion_engine import RANK_TOL, assemble, ft_torsion, ft_torsion_of_tcc, t_comb
 
 
 def _load_complex(path):
@@ -275,9 +275,8 @@ def _dispatch(args):
             cx = _load_complex(args.complex)
             bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
             spray = _spray_for(args, cx)
-            res = ft_torsion(cx, bundle, spray, rank_tol=rank_tol)
-            out = res.to_jsonable()
             tcc = assemble(cx, bundle, spray)
+            out = ft_torsion_of_tcc(tcc, rank_tol=rank_tol).to_jsonable()
             out["t_comb_det_route"] = t_comb(tcc, "det", rank_tol)
             if bundle.exact:
                 out["t_comb_exact_route"] = t_comb(tcc, "exact")

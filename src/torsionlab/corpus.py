@@ -197,12 +197,6 @@ def random_invertible(rng, k, max_tries=100):
     raise TorsionLabError("could not draw an invertible rational matrix")
 
 
-def _conjugate(g, m):
-    from . import linalg_exact as lx
-
-    return lx.matmul(lx.matmul(g, m), lx.inverse(g))
-
-
 def _holonomy_family(name, rng, rank):
     """Edge -> matrix solving the attaching relations of the named complex."""
     from . import linalg_exact as lx

@@ -56,7 +56,7 @@ class FlatBundle:
             c = len(m[0]) if self.exact else m.shape[1]
             if (r, c) != (self.rank, self.rank):
                 raise ValueError(f"edge {e!r}: matrix is not {self.rank} x {self.rank}")
-            d = lx.det(m) if self.exact else np.linalg.det(m)
+            d = self.det(m)
             if (self.exact and d == 0) or (not self.exact and abs(d) < 1e-14):
                 raise ValueError(f"edge {e!r}: matrix is singular")
         if reference_basis is None:
@@ -77,11 +77,14 @@ class FlatBundle:
         if direction == 1:
             return m
         if edge not in self._inv_cache:
-            self._inv_cache[edge] = lx.inverse(m) if self.exact else np.linalg.inv(m)
+            self._inv_cache[edge] = self.inv(m)
         return self._inv_cache[edge]
 
     def mul(self, a, b):
         return lx.matmul(a, b) if self.exact else a @ b
+
+    def inv(self, m):
+        return lx.inverse(m) if self.exact else np.linalg.inv(m)
 
     def det(self, m):
         return lx.det(m) if self.exact else float(np.linalg.det(m))
@@ -205,17 +208,11 @@ def gauge_normalize(complex_, bundle):
     gauges = {}
     for v in complex_.cells_of_dim(0):
         gauges[v.id] = transport(bundle, complex_.tree_path(v.id))
-    inv = (lambda m: lx.inverse(m)) if bundle.exact else (lambda m: np.linalg.inv(m))
     new = {}
     for e in complex_.cells_of_dim(1):
         t, h = complex_.edge_endpoints(e.id)
-        new[e.id] = bundle.mul(bundle.mul(gauges[t], bundle.matrix(e.id)), inv(gauges[h]))
+        new[e.id] = bundle.mul(bundle.mul(gauges[t], bundle.matrix(e.id)), bundle.inv(gauges[h]))
     return (
         FlatBundle(bundle.rank, new, bundle.exact, bundle.reference_basis),
         gauges,
     )
-
-
-def restrict_to_edges(bundle, edge_ids):
-    mats = {e: bundle.edge_matrices[e] for e in edge_ids}
-    return FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -118,11 +119,6 @@ def msub(a, b):
     return [[a[i][j] - b[i][j] for j in range(c)] for i in range(r)]
 
 
-def mscale(s, a):
-    s = frac(s)
-    return [[s * x for x in row] for row in a]
-
-
 def meq(a, b):
     return shape(a) == shape(b) and all(
         a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
@@ -143,6 +139,13 @@ def to_float(a):
         if 0.0 in frow and any(x for x, f in zip(row, frow) if not f):
             raise FloatRangeError("nonzero exact matrix entry is too small for a float")
     return np.array(rows, dtype=float)
+
+
+def exp_float(log_x, what):
+    """exp(log_x); FloatRangeError unless that is a normal double."""
+    if not math.log(sys.float_info.min) <= log_x <= math.log(sys.float_info.max):
+        raise FloatRangeError(f"{what} is about e**{log_x:.6g}, outside the float range")
+    return math.exp(log_x)
 
 
 def det(a):
@@ -495,7 +498,7 @@ def rank_kernel_float(m, rtol=1e-10, scale=None):
 
 
 def vol_float(m, rtol=1e-10, scale=None):
-    """Product of nonzero singular values via Gaussian elimination and LU dets."""
+    """Product of nonzero singular values via Gaussian elimination and LU log-dets."""
     m = np.asarray(m, dtype=float)
     r, c = m.shape
     if r == 0 or c == 0:
@@ -504,8 +507,5 @@ def vol_float(m, rtol=1e-10, scale=None):
     if rk == 0:
         return 1.0
     g = m.T @ m
-    if kern.shape[1] == 0:
-        val = np.linalg.det(g)
-    else:
-        val = np.linalg.det(g + kern @ kern.T) / np.linalg.det(kern.T @ kern)
-    return float(np.sqrt(abs(val)))
+    log_val = np.linalg.slogdet(g + kern @ kern.T)[1] - np.linalg.slogdet(kern.T @ kern)[1]
+    return exp_float(0.5 * float(log_val), "volume")

@@ -50,6 +50,7 @@ from .torsion_engine import (
     det_of_class,
     euler_action_on_torsion,
     ft_torsion,
+    ft_torsion_pair,
     t_comb,
 )
 
@@ -492,8 +493,6 @@ def _lens_gaussian_oracle(p, q, turns=1):
 
 def _spray_rechoice_worst():
     worst = 0.0
-    from .torsion_engine import transport_reference_between_sprays
-
     for name, bundle in (
         ("circle-1cell", FlatBundle(1, {"e": [[3]]})),
         ("torus", FlatBundle(1, {"a": [[1]], "b": [[1]]})),
@@ -509,11 +508,7 @@ def _spray_rechoice_worst():
         beta = alpha.with_leg(e0.id, detour.compose(alpha.leg(e0.id)))
         if not spray_difference(cx, alpha, beta).is_zero:
             raise TorsionLabError("rechoice oracle constructed a nonzero class")
-        res_a = ft_torsion(cx, bundle, alpha)
-        refs = {d: b for d, b in res_a.harmonic_bases.items() if b.size}
-        tcc_a = assemble(cx, bundle, alpha)
-        refs_b = transport_reference_between_sprays(tcc_a, cx, bundle, alpha, beta, refs)
-        res_b = ft_torsion(cx, bundle, beta, reference_cycles=refs_b)
+        res_a, res_b = ft_torsion_pair(cx, bundle, alpha, beta)
         worst = max(worst, _rel(res_a.ft_metric.value, res_b.ft_metric.value))
     return worst
 

@@ -116,7 +116,7 @@ def assemble(complex_, bundle, spray):
     for cid, leg in spray.legs:
         m = _walk_transport(bundle, leg.steps, walks)
         leg_t[cid] = m
-        leg_t_inv[cid] = lx.inverse(m) if bundle.exact else np.linalg.inv(m)
+        leg_t_inv[cid] = bundle.inv(m)
     exact = bundle.exact
     boundaries_exact = {} if exact else None
     boundaries = {}
@@ -285,6 +285,23 @@ def _eig_split(lap, rank_tol):
     return w, kdim, v
 
 
+def _log_det_prime(w, kdim):
+    """log det' from an ascending spectrum whose first kdim values are the kernel."""
+    return float(np.sum(np.log(w[kdim:])))
+
+
+def _spectral_torsion(spectra, betti, harmonic_value=1.0):
+    """(t_comb, t_comb^2 * harmonic_value) from the Laplacian spectra, summed in logs.
+
+    log t_comb = 1/2 sum_{d>=1} (-1)^{d+1} d log det' Delta_d.
+    """
+    log_t = 0.5 * sum(
+        (-1) ** (d + 1) * d * _log_det_prime(w, betti[d]) for d, w in spectra.items() if d
+    )
+    log_h = math.log(harmonic_value) if harmonic_value > 0.0 else -math.inf
+    return lx.exp_float(log_t, "t_comb"), lx.exp_float(2.0 * log_t + log_h, "torsion value")
+
+
 def det_prime(mat, rank_tol=RANK_TOL):
     """Product of the eigenvalues above the rank cutoff; 1 for the zero matrix."""
     mat = np.asarray(mat, dtype=float)
@@ -293,12 +310,7 @@ def det_prime(mat, rank_tol=RANK_TOL):
     if mat.size and np.abs(mat - mat.T).max() > 1e-9 * max(np.abs(mat).max(), 1.0):
         raise TorsionLabError("det_prime expects a symmetric matrix")
     w, kdim, _ = _eig_split(mat, rank_tol)
-    nz = w[kdim:]
-    return float(np.prod(nz)) if len(nz) else 1.0
-
-
-def det_prime_exact(mat):
-    return lx.det_prime_psd(mat)
+    return lx.exp_float(_log_det_prime(w, kdim), "det'")
 
 
 def harmonic_data(tcc, rank_tol=RANK_TOL):
@@ -340,17 +352,15 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
 
     'eig' uses log t = 1/2 sum_d (-1)^{d+1} d log det' Delta_d; 'det' is the
     eigensolver-free route prod_d vol(D_d)^{(-1)^{d+1}} via Gaussian
-    elimination; 'exact' evaluates the same product over the rationals.
+    elimination; 'exact' evaluates the same product over the rationals.  A
+    result outside the double range raises FloatRangeError.
     """
     if method == "eig":
-        laps = laplacians(tcc)
-        log_t = 0.0
-        for d, lap in laps.items():
-            if d == 0 or lap.size == 0:
-                continue
-            dp = det_prime(lap, rank_tol)
-            log_t += 0.5 * (-1) ** (d + 1) * d * math.log(dp)
-        return math.exp(log_t)
+        spectra, kdims = {}, {}
+        for d, lap in laplacians(tcc).items():
+            if d:
+                spectra[d], kdims[d], _ = _eig_split(lap, rank_tol)
+        return _spectral_torsion(spectra, kdims)[0]
     if method == "det":
         scale = max(
             (float(np.abs(b).max()) for b in tcc.boundaries.values() if b.size),
@@ -362,7 +372,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
             if b.size == 0:
                 continue
             log_t += (-1) ** (d + 1) * math.log(lx.vol_float(b, scale=max(scale, 1.0)))
-        return math.exp(log_t)
+        return lx.exp_float(log_t, "t_comb")
     if method == "exact":
         return _sqrt_float(t_comb_squared_exact(tcc))
     raise ValueError(f"unknown t_comb method {method!r}")
@@ -454,9 +464,8 @@ def ft_torsion(complex_, bundle, spray, reference_cycles=None, rank_tol=RANK_TOL
 
 def ft_torsion_of_tcc(tcc, reference_cycles=None, rank_tol=RANK_TOL):
     harm, spectra, betti, bases = harmonic_metric(tcc, reference_cycles, rank_tol)
-    t = t_comb(tcc, "eig", rank_tol)
+    t, ft_value = _spectral_torsion(spectra, betti, harm.value)
     acyclic = all(b == 0 for b in betti.values())
-    ft_value = t * t * harm.value
     ft = DetLineMetric(
         value=ft_value,
         reference=harm.reference + "; fiber volume from the declared frame",
@@ -495,6 +504,20 @@ def transport_reference_between_sprays(tcc_alpha, complex_, bundle, alpha, beta,
     return out
 
 
+def ft_torsion_pair(complex_, bundle, alpha, beta, rank_tol=RANK_TOL):
+    """ft_torsion under alpha and under beta, with one shared reference.
+
+    alpha's deterministic kernel basis is the reference; it is transported to
+    beta's frames for the second result.  Each spray is assembled once.
+    """
+    tcc_a = assemble(complex_, bundle, alpha)
+    res_a = ft_torsion_of_tcc(tcc_a, rank_tol=rank_tol)
+    refs = {d: b for d, b in res_a.harmonic_bases.items() if b.size}
+    refs_b = transport_reference_between_sprays(tcc_a, complex_, bundle, alpha, beta, refs)
+    res_b = ft_torsion(complex_, bundle, beta, reference_cycles=refs_b, rank_tol=rank_tol)
+    return res_a, res_b
+
+
 def euler_action_on_torsion(complex_, bundle, alpha, u, rank_tol=RANK_TOL):
     """Ratio of torsion values between act(u, alpha) and alpha.
 
@@ -502,16 +525,7 @@ def euler_action_on_torsion(complex_, bundle, alpha, u, rank_tol=RANK_TOL):
     ratio is exactly |det rho(u)|^EULER_ACTION_EXPONENT, and 1 whenever the
     bundle preserves volume.
     """
-    res_a = ft_torsion(complex_, bundle, alpha, rank_tol=rank_tol)
-    beta = act(complex_, u, alpha)
-    tcc_a = assemble(complex_, bundle, alpha)
-    refs = {d: b for d, b in res_a.harmonic_bases.items() if b.size}
-    refs_beta = transport_reference_between_sprays(
-        tcc_a, complex_, bundle, alpha, beta, refs
-    )
-    res_b = ft_torsion(
-        complex_, bundle, beta, reference_cycles=refs_beta, rank_tol=rank_tol
-    )
+    res_a, res_b = ft_torsion_pair(complex_, bundle, alpha, act(complex_, u, alpha), rank_tol)
     return res_b.ft_metric.value / res_a.ft_metric.value
 
 
@@ -519,6 +533,4 @@ def det_of_class(complex_, bundle, u):
     """|det| of the holonomy around a representative loop of u."""
     lat = complex_.h1_lattice()
     loop = lat.representative_loop(u.coords)
-    m = transport(bundle, loop)
-    d = lx.det(m) if bundle.exact else np.linalg.det(m)
-    return abs(float(d))
+    return abs(float(bundle.det(transport(bundle, loop))))

@@ -179,3 +179,13 @@ class TestExactness:
     def test_float_entries_demote_to_float_mode(self):
         b = FlatBundle(1, {"e": [[0.5]]})
         assert not b.exact
+
+    def test_inv_is_the_reverse_step(self):
+        exact = FlatBundle(2, {"e": [["1/2", 1], [0, 3]]})
+        assert exact.inv(exact.matrix("e")) == exact.matrix("e", -1) == [
+            [Fraction(2), Fraction(-2, 3)],
+            [Fraction(0), Fraction(1, 3)],
+        ]
+        floats = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})
+        assert np.array_equal(floats.inv(floats.matrix("e")), floats.matrix("e", -1))
+        assert np.allclose(floats.inv(floats.matrix("e")), [[2.0, -2 / 3], [0.0, 1 / 3]])

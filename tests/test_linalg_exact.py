@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 from torsionlab import linalg_exact as lx
+from torsionlab.errors import FloatRangeError
 
 
 def random_int_matrix(rng, r, c, lo=-5, hi=5):
@@ -119,6 +120,15 @@ def test_rank_kernel_float_scale_guard():
     rk, kern = lx.rank_kernel_float(noise, scale=1.0)
     assert rk == 0 and kern.shape == (3, 3)
     assert lx.vol_float(noise, scale=1.0) == 1.0
+
+
+def test_vol_float_log_domain():
+    # det(M^T M) = 1e400 overflows; the volume 1e200 does not
+    assert abs(lx.vol_float(1e50 * np.eye(4)) / 1e200 - 1.0) <= 1e-12
+    with pytest.raises(FloatRangeError):
+        lx.vol_float(1e100 * np.eye(4))
+    with pytest.raises(FloatRangeError):
+        lx.vol_float(1e-100 * np.eye(4), scale=1e-100)
 
 
 def reference_matmul(a, b):

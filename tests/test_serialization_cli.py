@@ -113,6 +113,23 @@ class TestCli:
         assert abs(out["ft_value"] - 1.0) <= 1e-9
         assert "t_comb_exact_route" in out
 
+    def test_torsion_compute_assembles_once(self, torus_files, capsys, monkeypatch):
+        import torsionlab.cli as cli
+        import torsionlab.torsion_engine as te
+
+        calls = []
+        real = te.assemble
+        for owner in (cli, te):
+            monkeypatch.setattr(owner, "assemble", lambda *a: calls.append(1) or real(*a))
+        rc = self.run(
+            "torsion", "compute", "--complex", torus_files["complex"], "--bundle", torus_files["bundle"]
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert abs(out["t_comb_det_route"] - out["t_comb"]) <= 1e-9
+        assert out["t_comb_exact_route"] == out["t_comb"] == 1.0
+
     def test_transport_and_kt(self, torus_files, capsys):
         path_arg = json.dumps(
             {"src": "v", "steps": [{"edge": "a", "dir": 1}, {"edge": "a", "dir": -1}]}

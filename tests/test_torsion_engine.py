@@ -17,6 +17,7 @@ from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.errors import FloatRangeError, IllConditionedError, TorsionLabError
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, h1_zero
 from torsionlab.flat_bundle import FlatBundle, transport
+from torsionlab import torsion_engine
 from torsionlab.torsion_engine import (
     EULER_ACTION_EXPONENT,
     assemble,
@@ -24,6 +25,7 @@ from torsionlab.torsion_engine import (
     det_prime,
     euler_action_on_torsion,
     ft_torsion,
+    ft_torsion_of_tcc,
     harmonic_metric,
     laplacians,
     t_comb,
@@ -296,6 +298,91 @@ class TestTComb:
             tcc = assemble(cx, FlatBundle(2, {"e": m}), spray)
             want = abs(float(lx.det(lx.msub(m, lx.identity(2)))))
             assert abs(t_comb(tcc, "eig") - want) <= 1e-9 * want
+
+
+def scalar_bundle(rank, scales):
+    """Rank-`rank` bundle with holonomy scale * I on each named edge."""
+    return FlatBundle(
+        rank,
+        {e: [[c if i == j else 0 for j in range(rank)] for i in range(rank)] for e, c in scales.items()},
+    )
+
+
+class TestLogDomainRange:
+    """Torsion sums log-eigenvalues, so only the torsion itself must fit a double."""
+
+    def test_torus_huge_holonomy_gives_one(self):
+        # every det' is ~1e960, past the double range, while t_comb is 1
+        cx, _, spray = triple("torus")
+        tcc = assemble(cx, scalar_bundle(8, {"a": 10**60, "b": 1}), spray)
+        res = ft_torsion_of_tcc(tcc)
+        assert abs(res.t_comb - 1.0) <= 1e-9
+        assert abs(res.ft_metric.value - 1.0) <= 1e-9
+        assert abs(t_comb(tcc, "eig") - 1.0) <= 1e-9
+        assert t_comb(tcc, "exact") == 1.0
+        with pytest.raises(FloatRangeError):  # vol(D_1) = 1e480 itself leaves the range
+            t_comb(tcc, "det")
+
+    def test_circle_torsion_past_float_range_raises(self):
+        # t_comb = (1e60 - 1)**8, about 1e480
+        cx, _, spray = triple("circle-1cell")
+        bundle = scalar_bundle(8, {"e": 10**60})
+        with pytest.raises(FloatRangeError):
+            ft_torsion(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        for method in ("eig", "det", "exact"):
+            with pytest.raises(FloatRangeError):
+                t_comb(tcc, method)
+
+    def test_det_prime_past_float_range_raises(self):
+        assert abs(det_prime(np.diag([0.0, 1e200])) / 1e200 - 1.0) <= 1e-12
+        with pytest.raises(FloatRangeError):
+            det_prime(np.diag([1e200, 1e200]))
+
+    def test_subdivided_torus_864_cells(self):
+        # rounds 0-2 give 1 and subdivision invariance says round 3 does too
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        for _ in range(3):
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        assert len(cx.cells) == 864
+        tcc = assemble(cx, bundle, spray)
+        res = ft_torsion_of_tcc(tcc)
+        assert abs(res.ft_metric.value - 1.0) <= 1e-8
+        assert abs(res.t_comb - 1.0) <= 1e-8
+        assert abs(t_comb(tcc, "det") - 1.0) <= 1e-8
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneSpectralPass:
+    def test_ft_torsion_one_eigh_per_degree(self, monkeypatch):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        laps = counting(monkeypatch, torsion_engine, "laplacians")
+        tcc = assemble(cx, bundle, spray)
+        ft_torsion_of_tcc(tcc)
+        assert len(eighs) == tcc.top_dim + 1 == 3
+        assert len(laps) == 1
+
+    def test_euler_action_assembles_each_spray_once(self, monkeypatch):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(1, {"a": [[2]], "b": [[1]]})
+        calls = counting(monkeypatch, torsion_engine, "assemble")
+        euler_action_on_torsion(cx, bundle, spray, h1_class_for(cx, (0, 1)))
+        assert len(calls) == 2
 
 
 class TestHarmonicMetric:
