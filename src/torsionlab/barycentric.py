@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg_exact as lx
 from .complex_core import (
     ComplexDescription,
     EdgePath,
@@ -307,7 +306,7 @@ def _subdivide_flags(cx, bundle, spray):
         vertex_images=vertex_images,
         cell_carriers=carriers,
         step_images=step_images,
-        chain_coefficients={},
+        chain_coefficients=_cone_chain_map(cx, target, bid),
     )
 
     new_legs = []
@@ -317,8 +316,6 @@ def _subdivide_flags(cx, bundle, spray):
         internal = _internal_path_flags(target, c, carrier, bid, anchor_of)
         new_legs.append((c.id, base.compose(internal)))
     new_spray = Spray(tuple(new_legs))
-
-    smap.chain_coefficients = _solve_chain_coefficients(cx, target, carriers, vertex_images)
 
     if target.euler_characteristic() != cx.euler_characteristic():
         raise UnsupportedStructureError("subdivision changed the Euler characteristic")
@@ -348,55 +345,36 @@ def _internal_path_flags(target, new_cell, carrier, bid, anchor_of):
     return EdgePath(tuple(steps), src, dst)
 
 
-def _solve_chain_coefficients(cx, target, carriers, vertex_images):
-    """Signs of the subdivision chain map, solved degree by degree over Q.
+def _cone_chain_map(cx, target, bid):
+    """Signs of the subdivision chain map by the cone rule Sd s = b_s * Sd(ds).
 
-    In each degree the map must satisfy d(sub(sigma)) = sub(d(sigma)); the
-    unknown signs sit on the same-dimension cells carried by sigma, and the
-    system has a unique solution because the subdivided closed cell is a ball.
+    The cone on an oriented flag simplex puts b_s first; sorting it into the
+    target's vertex order costs (-1)^(number of its vertices before b_s).
+    Each image is checked against d(Sd s) = Sd(d s) on the target's records.
     """
-    chain = {vid: {vertex_images[vid]: 1} for vid in vertex_images}
-    tops = {}
-    for c in target.cells:
-        tops.setdefault((carriers[c.id], c.dim), []).append(c.id)
+    chain = {v.id: {bid(v.id): 1} for v in cx.cells_of_dim(0)}
     for d in range(1, cx.dim + 1):
-        rows_old = cx.cells_of_dim(d)
-        prev_new_idx = {c.id: j for j, c in enumerate(target.cells_of_dim(d - 1))}
-        b_old = cx.boundary_matrix_int(d)
-        b_new = target.boundary_matrix_int(d)
-        new_idx = {c.id: j for j, c in enumerate(target.cells_of_dim(d))}
-        prev_old = cx.cells_of_dim(d - 1)
-        for j_old, sigma in enumerate(rows_old):
-            support = sorted(tops.get((sigma.id, d), []), key=str)
-            if not support:
-                raise UnsupportedStructureError(f"no subdivision cells over {sigma.id!r}")
-            rhs = [0] * len(prev_new_idx)
-            for i_prev, tau in enumerate(prev_old):
-                coeff = b_old[i_prev][j_old]
-                if coeff == 0:
-                    continue
-                for tgt, sgn in chain[tau.id].items():
-                    rhs[prev_new_idx[tgt]] += coeff * sgn
-            a = [
-                [b_new[i][new_idx[fl]] for fl in support]
-                for i in range(len(prev_new_idx))
-            ]
-            sol = lx.solve(lx.fmat(a), [[lx.frac(x)] for x in rhs])
-            coeffs = {}
-            recon = [0] * len(prev_new_idx)
-            for col, fl in enumerate(support):
-                val = sol[col][0]
-                if val.denominator != 1 or abs(val) > 1:
-                    raise UnsupportedStructureError(
-                        f"subdivision chain coefficient {val} on {fl!r} is not a sign"
-                    )
-                if val != 0:
-                    coeffs[fl] = int(val)
-                for i in range(len(recon)):
-                    recon[i] += int(val) * a[i][col]
-            if recon != rhs:
+        for sigma, col in cx.boundary_columns(d).items():
+            b = bid(sigma)
+            image, want = {}, {}
+            for tau, x in col.items():
+                for rho, y in chain[tau].items():
+                    want[rho] = want.get(rho, 0) + x * y
+                    verts = target.simplex_vertices[rho]
+                    cone = "|".join(sorted((b, *verts)))
+                    if not target.has_cell(cone):
+                        raise UnsupportedStructureError(f"missing subdivision simplex {cone!r}")
+                    if abs(x * y) != 1:
+                        raise UnsupportedStructureError(
+                            f"subdivision chain coefficient {x * y} on {cone!r} is not a sign"
+                        )
+                    image[cone] = (-1) ** sum(v < b for v in verts) * x * y
+            for cone, x in image.items():
+                for rec in target.records_of(cone):
+                    want[rec.face] = want.get(rec.face, 0) - x * rec.coeff
+            if any(want.values()):
                 raise UnsupportedStructureError(
-                    f"inconsistent subdivision chain map over {sigma.id!r}"
+                    f"inconsistent subdivision chain map over {sigma!r}"
                 )
-            chain[sigma.id] = coeffs
+            chain[sigma] = image
     return chain

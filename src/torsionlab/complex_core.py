@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg_exact as lx
 from .errors import InvalidComplexError, PathComplexMismatchError
 
@@ -239,24 +237,20 @@ class ComplexDescription:
                     )
             if not self._skeleton_connected():
                 rep.add("connectivity", "1-skeleton is not connected")
-        # integer boundary-of-boundary; int64 is exact at desk scale and the
-        # magnitude guard rejects anything that could wrap
+        # integer boundary-of-boundary, composed through the sparse columns;
+        # reported in (face, coface) order
         for d in range(2, self.dim + 1):
-            bd = np.array(self.boundary_matrix_int(d), dtype=np.int64)
-            bd1 = np.array(self.boundary_matrix_int(d - 1), dtype=np.int64)
-            if bd.size == 0 or bd1.size == 0:
-                continue
-            if max(np.abs(bd).max(initial=0), np.abs(bd1).max(initial=0)) > 2**20:
-                rep.add("boundary-coeff", "incidence coefficients too large to verify")
-                continue
-            prod = bd1 @ bd
-            faces = self.cells_of_dim(d - 2)
-            cofs = self.cells_of_dim(d)
-            for i, j in np.argwhere(prod):
-                rep.add(
-                    "boundary-squared",
-                    f"d(d({cofs[j].id!r})) has coefficient {prod[i, j]} on {faces[i].id!r}",
-                )
+            lower = self.boundary_columns(d - 1)
+            face_index = {c.id: i for i, c in enumerate(self.cells_of_dim(d - 2))}
+            bad = []
+            for j, (cof, col) in enumerate(self.boundary_columns(d).items()):
+                acc = {}
+                for tau, x in col.items():
+                    for f, y in lower[tau].items():
+                        acc[f] = acc.get(f, 0) + x * y
+                bad += [(face_index[f], j, f, cof, x) for f, x in acc.items() if x]
+            for _, _, f, cof, x in sorted(bad):
+                rep.add("boundary-squared", f"d(d({cof!r})) has coefficient {x} on {f!r}")
         self._validation = rep
         return rep
 
@@ -301,6 +295,18 @@ class ComplexDescription:
                 m[ri[rec.face]][ci[rec.coface]] += rec.coeff
         return m
 
+    def boundary_columns(self, d):
+        """{d-cell id: {(d-1)-cell id: coefficient}}: record sums, zeros dropped."""
+        faces = {c.id for c in self.cells_of_dim(d - 1)}
+        out = {}
+        for c in self.cells_of_dim(d):
+            col = {}
+            for rec in self._incident_by_coface.get(c.id, ()):
+                if rec.face in faces:
+                    col[rec.face] = col.get(rec.face, 0) + rec.coeff
+            out[c.id] = {f: x for f, x in col.items() if x}
+        return out
+
     def euler_characteristic(self):
         self.require_valid()
         return sum((-1) ** d * len(cs) for d, cs in self._by_dim.items())
@@ -324,14 +330,10 @@ class ComplexDescription:
         """
         if d in self._divisors:
             return self._divisors[d]
-        cols, rows = {}, {}  # column -> {row: coeff}; row -> {column: None}
-        for c in self.cells_of_dim(d):
-            col = {}
-            for rec in self._incident_by_coface.get(c.id, ()):
-                col[rec.face] = col.get(rec.face, 0) + rec.coeff
-            cols[c.id] = col = {f: x for f, x in col.items() if x}
+        cols, rows = self.boundary_columns(d), {}  # row -> {column: None}
+        for c, col in cols.items():
             for f in col:
-                rows.setdefault(f, {})[c.id] = None
+                rows.setdefault(f, {})[c] = None
         divisors, todo = [], list(cols)
         while todo:
             c = todo.pop()
@@ -356,7 +358,7 @@ class ComplexDescription:
         residual = [col for col in cols.values() if col]
         if residual:
             faces = list({f: None for col in residual for f in col})
-            _, snf, _ = lx.smith_normal_form([[col.get(f, 0) for col in residual] for f in faces])
+            snf = lx.smith_normal_form([[col.get(f, 0) for col in residual] for f in faces])[1]
             divisors += [snf[i][i] for i in range(min(len(faces), len(residual))) if snf[i][i]]
         self._divisors[d] = divisors
         return divisors
@@ -483,28 +485,21 @@ class H1Lattice:
         edges = complex_.cells_of_dim(1)
         self.edge_index = {c.id: i for i, c in enumerate(edges)}
         ne = len(edges)
-        b1 = complex_.boundary_matrix_int(1)
-        b2 = complex_.boundary_matrix_int(2)
-        kernel = lx.int_kernel_basis(b1) if ne else []
-        self._kernel_cols = kernel  # columns, each length ne
-        r = len(kernel)
-        if b2 and b2[0] and r:
-            x = [
-                lx.int_solve_in_basis(kernel, [b2[i][j] for i in range(ne)])
-                for j in range(len(b2[0]))
-            ]
-            x_mat = [[x[j][i] for j in range(len(x))] for i in range(r)]
+        # U1 d1 V1 = D1 with rank rk: the cycles are spanned by V1[:, rk:] and
+        # a cycle z has coordinates (V1^-1 z)[rk:]
+        _, d1, v1, _, self._v1inv = lx.smith_normal_form(complex_.boundary_matrix_int(1))
+        self._rk = sum(1 for i in range(min(len(d1), ne)) if d1[i][i])
+        self._kernel_cols = [[row[j] for row in v1] for j in range(self._rk, ne)]
+        r = ne - self._rk
+        x_cols = [self._kernel_coords(col) for col in complex_.boundary_columns(2).values()]
+        if r and x_cols:
+            u, d, _, uinv, _ = lx.smith_normal_form([list(row) for row in zip(*x_cols)])
+            diag = [d[i][i] for i in range(min(r, len(x_cols)))]
         else:
-            x_mat = [[0] * 0 for _ in range(r)] if r else []
-        if r and x_mat and x_mat[0]:
-            u, d, _ = lx.smith_normal_form(x_mat)
-            diag = [d[i][i] for i in range(min(r, len(d[0])))]
-        else:
-            u = [[int(i == j) for j in range(r)] for i in range(r)]
+            u = uinv = [[int(i == j) for j in range(r)] for i in range(r)]
             diag = []
         diag = diag + [0] * (r - len(diag))
-        self._u = u
-        self._uinv = lx.int_inverse(u) if r else []
+        self._u, self._uinv = u, uinv
         # coordinate slots: drop divisor-1 rows, keep torsion then free
         self.torsion = [diag[i] for i in range(r) if diag[i] > 1]
         self._torsion_rows = [i for i in range(r) if diag[i] > 1]
@@ -532,13 +527,17 @@ class H1Lattice:
     def neg(self, a):
         return self.reduce([-x for x in a])
 
+    def _kernel_coords(self, chain):
+        """Coordinates of an integer 1-cycle {edge: coeff} in the cycle basis."""
+        nz = [(self.edge_index[e], x) for e, x in chain.items()]
+        y = [sum(row[i] * x for i, x in nz) for row in self._v1inv]
+        if any(y[: self._rk]):
+            raise lx.SingularMatrixError("vector outside lattice")
+        return y[self._rk :]
+
     def class_of_chain(self, chain):
         """H1 coordinates of an integer 1-cycle given as {edge: coeff}."""
-        ne = len(self.edge_index)
-        z = [0] * ne
-        for e, c in chain.items():
-            z[self.edge_index[e]] = c
-        w = lx.int_solve_in_basis(self._kernel_cols, z) if self._kernel_cols else []
+        w = self._kernel_coords(chain)
         y = [sum(self._u[i][j] * w[j] for j in range(len(w))) for i in range(len(w))]
         coords = [y[i] for i in self._torsion_rows] + [y[i] for i in self._free_rows]
         return self.reduce(coords)

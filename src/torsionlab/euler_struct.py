@@ -46,6 +46,10 @@ class H1Class:
 
 def h1_class(coords, torsion, rank):
     coords = list(coords)
+    if len(coords) != len(torsion) + rank:
+        raise PathComplexMismatchError(
+            f"H1 class needs {len(torsion) + rank} coordinates, got {len(coords)}"
+        )
     for i, c in enumerate(torsion):
         coords[i] %= c
     return H1Class(tuple(coords), tuple(torsion), rank)

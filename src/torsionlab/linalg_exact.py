@@ -1,8 +1,8 @@
 """Exact rational and integer linear algebra.
 
 Matrices are lists of lists.  Rational routines work over ``fractions.Fraction``
-and never touch floats; integer routines (Smith normal form and friends) work
-over Python ints, so there is no overflow anywhere.
+and never touch floats; the Smith normal form works over Python ints, so
+there is no overflow anywhere.
 
 Products are scaled-integer products: each operand is written as an integer
 matrix over one common denominator (the lcm of its entry denominators), the
@@ -243,25 +243,6 @@ def right_kernel(a):
     return basis
 
 
-def solve(a, b_cols):
-    """Solve a X = B for each column of B; raises if inconsistent."""
-    r, c = shape(a)
-    aug = [a[i][:] + list(b_cols[i]) for i in range(r)]
-    ech, pivots = _echelon(aug)
-    ncols_b = len(b_cols[0]) if r else 0
-    for row in ech:
-        if all(row[j] == 0 for j in range(c)) and any(row[c:]):
-            raise SingularMatrixError("inconsistent system")
-    xs = [[Fraction(0)] * ncols_b for _ in range(c)]
-    for row_i, pc in enumerate(pivots):
-        if pc >= c:
-            raise SingularMatrixError("inconsistent system")
-        for j in range(ncols_b):
-            xs[pc][j] = ech[row_i][c + j]
-    # pivot columns only; valid when solution unique or any solution acceptable
-    return xs
-
-
 def cols_to_matrix(cols, nrows=None):
     if not cols:
         return [[] for _ in range(nrows or 0)]
@@ -312,45 +293,52 @@ def product_is_zero(a, b):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: Smith normal form and homology helpers
+# integer matrices: Smith normal form
 
 
 def smith_normal_form(a):
     """Smith normal form over the integers.
 
-    Returns (U, D, V) with U a V = D, U and V unimodular, D diagonal with
-    d_i | d_{i+1} and nonnegative.  Deterministic pivot choice (smallest
-    absolute value, lowest index first).
+    Returns (U, D, V, U^-1, V^-1) with U a V = D, U and V unimodular, D
+    diagonal with d_i | d_{i+1} and nonnegative.  Each row operation on U is
+    mirrored as the inverse column operation on U^-1, and each column
+    operation on V as the inverse row operation on V^-1.  Deterministic pivot
+    choice (smallest absolute value, lowest index first).
     """
     a = [[int(x) for x in row] for row in a]
     r = len(a)
     c = len(a[0]) if r else 0
     u = [[int(i == j) for j in range(r)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
+    uinv, vinv = [row[:] for row in u], [row[:] for row in v]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, q):  # row_dst += q * row_src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        for row in uinv:
+            row[src] -= q * row[dst]
 
-    def add_col(dst, src, q):
-        for row in a:
+    def add_col(dst, src, q):  # col_dst += q * col_src
+        for row in a + v:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        vinv[src] = [x - q * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while True:
@@ -398,55 +386,7 @@ def smith_normal_form(a):
         if piv < 0:
             negate_row(t)
         t += 1
-    return u, a, v
-
-
-def int_kernel_basis(a):
-    """Basis of the saturated integer kernel lattice {x in Z^c : a x = 0}."""
-    r = len(a)
-    c = len(a[0]) if r else 0
-    if c == 0:
-        return []
-    if r == 0 or all(x == 0 for row in a for x in row):
-        return [[int(i == j) for i in range(c)] for j in range(c)]
-    u, d, v = smith_normal_form(a)
-    rk = sum(1 for i in range(min(r, c)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(c)] for j in range(rk, c)]
-
-
-def int_solve_in_basis(basis_cols, z):
-    """Integer coordinates of z in the given lattice basis (columns)."""
-    if not basis_cols:
-        if any(z):
-            raise SingularMatrixError("vector outside lattice")
-        return []
-    a = [[Fraction(col[i]) for col in basis_cols] for i in range(len(z))]
-    x = solve(a, [[Fraction(zi)] for zi in z])
-    out = []
-    for row in x:
-        val = row[0]
-        if val.denominator != 1:
-            raise SingularMatrixError("vector outside integer lattice")
-        out.append(int(val))
-    # verify (solve() ignores non-pivot consistency for overdetermined input)
-    recon = [sum(basis_cols[j][i] * out[j] for j in range(len(out))) for i in range(len(z))]
-    if recon != list(z):
-        raise SingularMatrixError("vector outside lattice")
-    return out
-
-
-def int_inverse(a):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = inverse(fmat(a))
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out_row.append(int(x))
-        out.append(out_row)
-    return out
+    return u, a, v, uinv, vinv
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def dense_homology(cx, degree):
         m = cx.boundary_matrix_int(d)
         if not m or not m[0]:
             return []
-        _, snf, _ = lx.smith_normal_form(m)
+        _, snf, _, _, _ = lx.smith_normal_form(m)
         return [snf[i][i] for i in range(min(len(m), len(m[0]))) if snf[i][i]]
 
     n = len(cx.cells_of_dim(degree))
@@ -112,6 +112,18 @@ class TestValidation:
         # hand check: the a b a^-1 b^-1 word contributes +1 and -1 per edge
         assert b2 == [[0], [0]]
 
+    def test_large_coefficient_validates(self):
+        # d(F) = 2**40 e on a loop edge: past int64 products, exact in Python ints
+        cells = [Cell("v", 0, "v"), Cell("e", 1, "v"), Cell("F", 2, "v")]
+        incs = [
+            Incidence("e", "v", 1, EdgePath((("e", 1),), "v", "v")),
+            Incidence("e", "v", -1, EdgePath((), "v", "v")),
+            Incidence("F", "e", 2**40, EdgePath((), "v", "v")),
+        ]
+        cx = ComplexDescription(cells, incs, "v", "big")
+        assert cx.validate().ok
+        assert cx.integral_homology(1) == (0, [2**40])
+
     def test_chi_requires_valid_complex(self):
         cells = [Cell("v", 0, "v"), Cell("e", 1, "w")]
         cx = ComplexDescription(cells, [], "v", "broken")
@@ -157,11 +169,16 @@ class TestIntegralHomology:
 
     @pytest.mark.parametrize("name", corpus_list())
     def test_matches_dense_snf_through_two_rounds(self, name):
-        # tetra-solid stops at one round: its second subdivision takes ~5 s and
-        # the dense reference on its 2745 cells about a minute
+        # tetra-solid stops at one round: the dense reference on its second
+        # subdivision (2745 cells) takes about a minute; see the test below
         for r, cx in enumerate(subdivisions(name, 1 if name == "tetra-solid" else 2)):
             for d in range(cx.dim + 2):
                 assert cx.integral_homology(d) == dense_homology(cx, d), (name, r, d)
+
+    def test_tetra_solid_second_subdivision(self):
+        cx = subdivisions("tetra-solid", 2)[-1]
+        assert len(cx.cells) == 2745
+        assert full_homology(cx) == [(1, []), (0, []), (0, []), (0, [])]
 
     def test_lens_spaces_match_dense_snf(self):
         for p in (2, 3, 5, 7):
@@ -241,6 +258,19 @@ class TestH1Lattice:
                 loop = lat.representative_loop(coords)
                 assert cx.path_is_valid(loop)
                 assert lat.class_of_loop(loop) == lat.reduce(coords)
+
+    def test_kernel_saturated_and_coordinates(self):
+        # a triangle of edges: the cycle lattice is Z, spanned by the +-(1, 1, 1) loop
+        cx = cw_complex_from_words(
+            "tri", ["u", "v", "w"], {"a": ("u", "v"), "b": ("v", "w"), "c": ("w", "u")}, {}, "u"
+        )
+        lat = cx.h1_lattice()
+        (k,) = lat._kernel_cols
+        assert k[0] == k[1] == k[2] in (1, -1)
+        g = lat.generator_cycle(0)
+        assert lat.class_of_chain({e: 2 * x for e, x in zip("abc", g)}) == (2,)
+        with pytest.raises(lx.SingularMatrixError):
+            lat.class_of_chain({"a": 1})
 
     def test_boundary_loops_are_trivial(self):
         cx = torus()

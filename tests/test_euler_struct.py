@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.complex_core import EdgePath, point_complex
 from torsionlab.corpus import corpus_get
-from torsionlab.errors import OpenPathError, SprayError
+from torsionlab.errors import OpenPathError, PathComplexMismatchError, SprayError
 from torsionlab.euler_struct import (
     Spray,
     act,
     canonical_spray,
+    h1_class,
     h1_class_for,
     h1_zero,
     loop_modify,
@@ -114,6 +116,28 @@ class TestAct:
                 u = h1_class_for(cx, coords)
                 beta = act(cx, u, alpha)
                 assert spray_difference(cx, alpha, beta).coords == u.coords
+
+    def test_round_trips_on_twice_subdivided_torus(self):
+        from itertools import product
+
+        item = corpus_get("torus")
+        cx, bundle, alpha = item.complex, item.bundle, item.spray
+        for _ in range(2):
+            cx, bundle, alpha, _ = barycentric_subdivide(cx, bundle, alpha)
+        assert (cx.h1_lattice().torsion, cx.h1_lattice().rank) == ([], 2)
+        for coords in product(range(-2, 3), repeat=2):
+            u = h1_class_for(cx, coords)
+            beta = act(cx, u, alpha)
+            assert spray_difference(cx, alpha, beta).coords == coords
+            assert spray_difference(cx, beta, alpha).coords == (-u).coords
+
+    def test_wrong_coordinate_count_rejected(self):
+        # klein: H1 = Z/2 + Z, so a class has exactly two coordinates
+        for coords in ((), (1,), (1, 0, 0)):
+            with pytest.raises(PathComplexMismatchError, match="needs 2 coordinates"):
+                h1_class(coords, (2,), 1)
+            with pytest.raises(PathComplexMismatchError):
+                h1_class_for(corpus_get("klein").complex, coords)
 
 
 class TestLoopModify:

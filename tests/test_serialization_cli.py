@@ -203,6 +203,14 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_euler_act_wrong_coordinate_count_exits_2(self, tmp_path, capsys):
+        assert self.run("corpus", "get", "klein", "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        klein = str(tmp_path / "klein.complex.json")
+        assert self.run("euler", "act", "--coords", "", "--complex", klein) == 2
+        assert capsys.readouterr().err.startswith("error: H1 class needs 2 coordinates")
+        assert self.run("euler", "act", "--coords", "1,1", "--complex", klein) == 0
+
     def test_validate_invalid_exits_nonzero(self, tmp_path, capsys):
         data = complex_to_jsonable(corpus_get("circle-1cell").complex)
         data["base_vertex"] = "nope"
