@@ -66,8 +66,8 @@ class CircleModel:
     def zero_mode_dimension(self):
         """Geometric multiplicity of eigenvalue 1 (twisted harmonic rank)."""
         k = self.rank
-        rk, _ = lx.rank_kernel_float(self.holonomy - np.eye(k), rtol=1e-10, scale=max(1.0, float(np.abs(self.holonomy).max())))
-        return k - rk
+        _, piv = lx.echelon_float(self.holonomy - np.eye(k), rtol=1e-10, scale=max(1.0, float(np.abs(self.holonomy).max())))
+        return k - len(piv)
 
 
 def eigenvalue_factor_closed(nu):

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import linalg_exact as lx
 from .analytic_model import CircleModel, analytic_torsion_circle, zeta_det_laplacian
 from .barycentric import barycentric_subdivide
 from .complex_core import EdgePath
@@ -235,8 +236,7 @@ def _dispatch(args):
         bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
         path = _path_from_arg(args.path, cx)
         m = transport(bundle, path)
-        rows = [[float(x) for x in row] for row in (m if not hasattr(m, "tolist") else m.tolist())]
-        _emit(args, {"matrix": rows})
+        _emit(args, {"matrix": (lx.to_float(m) if bundle.exact else m).tolist()})
         return 0
 
     if args.cmd == "kt":

@@ -56,8 +56,9 @@ class FlatBundle:
             c = len(m[0]) if self.exact else m.shape[1]
             if (r, c) != (self.rank, self.rank):
                 raise ValueError(f"edge {e!r}: matrix is not {self.rank} x {self.rank}")
-            d = self.det(m)
-            if (self.exact and d == 0) or (not self.exact and abs(d) < 1e-14):
+            # relative to Hadamard's bound |det m| <= prod of row norms: scale-free
+            tiny = 0 if self.exact else 1e-14 * np.prod(np.linalg.norm(m, axis=1))
+            if abs(self.det(m)) <= tiny:
                 raise ValueError(f"edge {e!r}: matrix is singular")
         if reference_basis is None:
             self.reference_basis = None

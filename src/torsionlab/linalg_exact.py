@@ -13,6 +13,7 @@ entry is one normalized ``Fraction(v, den_a * den_b)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -107,11 +108,6 @@ def matmul(a, b):
     if den == 1:
         return [[Fraction(v) for v in row] for row in prod]
     return [[Fraction(v, den) for v in row] for row in prod]
-
-
-def madd(a, b):
-    r, c = shape(a)
-    return [[a[i][j] + b[i][j] for j in range(c)] for i in range(r)]
 
 
 def msub(a, b):
@@ -218,68 +214,36 @@ def _echelon(a):
     return a[:row], pivots
 
 
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(_echelon(a)[1])
-
-
-def right_kernel(a):
-    """Basis (list of column vectors) of {x : a x = 0}, over Fractions."""
-    r, c = shape(a)
-    if c == 0:
-        return []
-    if r == 0:
-        return [[Fraction(int(i == j)) for i in range(c)] for j in range(c)]
-    ech, pivots = _echelon(a)
-    free = [j for j in range(c) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * c
-        v[j] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            v[pc] = -ech[row_i][j]
-        basis.append(v)
-    return basis
-
-
-def cols_to_matrix(cols, nrows=None):
-    if not cols:
-        return [[] for _ in range(nrows or 0)]
-    n = len(cols[0])
-    return [[col[i] for col in cols] for i in range(n)]
-
-
 def det_prime_psd(a):
     """Product of nonzero eigenvalues of a symmetric PSD rational matrix.
 
-    Uses det'(A) = det(A + K K^T) / det(K^T K) with K a kernel basis; both
-    determinants are exact.  Zero matrix (empty product) gives 1.
+    With R the reduced echelon rows of a and C its pivot columns, a = C R and
+    the nonzero eigenvalues of a are those of R C, so det'(a) = det(R C).
+    Zero matrix (empty product) gives 1.
     """
     n, m = shape(a)
     if n != m:
         raise ValueError("det_prime of non-square matrix")
-    if n == 0:
+    rows, piv = _echelon(a)
+    if not piv:
         return Fraction(1)
-    kern = right_kernel(a)
-    if not kern:
-        return det(a)
-    k = cols_to_matrix(kern, n)
-    kt = transpose(k)
-    num = det(madd(a, matmul(k, kt)))
-    den = det(matmul(kt, k))
-    return num / den
+    return det(matmul(rows, [[row[j] for j in piv] for row in a]))
 
 
 def vol_sq(m):
     """Squared product of nonzero singular values of a rational matrix.
 
-    vol(M)^2 = det'(M^T M); exact via the kernel identity.
+    Row reduction keeps every column relation, so m = C R exactly, with C the
+    pivot columns of m and R its reduced echelon rows; m^T m = R^T (C^T C) R
+    has the nonzero spectrum of (C^T C)(R R^T), so vol(m)^2 = det(C^T C)
+    det(R R^T).  An empty or zero matrix gives 1.
     """
-    r, c = shape(m)
-    if r == 0 or c == 0:
+    m = fmat(m)
+    rows, piv = _echelon(m)
+    if not piv:
         return Fraction(1)
-    return det_prime_psd(matmul(transpose(m), m))
+    cols = [[row[j] for j in piv] for row in m]
+    return det(matmul(transpose(cols), cols)) * det(matmul(rows, transpose(rows)))
 
 
 def product_is_zero(a, b):
@@ -342,12 +306,14 @@ def smith_normal_form(a):
 
     t = 0
     while True:
-        # locate pivot: smallest nonzero |entry| in the remaining block
+        # locate pivot: smallest nonzero |entry| in the remaining block; no
+        # later entry beats a unit, so the scan stops at the first one
         best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        for i, j in itertools.product(range(t, r), range(t, c)):
+            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+                if abs(a[i][j]) == 1:
+                    break
         if best is None:
             break
         swap_rows(t, best[0])
@@ -370,19 +336,13 @@ def smith_normal_form(a):
                     if a[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
-        # divisibility: a[t][t] must divide the rest of the block
+        # divisibility: a[t][t] must divide the rest of the block (a unit does)
         piv = a[t][t]
-        fixed = False
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % piv != 0:
-                    add_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
+        if abs(piv) != 1:
+            bad = next((i for i in range(t + 1, r) if any(x % piv for x in a[i][t + 1 :])), None)
+            if bad is not None:
+                add_row(t, bad, 1)
+                continue
         if piv < 0:
             negate_row(t)
         t += 1
@@ -393,8 +353,8 @@ def smith_normal_form(a):
 # float Gaussian elimination (eigensolver-free routes)
 
 
-def rank_kernel_float(m, rtol=1e-10, scale=None):
-    """Rank and kernel basis via column-pivoted elimination.
+def echelon_float(m, rtol=1e-10, scale=None):
+    """(reduced echelon rows, pivot columns) via partial-pivoted elimination.
 
     Independent of LAPACK eigen/SVD drivers on purpose: this backs the
     determinant-route torsion oracle.  `scale` anchors the rank tolerance
@@ -402,18 +362,17 @@ def rank_kernel_float(m, rtol=1e-10, scale=None):
     """
     m = np.asarray(m, dtype=float)
     r, c = m.shape
-    if c == 0:
-        return 0, np.zeros((c, 0))
-    if r == 0:
-        return 0, np.eye(c)
+    none = (np.zeros((0, c)), [])
+    if r == 0 or c == 0:
+        return none
     a = m.copy()
-    own = np.max(np.abs(a)) if a.size else 0.0
+    own = np.max(np.abs(a))
     scale = max(own, scale or 0.0)
     if scale == 0.0:
-        return 0, np.eye(c)
+        return none
     tol = rtol * scale
     if own <= tol:
-        return 0, np.eye(c)
+        return none
     pivots = []
     row = 0
     for col in range(c):
@@ -428,24 +387,15 @@ def rank_kernel_float(m, rtol=1e-10, scale=None):
         a[mask] -= np.outer(a[mask, col], a[row])
         pivots.append(col)
         row += 1
-    free = [j for j in range(c) if j not in pivots]
-    basis = np.zeros((c, len(free)))
-    for idx, j in enumerate(free):
-        basis[j, idx] = 1.0
-        for rr, pc in enumerate(pivots):
-            basis[pc, idx] = -a[rr, j]
-    return len(pivots), basis
+    return a[:row], pivots
 
 
 def vol_float(m, rtol=1e-10, scale=None):
-    """Product of nonzero singular values via Gaussian elimination and LU log-dets."""
+    """Product of nonzero singular values from m = C R as in ``vol_sq``, by LU log-dets."""
     m = np.asarray(m, dtype=float)
-    r, c = m.shape
-    if r == 0 or c == 0:
+    rows, piv = echelon_float(m, rtol, scale)
+    if not piv:
         return 1.0
-    rk, kern = rank_kernel_float(m, rtol, scale)
-    if rk == 0:
-        return 1.0
-    g = m.T @ m
-    log_val = np.linalg.slogdet(g + kern @ kern.T)[1] - np.linalg.slogdet(kern.T @ kern)[1]
+    cols = m[:, piv]
+    log_val = np.linalg.slogdet(cols.T @ cols)[1] + np.linalg.slogdet(rows @ rows.T)[1]
     return exp_float(0.5 * float(log_val), "volume")

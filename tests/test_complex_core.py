@@ -272,6 +272,13 @@ class TestH1Lattice:
         with pytest.raises(lx.SingularMatrixError):
             lat.class_of_chain({"a": 1})
 
+    def test_generator_loops_are_unit_coordinates_on_torus_round_3(self):
+        lat = subdivisions("torus", 3)[-1].h1_lattice()
+        loops = lat.generator_loops()
+        assert lat.torsion == [] and lat.rank == len(loops) == 2
+        for i, loop in enumerate(loops):
+            assert lat.class_of_loop(loop) == tuple(int(i == j) for j in range(2))
+
     def test_boundary_loops_are_trivial(self):
         cx = torus()
         lat = cx.h1_lattice()

@@ -189,3 +189,11 @@ class TestExactness:
         floats = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})
         assert np.array_equal(floats.inv(floats.matrix("e")), floats.matrix("e", -1))
         assert np.allclose(floats.inv(floats.matrix("e")), [[2.0, -2 / 3], [0.0, 1 / 3]])
+
+    def test_singularity_test_is_scale_free(self):
+        b = FlatBundle(3, {"e": 1e-5 * np.eye(3)})
+        assert not b.exact
+        with pytest.raises(ValueError, match="singular"):
+            FlatBundle(2, {"e": [[1.0, 2.0], [2.0, 4.0]]})
+        with pytest.raises(ValueError, match="singular"):
+            FlatBundle(2, {"e": [[1e-5, 2e-5], [2e-5, 4e-5]]})

@@ -25,17 +25,25 @@ def test_det_and_inverse_roundtrip():
         assert lx.det(inv) == 1 / d
 
 
-def test_rank_and_kernel():
+def test_rank_factorization():
+    # m = C R with C the pivot columns of m and R its reduced echelon rows
     rng = np.random.default_rng(2)
+    cases = [lx.zeros(2, 3), lx.identity(3), lx.fmat([[1, 2], [3, 4], [5, 6]])]
     for _ in range(20):
         r, c = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m = lx.fmat(random_int_matrix(rng, r, c))
-        rk = lx.rank(m)
-        kern = lx.right_kernel(m)
-        assert rk + len(kern) == c
-        for v in kern:
-            out = [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
-            assert all(x == 0 for x in out)
+        cases.append(lx.fmat(random_int_matrix(rng, r, c)))
+    ranks = set()
+    for m in cases:
+        rows, piv = lx._echelon(m)
+        r, c = lx.shape(m)
+        ranks.add((len(piv), min(r, c)))
+        assert [[row[j] for j in piv] for row in rows] == lx.identity(len(piv))
+        if not piv:
+            assert lx.is_zero(m)
+            continue
+        cols = [[row[j] for j in piv] for row in m]
+        assert lx.matmul(cols, rows) == m
+    assert (0, 2) in ranks and (3, 3) in ranks and (2, 2) in ranks
 
 
 def test_det_prime_psd_matches_eigenvalues():
@@ -105,10 +113,10 @@ def test_frac_rejects_floats():
     assert lx.frac("3/7") == Fraction(3, 7)
 
 
-def test_rank_kernel_float_scale_guard():
+def test_echelon_float_scale_guard():
     noise = np.full((3, 3), 1e-16)
-    rk, kern = lx.rank_kernel_float(noise, scale=1.0)
-    assert rk == 0 and kern.shape == (3, 3)
+    rows, piv = lx.echelon_float(noise, scale=1.0)
+    assert piv == [] and rows.shape == (0, 3)
     assert lx.vol_float(noise, scale=1.0) == 1.0
 
 
@@ -202,8 +210,9 @@ def test_product_is_zero_matches_matmul():
     rng = np.random.default_rng(11)
     for num_bits in (3, 45):
         for _ in range(20):
-            a = random_fraction_matrix(rng, 2, 3, num_bits, 4)  # nonzero kernel
-            k = lx.cols_to_matrix(lx.right_kernel(a), 3)
+            a = random_fraction_matrix(rng, 2, 3, num_bits, 4)
+            (p, q, r), (x, y, z) = a
+            k = [[q * z - r * y], [r * x - p * z], [p * y - q * x]]  # a's cross product
             assert lx.product_is_zero(a, k)
             assert lx.is_zero(lx.matmul(a, k))
             b = random_fraction_matrix(rng, 3, 2, num_bits, 4)

@@ -326,6 +326,24 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:") and "too small" in err and "Traceback" not in err
 
+    def test_transport_out_of_float_range_exits_2(self, tmp_path, capsys):
+        save_json(tmp_path / "c.json", complex_to_jsonable(corpus_get("circle-1cell").complex))
+        save_json(tmp_path / "b.json", {"rank": 1, "edges": [{"edge": "e", "matrix": [10**400]}]})
+        for direction, words in ((1, "too large"), (-1, "too small")):
+            path = json.dumps({"src": "v", "steps": [{"edge": "e", "dir": direction}]})
+            rc = self.run(
+                "transport",
+                "--complex",
+                str(tmp_path / "c.json"),
+                "--bundle",
+                str(tmp_path / "b.json"),
+                "--path",
+                path,
+            )
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and words in err and "Traceback" not in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "torsionlab.cli", "--version"],

@@ -10,11 +10,17 @@ from torsionlab.corpus import (
     build_lens,
     companion_matrix_cyclotomic,
     corpus_get,
+    corpus_list,
     lens_rotation_bundle,
     random_flat_bundle,
 )
 from torsionlab.barycentric import barycentric_subdivide
-from torsionlab.errors import FloatRangeError, IllConditionedError, TorsionLabError
+from torsionlab.errors import (
+    FloatRangeError,
+    IllConditionedError,
+    TorsionLabError,
+    UnsupportedStructureError,
+)
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, h1_zero
 from torsionlab.flat_bundle import FlatBundle, transport
 from torsionlab import torsion_engine
@@ -501,6 +507,17 @@ class TestEulerAction:
         want = det_of_class(cx, bundle, u) ** EULER_ACTION_EXPONENT
         assert abs(ratio - want) <= 1e-9 * max(want, 1.0)
 
+    def test_tiny_exact_holonomy_ratio(self):
+        # the float copy of (1/100000) I must not be refused as singular
+        cx, _, spray = triple("circle-1cell")
+        tiny = Fraction(1, 100000)
+        bundle = FlatBundle(3, {"e": [[tiny * (i == j) for j in range(3)] for i in range(3)]})
+        u = h1_class_for(cx, (1,))
+        ratio = euler_action_on_torsion(cx, bundle, spray, u)
+        want = det_of_class(cx, bundle, u) ** EULER_ACTION_EXPONENT
+        assert abs(want / 1e30 - 1.0) <= 1e-12
+        assert abs(ratio / want - 1.0) <= 1e-9
+
 
 class TestFrameCovariance:
     def test_point_scales_by_inverse_square(self):
@@ -571,3 +588,68 @@ class TestSprayTransport:
             bd = tcc_b.boundary(d)
             if bd.size and len(rows):
                 assert np.abs(np.asarray(rows) @ bd).max() <= 1e-9
+
+
+def kernel_trick_vol_sq(m):
+    """The earlier exact vol^2: det'(G) = det(G + K K^T) / det(K^T K) for
+    G = m^T m and K the echelon kernel basis of G, kept as a reference."""
+    r, c = lx.shape(m)
+    if r == 0 or c == 0:
+        return Fraction(1)
+    g = lx.matmul(lx.transpose(m), m)
+    ech, piv = lx._echelon(g)
+    free = [j for j in range(c) if j not in piv]
+    if not free:
+        return lx.det(g)
+    k = [
+        [-ech[piv.index(i)][j] if i in piv else Fraction(int(i == j)) for j in free]
+        for i in range(c)
+    ]
+    kt = lx.transpose(k)
+    kkt = lx.matmul(k, kt)
+    num = lx.det([[x + y for x, y in zip(gr, kr)] for gr, kr in zip(g, kkt)])
+    return num / lx.det(lx.matmul(kt, k))
+
+
+class TestRankFactorizationVolumes:
+    def test_vol_sq_equals_kernel_trick_every_rank_profile(self):
+        # m = A B has rank k; zeroed columns of B move the pivots around
+        rng = np.random.default_rng(21)
+
+        def rational(r, c):
+            return [
+                [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(c)]
+                for _ in range(r)
+            ]
+
+        for r in range(1, 5):
+            for c in range(1, 5):
+                assert lx.vol_sq(lx.zeros(r, c)) == 1 == kernel_trick_vol_sq(lx.zeros(r, c))
+                for k in range(1, min(r, c) + 1):
+                    for _ in range(3):
+                        b = rational(k, c)
+                        for j in rng.choice(c, size=int(rng.integers(0, c)), replace=False):
+                            for row in b:
+                                row[j] = Fraction(0)
+                        m = lx.matmul(rational(r, k), b)
+                        assert lx.vol_sq(m) == kernel_trick_vol_sq(m)
+        assert lx.vol_sq([[1, 2], [3, 4]]) == 4 and type(lx.vol_sq([[1, 2], [3, 4]])) is Fraction
+
+    def test_t_comb_squared_equals_kernel_trick_on_corpus(self):
+        for name in corpus_list():
+            item = corpus_get(name)
+            cx, bundle, spray = item.complex, item.bundle, item.spray
+            if not bundle.exact:
+                continue
+            for _ in range(2):
+                tcc = assemble(cx, bundle, spray)
+                want = Fraction(1)
+                for d, b in tcc.boundaries_exact.items():
+                    if b and b[0]:
+                        v = kernel_trick_vol_sq(b)
+                        want = want * v if d % 2 else want / v
+                assert t_comb_squared_exact(tcc) == want, name
+                try:
+                    cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                except UnsupportedStructureError:
+                    break
