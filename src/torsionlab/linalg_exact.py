@@ -161,7 +161,7 @@ def det(a):
             a[col], a[piv] = a[piv], a[col]
             d = -d
         d *= a[col][col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1) / a[col][col]
         for r in range(col + 1, n):
             if a[r][col] == 0:
                 continue
@@ -181,7 +181,7 @@ def inverse(a):
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
@@ -201,7 +201,7 @@ def _echelon(a):
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
+        inv = Fraction(1) / a[row][col]
         a[row] = [x * inv for x in a[row]]
         for i in range(r):
             if i != row and a[i][col] != 0:

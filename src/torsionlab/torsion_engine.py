@@ -20,8 +20,10 @@ references are transported.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,8 +52,21 @@ class TwistedChainComplex:
     rank: int
     cell_order: dict  # d -> list of cell ids
     boundaries: dict  # d -> float ndarray, shape (k*n_d, k*n_{d-1})
-    boundaries_exact: dict | None  # d -> Fraction matrix, when bundle is exact
+    blocks: dict | None  # d -> {(d-cell, (d-1)-cell index): k x k Fraction block}, if exact
     frame: np.ndarray | None = None  # fiber frame applied at every cell
+
+    @functools.cached_property
+    def boundaries_exact(self):
+        """d -> dense Fraction boundary laid out from ``blocks``; None unless exact."""
+        if self.blocks is None:
+            return None
+        k, out = self.rank, {}
+        for d, blocks in self.blocks.items():
+            m = out[d] = lx.zeros(k * len(self.cell_order[d]), k * len(self.cell_order[d - 1]))
+            for (i, j), block in blocks.items():
+                for a, row in enumerate(block):
+                    m[k * i + a][k * j : k * j + k] = row
+        return out
 
     @property
     def dims(self):
@@ -62,11 +77,9 @@ class TwistedChainComplex:
         return max(self.cell_order) if self.cell_order else 0
 
     def boundary(self, d):
-        n_d = self.rank * len(self.cell_order.get(d, []))
-        n_dm1 = self.rank * len(self.cell_order.get(d - 1, []))
         if d in self.boundaries:
             return self.boundaries[d]
-        return np.zeros((n_d, n_dm1))
+        return np.zeros((self.dims.get(d, 0), self.dims.get(d - 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -117,17 +130,11 @@ def assemble(complex_, bundle, spray):
         m = _walk_transport(bundle, leg.steps, walks)
         leg_t[cid] = m
         leg_t_inv[cid] = bundle.inv(m)
-    exact = bundle.exact
-    boundaries_exact = {} if exact else None
-    boundaries = {}
+    blocks, boundaries = {}, {}
     for d in range(1, complex_.dim + 1):
-        rows = order[d]
-        cols = order.get(d - 1, [])
-        ri = {c: i for i, c in enumerate(rows)}
-        ci = {c: j for j, c in enumerate(cols)}
-        shape = (k * len(rows), k * len(cols))
-        m = lx.zeros(*shape) if exact else np.zeros(shape)
-        written = set()  # origins of the blocks an exact fill touched
+        ri = {c: i for i, c in enumerate(order[d])}
+        ci = {c: j for j, c in enumerate(order[d - 1])}
+        bmap = blocks[d] = {}
         for rec in complex_.incidences:
             if rec.coface not in ri:
                 continue
@@ -135,21 +142,24 @@ def assemble(complex_, bundle, spray):
                 bundle.mul(leg_t[rec.coface], _walk_transport(bundle, rec.path.steps, walks)),
                 leg_t_inv[rec.face],
             )
-            i0, j0 = k * ri[rec.coface], k * ci[rec.face]
-            if exact:
-                written.add((i0, j0))
-                for a in range(k):
-                    for b in range(k):
-                        m[i0 + a][j0 + b] += rec.coeff * block[a][b]
+            key = (ri[rec.coface], ci[rec.face])
+            if bundle.exact:
+                c, acc = rec.coeff, bmap.get(key)
+                block = block if c == 1 else [[c * y for y in r] for r in block]
+                bmap[key] = block if acc is None else [
+                    [x + y for x, y in zip(r, t)] for r, t in zip(acc, block)
+                ]
             else:
-                m[i0 : i0 + k, j0 : j0 + k] += rec.coeff * block
-        if exact:
-            boundaries_exact[d] = m
-            boundaries[d] = _float_blocks(m, shape, written, k)
-        else:
-            boundaries[d] = m
+                bmap[key] = bmap.get(key, 0.0) + rec.coeff * block
+        # one scatter of every block through the (n_d, k, n_{d-1}, k) view
+        out = boundaries[d] = np.zeros((k * len(ri), k * len(ci)))
+        if bmap:
+            vals = list(bmap.values())
+            vals = lx.to_float([r for b in vals for r in b]) if bundle.exact else np.array(vals)
+            rows, cols = map(list, zip(*bmap))
+            out.reshape(len(ri), k, len(ci), k)[rows, :, cols, :] = vals.reshape(-1, k, k)
     tcc = TwistedChainComplex(
-        complex_, bundle, spray, k, order, boundaries, boundaries_exact
+        complex_, bundle, spray, k, order, boundaries, blocks if bundle.exact else None
     )
     _check_boundary_squared(tcc)
     if bundle.reference_basis is not None:
@@ -174,77 +184,66 @@ def _walk_transport(bundle, steps, walks):
     return m
 
 
-def _float_blocks(m, shape, origins, k):
-    """lx.to_float(m) for an exact m that is 0 outside the k x k blocks at origins.
-
-    Only the written entries are converted and range-checked, so a sparse
-    boundary costs no per-entry pass over its zeros.
-    """
-    out = np.zeros(shape)
-    n, span = shape[1], range(k)
-    flat = [(i0 + a) * n + j0 + b for i0, j0 in origins for a in span for b in span]
-    if flat:
-        np.put(out, flat, lx.to_float([[m[f // n][f % n] for f in flat]])[0])
-    return out
-
-
 def _check_boundary_squared(tcc):
+    """D_d D_{d-1} == 0: in integers through shared faces if exact, else by BLAS."""
+    rows = functools.cache(lambda d: _integer_rows(tcc.blocks[d], tcc.rank))
     for d in range(2, tcc.top_dim + 1):
-        if tcc.boundaries_exact is not None:
-            up = tcc.boundaries_exact.get(d)
-            dn = tcc.boundaries_exact.get(d - 1)
-            if up is None or dn is None or not up or not dn or not up[0] or not dn[0]:
-                continue
-            if not lx.product_is_zero(up, dn):
-                raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
+        if tcc.blocks is not None:
+            zero = _composes_to_zero(rows(d), rows(d - 1))
         else:
             up, dn = tcc.boundary(d), tcc.boundary(d - 1)
-            if up.size == 0 or dn.size == 0:
-                continue
-            scale = (np.abs(up).max() or 1.0) * (np.abs(dn).max() or 1.0)
-            if np.abs(up @ dn).max() > 1e-9 * max(scale, 1.0):
-                raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
+            scale = up.size and dn.size and max(np.abs(up).max() * np.abs(dn).max(), 1.0)
+            zero = not scale or np.abs(up @ dn).max() <= 1e-9 * scale
+        if not zero:
+            raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
 
 
-def _blockdiag_frames(frame, n_cells):
-    k = frame.shape[0]
-    out = np.zeros((k * n_cells, k * n_cells))
-    for i in range(n_cells):
-        out[k * i : k * i + k, k * i : k * i + k] = frame.T
-    return out
+def _integer_rows(bmap, k):
+    """D_d times one common denominator, as {row: [(column, int)]} of its nonzero entries."""
+    span = range(k)
+    ints = lx._scaled_integers([[x for b in bmap.values() for r in b for x in r]])[0][0]
+    coords = [(k * i + a, k * j + b) for i, j in bmap for a in span for b in span]
+    rows = defaultdict(list)
+    for (r, c), v in zip(coords, ints):
+        if v:
+            rows[r].append((c, v))
+    return rows
+
+
+def _composes_to_zero(up, dn):
+    """Whether the product of two integer row maps vanishes, summed in Python ints."""
+    for entries in up.values():
+        acc = defaultdict(int)
+        for c, v in entries:
+            for c2, w in dn.get(c, ()):
+                acc[c2] += v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def to_frame(tcc, frame):
     """Express the complex in a new fiber frame applied at every cell.
 
-    Chains-as-rows transform by blockdiag(frame^T) on the right, so the
-    boundary conjugates; the standard inner product in the new coordinates is
-    the metric that declares the frame orthonormal.
+    Chains-as-rows transform by frame^T on the right in every cell's fiber, so
+    each k x k boundary block conjugates; the standard inner product in the
+    new coordinates is the metric that declares the frame orthonormal.
     """
     frame = np.asarray(frame, dtype=float)
+    k, inv_t = tcc.rank, np.linalg.inv(frame.T)
     boundaries = {}
-    mats = {d: _blockdiag_frames(frame, len(ids)) for d, ids in tcc.cell_order.items()}
-    inv = {d: np.linalg.inv(m) for d, m in mats.items()}
     for d, b in tcc.boundaries.items():
-        boundaries[d] = mats[d] @ b @ inv[d - 1]
-    return TwistedChainComplex(
-        tcc.complex,
-        tcc.bundle,
-        tcc.spray,
-        tcc.rank,
-        tcc.cell_order,
-        boundaries,
-        None,
-        frame=frame,
-    )
+        left = frame.T @ b.reshape(b.shape[0] // k, k, b.shape[1])
+        boundaries[d] = (left.reshape(-1, k) @ inv_t).reshape(b.shape)
+    return replace(tcc, boundaries=boundaries, blocks=None, frame=frame)
 
 
-def frame_coords(tcc, z_rows, d):
+def frame_coords(tcc, z_rows):
     """Rewrite reference rows given in default coordinates into tcc's frame."""
+    z = np.asarray(z_rows, dtype=float)
     if tcc.frame is None:
-        return np.asarray(z_rows, dtype=float)
-    m = _blockdiag_frames(tcc.frame, len(tcc.cell_order.get(d, [])))
-    return np.asarray(z_rows, dtype=float) @ np.linalg.inv(m)
+        return z
+    return (z.reshape(-1, tcc.rank) @ np.linalg.inv(tcc.frame.T)).reshape(z.shape)
 
 
 def laplacians(tcc):
@@ -433,7 +432,7 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
             raise TorsionLabError(
                 f"degree {d} needs {b_d} reference cycles, got {0 if z is None else len(z)}"
             )
-        z = frame_coords(tcc, z, d)
+        z = frame_coords(tcc, z)
         bd = tcc.boundary(d)
         if bd.size:
             resid = np.abs(z @ bd).max()

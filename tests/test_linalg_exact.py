@@ -206,6 +206,15 @@ class TestMatmul:
         assert type(lx.det(m)) is Fraction
 
 
+def test_int_entries_stay_exact():
+    # a pivot reciprocal 1 / x of an int x is a float; every helper must stay in Fractions
+    d, inv, dp = lx.det([[2, 1], [1, 1]]), lx.inverse([[3]]), lx.det_prime_psd([[1, 1], [1, 1]])
+    assert d == 1 and type(d) is Fraction
+    assert inv == [[Fraction(1, 3)]] and type(inv[0][0]) is Fraction
+    assert dp == 2 and type(dp) is Fraction
+    assert_all_fractions(lx._echelon([[2, 4], [1, 3]])[0])
+
+
 def test_product_is_zero_matches_matmul():
     rng = np.random.default_rng(11)
     for num_bits in (3, 45):

@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from torsionlab import linalg_exact as lx
-from torsionlab.complex_core import EdgePath
+from torsionlab.complex_core import Cell, ComplexDescription, EdgePath, Incidence
 from torsionlab.corpus import (
     build_lens,
     companion_matrix_cyclotomic,
@@ -13,6 +13,7 @@ from torsionlab.corpus import (
     corpus_list,
     lens_rotation_bundle,
     random_flat_bundle,
+    random_invertible,
 )
 from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.errors import (
@@ -150,6 +151,58 @@ class TestSharedWalkTransports:
                 want = lx.to_float(m)
                 assert tcc.boundaries[d].shape == want.shape
                 assert np.array_equal(tcc.boundaries[d], want)
+
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_corpus_rounds_0_1_equal_per_incidence(self, name):
+        # exact random bundles at ranks 1-2; the lens items carry float rotations
+        item = corpus_get(name)
+        rng = np.random.default_rng(41)
+        if item.bundle.exact:
+            bundles = [random_flat_bundle(name, item.complex, rng, rank=k) for k in (1, 2)]
+        else:
+            p, q = (int(x) for x in name.split("-")[1:])
+            bundles = [lens_rotation_bundle(p, q, turns=t) for t in (1, 2)]
+        for bundle in bundles:
+            cx, spray = item.complex, item.spray
+            for _ in range(2):
+                tcc = assemble(cx, bundle, spray)
+                want = per_incidence_boundaries(cx, bundle, spray)
+                if bundle.exact:
+                    assert tcc.boundaries_exact == want
+                    want = {d: lx.to_float(m) for d, m in want.items()}
+                assert sorted(tcc.boundaries) == sorted(want)
+                for d, m in want.items():
+                    assert np.array_equal(tcc.boundaries[d], m)
+                try:
+                    cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                except UnsupportedStructureError:
+                    break
+
+    def test_ft_route_builds_no_dense_exact_boundary(self):
+        cx, _, spray = triple("torus")
+        tcc = assemble(cx, FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]}), spray)
+        res = ft_torsion_of_tcc(tcc)
+        assert "boundaries_exact" not in vars(tcc)
+        assert abs(t_comb(tcc, "exact") - res.t_comb) <= 1e-9 * res.t_comb
+
+    def test_broken_three_cell_raises(self):
+        # the integer boundary of C is F - F = 0, but the twisted one is (rho(a) - 1) F
+        torus = corpus_get("torus").complex
+        cx = ComplexDescription(
+            torus.cells + (Cell("C", 3, "v"),),
+            torus.incidences
+            + (
+                Incidence("C", "F", 1, EdgePath((("a", 1),), "v", "v")),
+                Incidence("C", "F", -1, EdgePath((), "v", "v")),
+            ),
+            torus.base_vertex,
+            "torus-broken-3-cell",
+        )
+        cx.require_valid()
+        bundle = FlatBundle(1, {"a": [[2]], "b": [[3]]})
+        for b in (bundle, bundle.as_float()):
+            with pytest.raises(TorsionLabError, match="squared is nonzero in degree 3"):
+                assemble(cx, b, canonical_spray(cx))
 
     def test_lens_19_cyclotomic(self):
         cx = build_lens(19, 1)
@@ -538,6 +591,23 @@ class TestFrameCovariance:
         framed = bundle.with_reference_basis([[5.0]])
         v1 = ft_torsion(cx, framed, spray, reference_cycles=refs).ft_metric.value
         assert abs(v1 - v0) <= 1e-9 * v0
+
+    @pytest.mark.parametrize("name", ["sphere", "rp2", "torus", "klein", "tetra-solid"])
+    def test_base_change_law_at_ranks_2_3(self, name):
+        # references in default coordinates; frame_coords moves them into the frame
+        rng = np.random.default_rng(47)
+        item = corpus_get(name)
+        cx, spray, chi = item.complex, item.spray, item.complex.euler_characteristic()
+        for k in (2, 3):
+            bundle = random_flat_bundle(name, cx, rng, rank=k)
+            res = ft_torsion(cx, bundle, spray)
+            refs = {d: b for d, b in res.harmonic_bases.items() if b.size} or None
+            v0 = ft_torsion(cx, bundle, spray, reference_cycles=refs).ft_metric.value
+            s = lx.to_float(random_invertible(rng, k))
+            framed = bundle.with_reference_basis(s)
+            v1 = ft_torsion(cx, framed, spray, reference_cycles=refs).ft_metric.value
+            want = v0 * abs(np.linalg.det(s)) ** (-2 * chi)
+            assert abs(v1 - want) <= 1e-9 * want, (k, v1, want)
 
 
 class TestReferenceValidation:
