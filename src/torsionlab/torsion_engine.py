@@ -123,13 +123,12 @@ def assemble(complex_, bundle, spray):
     require_flat(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
-    walks = {(): bundle.identity()}
-    leg_t = {}
-    leg_t_inv = {}
-    for cid, leg in spray.legs:
-        m = _walk_transport(bundle, leg.steps, walks)
-        leg_t[cid] = m
-        leg_t_inv[cid] = bundle.inv(m)
+    walks, inverse_walks = {(): bundle.identity()}, {(): bundle.identity()}
+    leg_t = {cid: _walk_transport(bundle, leg.steps, walks) for cid, leg in spray.legs}
+    leg_t_inv = {
+        cid: _walk_transport(bundle, leg.steps, inverse_walks, inverse=True)
+        for cid, leg in spray.legs
+    }
     blocks, boundaries = {}, {}
     for d in range(1, complex_.dim + 1):
         ri = {c: i for i, c in enumerate(order[d])}
@@ -167,19 +166,22 @@ def assemble(complex_, bundle, spray):
     return tcc
 
 
-def _walk_transport(bundle, steps, walks):
-    """transport() along ``steps``, extending the longest walk already in ``walks``.
+def _walk_transport(bundle, steps, walks, inverse=False):
+    """transport() along ``steps``, or its inverse, extending the longest walk in ``walks``.
 
-    ``walks`` maps step tuples to their transports and gains every prefix
-    computed here.  The products are the ones transport() takes, in its order,
-    so float results are bit-identical to it.
+    ``walks`` maps step tuples to their transports (their inverses if
+    ``inverse``) and gains every prefix computed here.  Forward products are
+    the ones transport() takes, in its order, so float results are
+    bit-identical to it; an inverse takes products only, inv(p.s) =
+    matrix(s reversed) . inv(p), from the bundle's cached edge inverses.
     """
     n = len(steps)
     while steps[:n] not in walks:
         n -= 1
     m = walks[steps[:n]]
     for i in range(n, len(steps)):
-        m = bundle.mul(m, bundle.matrix(*steps[i]))
+        e, d = steps[i]
+        m = bundle.mul(bundle.matrix(e, -d), m) if inverse else bundle.mul(m, bundle.matrix(e, d))
         walks[steps[: i + 1]] = m
     return m
 
@@ -248,40 +250,56 @@ def frame_coords(tcc, z_rows):
 
 def laplacians(tcc):
     """Degree-wise combinatorial Laplacians D_d D_d^T + D_{d+1}^T D_{d+1}."""
-    out = {}
-    for d in range(tcc.top_dim + 1):
-        n = tcc.dims.get(d, 0)
-        lap = np.zeros((n, n))
-        dn = tcc.boundary(d) if d >= 1 else None
-        up = tcc.boundary(d + 1) if d + 1 <= tcc.top_dim else None
-        if dn is not None and dn.size:
-            lap += dn @ dn.T
-        if up is not None and up.size:
-            lap += up.T @ up
-        out[d] = lap
-    return out
+    return {d: _laplacian(tcc, d) for d in range(tcc.top_dim + 1)}
 
 
-def _eig_split(lap, rank_tol):
-    """Eigenvalues plus kernel dimension, with a guard band on the cutoff."""
-    n = lap.shape[0]
-    if n == 0:
-        return np.array([]), 0, np.zeros((0, 0))
-    asym = np.abs(lap - lap.T).max()
-    if asym > 1e-9 * max(np.abs(lap).max(), 1.0):
-        raise TorsionLabError("Laplacian is not symmetric")
-    w, v = np.linalg.eigh((lap + lap.T) / 2.0)
-    lam_max = float(w[-1]) if len(w) else 0.0
+def _laplacian(tcc, d):
+    dn, up = tcc.boundary(d), tcc.boundary(d + 1)  # empty past either end
+    return dn @ dn.T + up.T @ up
+
+
+def _symmetric(m, what):
+    """m itself, once checked symmetric for the eigensolver."""
+    if m.size and np.abs(m - m.T).max() > 1e-9 * max(np.abs(m).max(), 1.0):
+        raise TorsionLabError(f"{what} is not symmetric")
+    return m
+
+
+def _nonzero(w, lam_max, rank_tol):
+    """Ascending values of w above the cutoff rank_tol * lam_max, with a guard band on it."""
     if lam_max <= 0.0:
-        return w, n, v
+        return w[:0]
     cutoff = rank_tol * lam_max
-    in_band = [x for x in w if GUARD_LOW * cutoff < x < GUARD_HIGH * cutoff]
-    if in_band:
+    in_band = w[(GUARD_LOW * cutoff < w) & (w < GUARD_HIGH * cutoff)]
+    if in_band.size:
         raise IllConditionedError(
             f"eigenvalue {in_band[0]:.3e} falls in the rank guard band around {cutoff:.3e}"
         )
-    kdim = int(np.sum(w <= cutoff))
-    return w, kdim, v
+    return np.sort(w[w > cutoff])
+
+
+def _spectra(tcc, rank_tol):
+    """Laplacian spectra (b_d zeros, then ascending), Betti numbers and lambda_max per degree.
+
+    D_{d+1} D_d = 0, so the nonzero spectrum of Delta_d is that of D_d D_d^T
+    together with that of D_{d+1}^T D_{d+1}: one values-only eigensolve per
+    boundary, on the smaller of its two Gram matrices, serves both degrees.
+    """
+    grams = {}
+    for d in range(1, tcc.top_dim + 1):
+        b = tcc.boundary(d)
+        g = b.T @ b if b.shape[1] < b.shape[0] else b @ b.T
+        grams[d] = np.linalg.eigvalsh(_symmetric(g, "Gram matrix"))
+    spectra, betti, lam_max = {}, {}, {}
+    for d in range(tcc.top_dim + 1):
+        w = np.concatenate([grams.get(d, []), grams.get(d + 1, [])])
+        lam_max[d] = float(w.max(initial=0.0))
+        nz = _nonzero(w, lam_max[d], rank_tol)
+        betti[d] = tcc.dims.get(d, 0) - len(nz)
+        if betti[d] < 0:
+            raise IllConditionedError(f"degree {d} has more nonzero eigenvalues than cells")
+        spectra[d] = np.concatenate([np.zeros(betti[d]), nz])
+    return spectra, betti, lam_max
 
 
 def _log_det_prime(w, kdim):
@@ -306,29 +324,31 @@ def det_prime(mat, rank_tol=RANK_TOL):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise TorsionLabError("det_prime expects a square matrix")
-    if mat.size and np.abs(mat - mat.T).max() > 1e-9 * max(np.abs(mat).max(), 1.0):
-        raise TorsionLabError("det_prime expects a symmetric matrix")
-    w, kdim, _ = _eig_split(mat, rank_tol)
-    return lx.exp_float(_log_det_prime(w, kdim), "det'")
+    w = np.linalg.eigvalsh(_symmetric(mat, "det_prime input"))
+    nonzero = _nonzero(w, float(w.max(initial=0.0)), rank_tol)
+    return lx.exp_float(_log_det_prime(nonzero, 0), "det'")
 
 
 def harmonic_data(tcc, rank_tol=RANK_TOL):
     """Spectra, Betti numbers, and deterministic orthonormal kernel bases.
 
-    The kernel basis is canonicalized through the orthogonal projector, so it
-    does not depend on the eigensolver's internal basis choice: greedy pivot
-    on the largest remaining projector column, orthonormalizing in order.
+    spectra[d] holds b_d exact zeros, then the Gram eigenvalues above the
+    cutoff.  Only degrees with b_d > 0 build Delta_d and run eigh; its kernel
+    basis is canonicalized through the orthogonal projector, so it does not
+    depend on the eigensolver's internal basis choice: greedy pivot on the
+    largest remaining projector column, orthonormalizing in order.
     """
-    laps = laplacians(tcc)
-    spectra, betti, bases = {}, {}, {}
-    for d, lap in sorted(laps.items()):
-        w, kdim, v = _eig_split(lap, rank_tol)
-        spectra[d] = tuple(float(x) for x in w)
-        betti[d] = kdim
-        n = lap.shape[0]
-        if kdim == 0 or n == 0:
-            bases[d] = np.zeros((kdim, n))
+    spectra, betti, lam_max = _spectra(tcc, rank_tol)
+    bases = {}
+    for d, kdim in betti.items():
+        n = len(spectra[d])
+        spectra[d] = tuple(float(x) for x in spectra[d])
+        if kdim == 0:
+            bases[d] = np.zeros((0, n))
             continue
+        w, v = np.linalg.eigh(_symmetric(_laplacian(tcc, d), "Laplacian"))
+        if n - len(_nonzero(w, lam_max[d], rank_tol)) != kdim:
+            raise IllConditionedError(f"degree {d}: Laplacian kernel disagrees with Gram spectra")
         kernel = v[:, :kdim]
         proj = kernel @ kernel.T
         remaining = proj.copy()
@@ -355,11 +375,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     result outside the double range raises FloatRangeError.
     """
     if method == "eig":
-        spectra, kdims = {}, {}
-        for d, lap in laplacians(tcc).items():
-            if d:
-                spectra[d], kdims[d], _ = _eig_split(lap, rank_tol)
-        return _spectral_torsion(spectra, kdims)[0]
+        return _spectral_torsion(*_spectra(tcc, rank_tol)[:2])[0]
     if method == "det":
         scale = max(
             (float(np.abs(b).max()) for b in tcc.boundaries.values() if b.size),
@@ -420,7 +436,7 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
             reference="deterministic orthonormal kernel basis; fiber frame at base",
         )
         return metric, spectra, betti, bases
-    value = 1.0
+    log_value = 0.0
     for d in sorted(betti):
         b_d = betti[d]
         z = reference_cycles.get(d)
@@ -438,13 +454,16 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
             resid = np.abs(z @ bd).max()
             if resid > 1e-6 * max(np.abs(z).max(), 1.0) * max(np.abs(bd).max(), 1.0):
                 raise TorsionLabError(f"reference rows in degree {d} are not cycles")
+        # rows scaled to max-abs 1, so the Gram determinant neither under- nor overflows
+        scale = np.abs(z).max(axis=1)
         kernel = bases[d]  # orthonormal rows
-        proj = z @ kernel.T @ kernel
-        gram = proj @ proj.T
-        g = float(np.linalg.det(gram))
-        if g <= 0.0:
+        proj = (z / np.where(scale > 0.0, scale, 1.0)[:, None]) @ kernel.T @ kernel
+        sign, log_g = np.linalg.slogdet(proj @ proj.T)
+        if sign <= 0.0:
             raise TorsionLabError(f"reference classes in degree {d} are dependent")
-        value *= g if d % 2 == 0 else 1.0 / g
+        log_g += 2.0 * float(np.sum(np.log(scale)))
+        log_value += log_g if d % 2 == 0 else -log_g
+    value = lx.exp_float(log_value, "harmonic value")
     metric = DetLineMetric(value=value, reference="transported reference cycles")
     return metric, spectra, betti, bases
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from torsionlab.torsion_engine import (
     euler_action_on_torsion,
     ft_torsion,
     ft_torsion_of_tcc,
+    harmonic_data,
     harmonic_metric,
     laplacians,
     t_comb,
@@ -413,28 +415,85 @@ class TestLogDomainRange:
 
 
 def counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that counts its calls."""
+    """Replace owner.name by a wrapper that records the arguments of each call."""
     calls = []
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
+def eigh_reference(tcc, rank_tol=1e-10):
+    """d -> (Betti number, nonzero spectrum, kernel projector) from eigh of every Delta_d."""
+    out = {}
+    for d, lap in laplacians(tcc).items():
+        w, v = np.linalg.eigh(lap)
+        kdim = int(np.sum(w <= rank_tol * w[-1])) if len(w) and w[-1] > 0 else len(w)
+        out[d] = (kdim, w[kdim:], v[:, :kdim] @ v[:, :kdim].T)
+    return out
+
+
 class TestOneSpectralPass:
-    def test_ft_torsion_one_eigh_per_degree(self, monkeypatch):
+    def test_acyclic_torus_runs_no_eigh(self, monkeypatch):
         cx, _, spray = triple("torus")
         bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
         eighs = counting(monkeypatch, np.linalg, "eigh")
-        laps = counting(monkeypatch, torsion_engine, "laplacians")
+        eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
         tcc = assemble(cx, bundle, spray)
-        ft_torsion_of_tcc(tcc)
-        assert len(eighs) == tcc.top_dim + 1 == 3
-        assert len(laps) == 1
+        assert ft_torsion_of_tcc(tcc).acyclic
+        assert len(eighs) == 0 and len(eigvalshs) == tcc.top_dim == 2
+        t_comb(tcc, "eig")
+        assert len(eighs) == 0 and len(eigvalshs) == 2 * tcc.top_dim
+
+    def test_sphere_eigh_only_in_kernel_degrees(self, monkeypatch):
+        cx, _, spray = triple("sphere")
+        tcc = assemble(cx, FlatBundle(1, {e.id: [[1]] for e in cx.cells_of_dim(1)}), spray)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        res = ft_torsion_of_tcc(tcc)
+        assert res.betti == {0: 1, 1: 0, 2: 1}
+        laps = laplacians(tcc)
+        assert [args[0].shape for args in eighs] == [laps[0].shape, laps[2].shape]
+        for (lap,), d in zip(eighs, (0, 2)):
+            assert np.array_equal(lap, laps[d])
+
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_gram_spectra_match_laplacian_eigh(self, name):
+        # seeded exact bundles at ranks 1-2 and their float copies; lens items carry rotations
+        item = corpus_get(name)
+        rng = np.random.default_rng(43)
+        if item.bundle.exact:
+            bundles = [item.bundle]
+            bundles += [random_flat_bundle(name, item.complex, rng, rank=k) for k in (1, 2)]
+            bundles += [b.as_float() for b in bundles]
+        else:
+            p, q = (int(x) for x in name.split("-")[1:])
+            bundles = [item.bundle] + [lens_rotation_bundle(p, q, turns=t) for t in (1, 2)]
+        for bundle in bundles:
+            cx, spray = item.complex, item.spray
+            for _ in range(2):
+                tcc = assemble(cx, bundle, spray)
+                spectra, betti, bases = harmonic_data(tcc)
+                for d, (kdim, nonzero, proj) in eigh_reference(tcc).items():
+                    assert betti[d] == kdim
+                    assert spectra[d][:kdim] == (0.0,) * kdim
+                    assert np.allclose(spectra[d][kdim:], nonzero, rtol=1e-10, atol=0.0)
+                    assert np.allclose(bases[d].T @ bases[d], proj)
+                    assert np.allclose(bases[d] @ bases[d].T, np.eye(kdim))
+                try:
+                    cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                except UnsupportedStructureError:
+                    break
+
+    def test_guard_band_fires_through_ft_torsion(self):
+        # D_1 = diag(2, 2e-5): Gram eigenvalue 4e-10 sits at the cutoff 1e-10 * 4
+        cx, _, spray = triple("circle-1cell")
+        bundle = FlatBundle(2, {"e": [[3.0, 0.0], [0.0, 1.0 + 2e-5]]})
+        with pytest.raises(IllConditionedError, match="guard band"):
+            ft_torsion(cx, bundle, spray)
 
     def test_euler_action_assembles_each_spray_once(self, monkeypatch):
         cx, _, spray = triple("torus")
@@ -466,6 +525,22 @@ class TestHarmonicMetric:
         assert betti == {0: 1, 1: 1}
         for d in (0, 1):
             assert np.allclose(np.abs(bases[d]), [[1.0]])
+
+    def test_tiny_reference_rows_give_one(self):
+        # each Gram determinant is 1e-400; normalized rows keep it from underflowing to 0
+        cx, _, spray = triple("circle-1cell")
+        tcc = assemble(cx, FlatBundle(1, {"e": [[1]]}), spray)
+        refs = {0: np.array([[1e-200]]), 1: np.array([[1e-200]])}
+        assert harmonic_metric(tcc, refs)[0].value == 1.0
+
+    def test_huge_reference_row_is_float_range_error(self):
+        cx, _, spray = triple("circle-1cell")
+        tcc = assemble(cx, FlatBundle(1, {"e": [[1]]}), spray)
+        refs = {0: np.array([[1e200]]), 1: np.array([[1.0]])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError):
+                harmonic_metric(tcc, refs)
 
     def test_reference_basis_change_scales_by_square_det(self):
         cx, bundle, spray = triple("torus")
