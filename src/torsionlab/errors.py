@@ -49,3 +49,7 @@ class SprayError(TorsionLabError):
 
 class FloatRangeError(TorsionLabError, OverflowError):
     """An exact rational value lies outside the range of a double."""
+
+
+class DenseSizeError(TorsionLabError):
+    """A dense matrix would exceed the library's memory budget; nothing was allocated."""

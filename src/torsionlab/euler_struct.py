@@ -8,6 +8,7 @@ prepending a based loop gamma to every leg shifts the class by chi * [gamma].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import OpenPathError, PathComplexMismatchError, SprayError
@@ -71,11 +72,16 @@ class Spray:
 
     legs: tuple  # ordered tuple of (cell id, EdgePath)
 
+    @functools.cached_property
+    def _leg_of(self):
+        # reversed, so a repeated cell id keeps its first leg
+        return dict(reversed(self.legs))
+
     def leg(self, cell_id):
-        for cid, path in self.legs:
-            if cid == cell_id:
-                return path
-        raise SprayError(f"spray has no leg for cell {cell_id!r}")
+        try:
+            return self._leg_of[cell_id]
+        except KeyError:
+            raise SprayError(f"spray has no leg for cell {cell_id!r}") from None
 
     def as_dict(self):
         return dict(self.legs)

@@ -5,6 +5,12 @@ Transport along a walk is the ordered left-to-right product of edge matrices
 Matrices with exact rational entries are kept as Fractions and all products,
 inverses and determinants stay exact; float entries fall back to IEEE doubles
 with a relative flatness tolerance.
+
+Walks for the torsion complex and the flatness check run on scaled matrices
+(numerator ndarray, denominator): each edge matrix and inverse is converted
+once, on first use, and every product is one numpy call (see
+``linalg_exact.scaled_matmul``).  Float bundles use the same walks with
+denominator 1.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ class FlatBundle:
                 reference_basis, _rows_are_exact(reference_basis)
             )
         self._inv_cache = {}
+        self._scaled_cache = {}
 
     def identity(self):
         return lx.identity(self.rank) if self.exact else np.eye(self.rank)
@@ -80,6 +87,43 @@ class FlatBundle:
         if edge not in self._inv_cache:
             self._inv_cache[edge] = self.inv(m)
         return self._inv_cache[edge]
+
+    def scaled(self, edge, direction=1):
+        """matrix(edge, direction) as (numerators, denominator); (float array, 1) if float."""
+        key = (edge, direction)
+        if key not in self._scaled_cache:
+            if not self.exact:
+                self._scaled_cache[key] = (self.matrix(edge, direction), 1)
+            elif direction == 1:
+                self._scaled_cache[key] = lx.scaled(self.matrix(edge))
+            else:
+                self._scaled_cache[key] = lx.scaled_inverse(self.scaled(edge))
+        return self._scaled_cache[key]
+
+    def walk(self, steps, walks, inverse=False):
+        """Scaled transport along ``steps``, or its inverse, extending the longest cached prefix.
+
+        ``walks`` maps step tuples to scaled transports (their inverses if
+        ``inverse``) and gains every prefix computed here; start it empty and
+        keep one dict per direction.  Forward products run left to right from
+        the identity, so a float walk is the same products wherever its
+        prefixes were computed; an inverse takes products only, inv(p.s) =
+        matrix(s reversed) . inv(p), from the cached edge inverses.
+        """
+        if () not in walks:
+            walks[()] = (np.eye(self.rank, dtype=np.int64 if self.exact else float), 1)
+        n = len(steps)
+        while steps[:n] not in walks:
+            n -= 1
+        m = walks[steps[:n]]
+        for i in range(n, len(steps)):
+            e, d = steps[i]
+            if inverse:
+                m = lx.scaled_matmul(self.scaled(e, -d), m)
+            else:
+                m = lx.scaled_matmul(m, self.scaled(e, d))
+            walks[steps[: i + 1]] = m
+        return m
 
     def mul(self, a, b):
         return lx.matmul(a, b) if self.exact else a @ b
@@ -127,25 +171,23 @@ class FlatnessReport:
 
 def transport(bundle, path):
     """Ordered product of edge matrices along a walk; empty walk gives I."""
-    out = bundle.identity()
-    for e, d in path.steps:
-        out = bundle.mul(out, bundle.matrix(e, d))
-    return out
+    m, den = bundle.walk(path.steps, {})
+    return [[Fraction(v, den) for v in row] for row in m.tolist()] if bundle.exact else m
 
 
 def check_flatness(complex_, bundle):
     """Per-2-cell deviation of the attaching-walk transport from the identity."""
     complex_.require_valid()
     report = FlatnessReport(mode="exact" if bundle.exact else "float")
-    eye = bundle.identity()
+    walks = {}
     for cell in complex_.cells_of_dim(2):
-        walk = complex_.attaching_walk(cell.id)
-        hol = transport(bundle, walk)
+        hol, den = bundle.walk(complex_.attaching_walk(cell.id).steps, walks)
         if bundle.exact:
-            dev = 0 if lx.meq(hol, eye) else 1
-            if dev:
-                diff = lx.msub(hol, eye)
-                dev = max(abs(float(x)) for row in diff for x in row)
+            # den times the largest |hol - I| entry; the one division rounds as float(Fraction)
+            rows = enumerate(hol.tolist())
+            diff = [abs(v - den * (i == j)) for i, r in rows for j, v in enumerate(r)]
+            dev = max(diff, default=0)
+            dev = dev and dev / den
         else:
             dev = float(np.max(np.abs(hol - np.eye(bundle.rank))))
         report.deviations[cell.id] = dev

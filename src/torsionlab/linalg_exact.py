@@ -1,21 +1,23 @@
 """Exact rational and integer linear algebra.
 
-Matrices are lists of lists.  Rational routines work over ``fractions.Fraction``
-and never touch floats; the Smith normal form works over Python ints, so
-there is no overflow anywhere.
+Dense exact matrices come in two layouts.  Lists of ``fractions.Fraction``
+rows are the interchange form: bundle edge matrices, serialization, and the
+elimination routines (``det``, ``inverse``, ``vol_sq``) read and write them.
+Products run on the scaled-integer form (FLINT's ``fmpq_mat`` layout): an
+integer ndarray of numerators, possibly a stack of matrices, over one
+positive int denominator.  Nothing here touches floats except the checked
+conversions; the Smith normal form works over Python ints, so there is no
+overflow anywhere.
 
-Products are scaled-integer products: each operand is written as an integer
-matrix over one common denominator (the lcm of its entry denominators), the
-integer matrices are multiplied -- in numpy int64 when a magnitude bound
-proves no entry can overflow, with Python ints otherwise -- and each result
-entry is one normalized ``Fraction(v, den_a * den_b)``.
+Every exact product goes through one kernel, ``_int_matmul``: numpy int64
+when a magnitude bound proves no partial sum can overflow, Python ints in
+object arrays otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from fractions import Fraction
 
@@ -64,8 +66,20 @@ def transpose(a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
-def _scaled_integers(m):
-    """(ints, den, peak) with m == ints / den entrywise.
+def _int_array(rows, peak):
+    """Integer ndarray of rows bounded by peak: int64 if that fits, else Python ints."""
+    return np.array(rows, dtype=np.int64 if peak < 2**63 else object)
+
+
+def _peak(ints):
+    """Largest absolute entry of an integer ndarray, as a Python int (0 if empty)."""
+    if ints.size <= 64:  # a small matrix: one list beats numpy's reduction set-up
+        return max(map(abs, ints.ravel().tolist()), default=0)
+    return int(np.abs(ints).max(initial=0))
+
+
+def _scaled_rows(m):
+    """(ints, den, peak) with m == ints / den entrywise, ints as lists of int rows.
 
     ``den`` is the lcm of the entry denominators and ``peak`` the largest
     absolute value in ``ints`` (0 for a zero or empty matrix).
@@ -75,24 +89,91 @@ def _scaled_integers(m):
         ints = [[x.numerator for x in row] for row in m]
     else:
         ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-    peak = max((abs(v) for row in ints for v in row), default=0)
-    return ints, den, peak
+    return ints, den, max((abs(v) for row in ints for v in row), default=0)
+
+
+def scaled(m):
+    """(ints, den) form of a Fraction matrix, ints an ndarray."""
+    ints, den, peak = _scaled_rows(m)
+    return _int_array(ints, peak), den
 
 
 def _int_matmul(ia, pa, ib, pb):
-    """Exact product of integer matrices whose entries are bounded by pa, pb.
+    """Exact product of integer ndarrays (or stacks) whose entries are bounded by pa, pb.
 
     numpy int64 is used when pa * pb * inner < 2**62, so no partial sum can
     overflow; otherwise the product is taken in Python ints.
     """
-    inner = len(ib)
-    cols = len(ib[0]) if ib else 0
-    if not (pa and pb):
-        return [[0] * cols for _ in ia]
-    if pa * pb * inner < 2**62:
-        return (np.array(ia, dtype=np.int64) @ np.array(ib, dtype=np.int64)).tolist()
-    bt = list(zip(*ib))
-    return [[sum(map(operator.mul, row, col)) for col in bt] for row in ia]
+    dtype = np.int64 if pa * pb * ib.shape[-2] < 2**62 else object
+    return np.matmul(ia.astype(dtype, copy=False), ib.astype(dtype, copy=False))
+
+
+def _reduced(ints, den):
+    """(ints, den) divided through by the gcd of den and every entry."""
+    if den == 1:
+        return ints, den
+    g = int(np.gcd.reduce(ints, axis=None, initial=0))
+    if g == 0:
+        return ints, 1
+    g = math.gcd(den, g)
+    return (ints // g, den // g) if g > 1 else (ints, den)
+
+
+def scaled_matmul(a, b):
+    """Product of scaled matrices, or of stacks of them, reduced by the gcd.
+
+    Each operand is (nums, den).  Integer numerators multiply exactly through
+    ``_int_matmul``; float numerators (den 1) multiply by BLAS, as ``@`` would.
+    """
+    (na, da), (nb, db) = a, b
+    if na.dtype.kind == "f":
+        return np.matmul(na, nb), 1
+    return _reduced(_int_matmul(na, _peak(na), nb, _peak(nb)), da * db)
+
+
+def scaled_stack(mats):
+    """One (n, k, k) stack over a common denominator from a list of (nums, den)."""
+    dens = [d for _, d in mats]
+    den = math.lcm(*dens)
+    if den == 1:
+        return np.stack([m for m, _ in mats]), 1
+    nums = [m if d == den else m.astype(object) * (den // d) for m, d in mats]
+    stack = np.stack(nums)
+    return stack.astype(np.int64) if _peak(stack) < 2**63 else stack, den
+
+
+def scaled_sum(slots, n, coeffs, a):
+    """(sums, den): coeffs[i] * a[i] added into slot slots[i] of n, in stack order.
+
+    ``a`` is a scaled stack; integer sums leave int64 for Python ints when
+    sum |coeffs| times the peak entry could overflow.
+    """
+    nums, den = a
+    if nums.dtype == np.int64 and _peak(nums) * int(np.abs(coeffs).sum()) >= 2**63:
+        nums = nums.astype(object)
+    terms = coeffs[:, None, None] * nums
+    out = np.zeros((n,) + nums.shape[1:], dtype=terms.dtype)
+    np.add.at(out, slots, terms)
+    return _reduced(out, den)
+
+
+def scaled_to_float(ints, den):
+    """ints / den as floats, each entry correctly rounded as float(Fraction) is.
+
+    FloatRangeError if an entry leaves the double range or a nonzero one
+    rounds to 0.0.
+    """
+    if ints.dtype != object and den <= 2**53 and _peak(ints) <= 2**53:
+        out = ints / den  # both sides exact in doubles, so one correctly rounded division
+    else:
+        try:
+            out = np.array([v / den for v in ints.ravel().tolist()], dtype=float)
+        except OverflowError:
+            raise FloatRangeError("exact matrix entry is too large for a float") from None
+        out = out.reshape(ints.shape)
+    if np.any((out == 0.0) & (ints != 0)):
+        raise FloatRangeError("nonzero exact matrix entry is too small for a float")
+    return out
 
 
 def matmul(a, b):
@@ -101,10 +182,12 @@ def matmul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    ia, da, pa = _scaled_integers(a)
-    ib, db, pb = _scaled_integers(b)
+    ia, da, pa = _scaled_rows(a)
+    ib, db, pb = _scaled_rows(b)
+    if not (pa and pb):
+        return zeros(ra, cb)
     den = da * db
-    prod = _int_matmul(ia, pa, ib, pb)
+    prod = _int_matmul(_int_array(ia, pa), pa, _int_array(ib, pb), pb).tolist()
     if den == 1:
         return [[Fraction(v) for v in row] for row in prod]
     return [[Fraction(v, den) for v in row] for row in prod]
@@ -144,50 +227,67 @@ def exp_float(log_x, what):
     return math.exp(log_x)
 
 
-def det(a):
-    """Determinant by fraction-exact Gaussian elimination."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("det of non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    a = [row[:] for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _bareiss(m, n, jordan=False):
+    """Fraction-free elimination of int rows m on their first n columns, in place.
+
+    E. Bareiss, Math. Comp. 1968: every intermediate entry is a minor of the
+    input, so each division by the previous pivot is exact.  Returns (sign,
+    pivot): the determinant of the leading n x n block is sign * pivot, 0 if
+    it is singular.  With ``jordan`` rows above each pivot are cleared too,
+    which leaves pivot * block^-1 in any columns past the first n.
+    """
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            d = -d
-        d *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return d
+            return sign, 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        # without jordan, columns up to c of the rows below are never read again
+        lo = 0 if jordan else c + 1
+        p, top = m[c][c], m[c][lo:]
+        for r in range(n) if jordan else range(c + 1, n):
+            if r != c:
+                row, f = m[r], m[r][c]
+                row[lo:] = [(p * x - f * y) // prev for x, y in zip(row[lo:], top)]
+        prev = p
+    return sign, prev
+
+
+def det(a):
+    """Determinant by fraction-free elimination of the scaled integers."""
+    n, c = shape(a)
+    if n != c:
+        raise ValueError("det of non-square matrix")
+    ints, den, _ = _scaled_rows(fmat(a))
+    sign, pivot = _bareiss(ints, n)
+    return Fraction(sign * pivot, den**n)
+
+
+def scaled_inverse(a):
+    """Inverse of a square scaled matrix (ints, den), as (ints, den) with den > 0.
+
+    inv(ints / den) = den * inv(ints), and Jordan elimination of [ints | I]
+    leaves pivot * inv(ints) in the right half.
+    """
+    ints, den = a
+    n = len(ints)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    _, pivot = _bareiss(m, n, jordan=True)
+    if not pivot:
+        raise SingularMatrixError("matrix is singular")
+    scale = den if pivot > 0 else -den
+    adj = [[x * scale for x in row[n:]] for row in m]
+    return _reduced(_int_array(adj, max((abs(x) for r in adj for x in r), default=0)), abs(pivot))
 
 
 def inverse(a):
-    n, m = shape(a)
-    if n != m:
+    n, c = shape(a)
+    if n != c:
         raise ValueError("inverse of non-square matrix")
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    ints, den = scaled_inverse(scaled(fmat(a)))
+    return [[Fraction(x, den) for x in row] for row in ints.tolist()]
 
 
 def _echelon(a):
@@ -251,9 +351,9 @@ def product_is_zero(a, b):
 
     Equivalent to is_zero(matmul(a, b)) but builds no Fractions.
     """
-    ia, _, pa = _scaled_integers(a)
-    ib, _, pb = _scaled_integers(b)
-    return not any(map(any, _int_matmul(ia, pa, ib, pb)))
+    ia, _, pa = _scaled_rows(a)
+    ib, _, pb = _scaled_rows(b)
+    return not (pa and pb and _int_matmul(_int_array(ia, pa), pa, _int_array(ib, pb), pb).any())
 
 
 # ---------------------------------------------------------------------------

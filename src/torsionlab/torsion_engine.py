@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg_exact as lx
-from .errors import FloatRangeError, IllConditionedError, TorsionLabError
+from .errors import DenseSizeError, FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
 from .flat_bundle import require_flat, transport
 
@@ -43,6 +43,33 @@ EULER_ACTION_EXPONENT = -2
 
 GRADING_CONVENTION = "chain_even_straight"
 
+# Largest dense boundary, in bytes at 8 per entry, that assemble scatters or
+# boundaries_exact lays out; beyond it DenseSizeError is raised before allocating.
+DENSE_BUDGET_BYTES = 2**31
+
+
+def _require_dense_fits(rows, cols, what):
+    if rows * cols * 8 > DENSE_BUDGET_BYTES:
+        raise DenseSizeError(
+            f"{what} is {rows} x {cols}: {rows * cols * 8 / 2**30:.1f} GiB dense, over the "
+            f"{DENSE_BUDGET_BYTES / 2**30:.1f} GiB budget"
+        )
+
+
+@dataclass(frozen=True)
+class BlockRecord:
+    """One degree's k x k boundary blocks over one denominator.
+
+    Block (rows[n], cols[n]) is nums[n] / den; the (row, column) pairs are
+    distinct.  nums is an (n_blocks, k, k) integer ndarray, int64 or Python
+    ints (object dtype), and den a positive int.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    nums: np.ndarray
+    den: int
+
 
 @dataclass
 class TwistedChainComplex:
@@ -52,7 +79,7 @@ class TwistedChainComplex:
     rank: int
     cell_order: dict  # d -> list of cell ids
     boundaries: dict  # d -> float ndarray, shape (k*n_d, k*n_{d-1})
-    blocks: dict | None  # d -> {(d-cell, (d-1)-cell index): k x k Fraction block}, if exact
+    blocks: dict | None  # d -> BlockRecord of D_d's scaled-integer blocks, if exact
     frame: np.ndarray | None = None  # fiber frame applied at every cell
 
     @functools.cached_property
@@ -61,11 +88,13 @@ class TwistedChainComplex:
         if self.blocks is None:
             return None
         k, out = self.rank, {}
-        for d, blocks in self.blocks.items():
-            m = out[d] = lx.zeros(k * len(self.cell_order[d]), k * len(self.cell_order[d - 1]))
-            for (i, j), block in blocks.items():
+        for d, rec in self.blocks.items():
+            shape = (k * len(self.cell_order[d]), k * len(self.cell_order[d - 1]))
+            _require_dense_fits(*shape, f"exact degree-{d} boundary")
+            m = out[d] = lx.zeros(*shape)
+            for i, j, block in zip(rec.rows.tolist(), rec.cols.tolist(), rec.nums.tolist()):
                 for a, row in enumerate(block):
-                    m[k * i + a][k * j : k * j + k] = row
+                    m[k * i + a][k * j : k * j + k] = [Fraction(v, rec.den) for v in row]
         return out
 
     @property
@@ -117,46 +146,49 @@ class TorsionResult:
 
 
 def assemble(complex_, bundle, spray):
-    """Twisted chain complex from complex + bundle + spray."""
+    """Twisted chain complex from complex + bundle + spray.
+
+    Every leg, inverse leg and incidence path is one scaled walk through a
+    prefix cache; each degree's blocks leg . path . leg^-1 come from two
+    stacked products, summed per (cell, face) pair in incidence order.
+    """
     complex_.require_valid()
     validate_spray(complex_, spray)
     require_flat(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
-    walks, inverse_walks = {(): bundle.identity()}, {(): bundle.identity()}
-    leg_t = {cid: _walk_transport(bundle, leg.steps, walks) for cid, leg in spray.legs}
-    leg_t_inv = {
-        cid: _walk_transport(bundle, leg.steps, inverse_walks, inverse=True)
-        for cid, leg in spray.legs
+    for d in range(1, complex_.dim + 1):
+        _require_dense_fits(k * len(order[d]), k * len(order[d - 1]), f"degree-{d} boundary")
+    walks, inverse_walks = {}, {}
+    legs = {cid: bundle.walk(leg.steps, walks) for cid, leg in spray.legs}
+    legs_inv = {
+        cid: bundle.walk(leg.steps, inverse_walks, inverse=True) for cid, leg in spray.legs
     }
     blocks, boundaries = {}, {}
     for d in range(1, complex_.dim + 1):
         ri = {c: i for i, c in enumerate(order[d])}
         ci = {c: j for j, c in enumerate(order[d - 1])}
-        bmap = blocks[d] = {}
-        for rec in complex_.incidences:
-            if rec.coface not in ri:
-                continue
-            block = bundle.mul(
-                bundle.mul(leg_t[rec.coface], _walk_transport(bundle, rec.path.steps, walks)),
-                leg_t_inv[rec.face],
-            )
-            key = (ri[rec.coface], ci[rec.face])
-            if bundle.exact:
-                c, acc = rec.coeff, bmap.get(key)
-                block = block if c == 1 else [[c * y for y in r] for r in block]
-                bmap[key] = block if acc is None else [
-                    [x + y for x, y in zip(r, t)] for r, t in zip(acc, block)
-                ]
-            else:
-                bmap[key] = bmap.get(key, 0.0) + rec.coeff * block
-        # one scatter of every block through the (n_d, k, n_{d-1}, k) view
+        recs = [rec for rec in complex_.incidences if rec.coface in ri]
         out = boundaries[d] = np.zeros((k * len(ri), k * len(ci)))
-        if bmap:
-            vals = list(bmap.values())
-            vals = lx.to_float([r for b in vals for r in b]) if bundle.exact else np.array(vals)
-            rows, cols = map(list, zip(*bmap))
-            out.reshape(len(ri), k, len(ci), k)[rows, :, cols, :] = vals.reshape(-1, k, k)
+        if not recs:
+            nums = np.zeros((0, k, k), dtype=np.int64 if bundle.exact else float)
+            blocks[d] = BlockRecord(np.zeros(0, int), np.zeros(0, int), nums, 1)
+            continue
+        prod = lx.scaled_matmul(
+            lx.scaled_matmul(
+                lx.scaled_stack([legs[rec.coface] for rec in recs]),
+                lx.scaled_stack([bundle.walk(rec.path.steps, walks) for rec in recs]),
+            ),
+            lx.scaled_stack([legs_inv[rec.face] for rec in recs]),
+        )
+        keys = np.array([ri[rec.coface] * len(ci) + ci[rec.face] for rec in recs])
+        keys, slots = np.unique(keys, return_inverse=True)
+        coeffs = np.array([rec.coeff for rec in recs])
+        nums, den = lx.scaled_sum(slots, len(keys), coeffs, prod)
+        record = blocks[d] = BlockRecord(keys // len(ci), keys % len(ci), nums, den)
+        vals = lx.scaled_to_float(nums, den) if bundle.exact else nums
+        # one scatter of every block through the (n_d, k, n_{d-1}, k) view
+        out.reshape(len(ri), k, len(ci), k)[record.rows, :, record.cols, :] = vals
     tcc = TwistedChainComplex(
         complex_, bundle, spray, k, order, boundaries, blocks if bundle.exact else None
     )
@@ -166,32 +198,11 @@ def assemble(complex_, bundle, spray):
     return tcc
 
 
-def _walk_transport(bundle, steps, walks, inverse=False):
-    """transport() along ``steps``, or its inverse, extending the longest walk in ``walks``.
-
-    ``walks`` maps step tuples to their transports (their inverses if
-    ``inverse``) and gains every prefix computed here.  Forward products are
-    the ones transport() takes, in its order, so float results are
-    bit-identical to it; an inverse takes products only, inv(p.s) =
-    matrix(s reversed) . inv(p), from the bundle's cached edge inverses.
-    """
-    n = len(steps)
-    while steps[:n] not in walks:
-        n -= 1
-    m = walks[steps[:n]]
-    for i in range(n, len(steps)):
-        e, d = steps[i]
-        m = bundle.mul(bundle.matrix(e, -d), m) if inverse else bundle.mul(m, bundle.matrix(e, d))
-        walks[steps[: i + 1]] = m
-    return m
-
-
 def _check_boundary_squared(tcc):
     """D_d D_{d-1} == 0: in integers through shared faces if exact, else by BLAS."""
-    rows = functools.cache(lambda d: _integer_rows(tcc.blocks[d], tcc.rank))
     for d in range(2, tcc.top_dim + 1):
         if tcc.blocks is not None:
-            zero = _composes_to_zero(rows(d), rows(d - 1))
+            zero = _composes_to_zero(tcc.blocks[d], tcc.blocks[d - 1])
         else:
             up, dn = tcc.boundary(d), tcc.boundary(d - 1)
             scale = up.size and dn.size and max(np.abs(up).max() * np.abs(dn).max(), 1.0)
@@ -200,28 +211,22 @@ def _check_boundary_squared(tcc):
             raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
 
 
-def _integer_rows(bmap, k):
-    """D_d times one common denominator, as {row: [(column, int)]} of its nonzero entries."""
-    span = range(k)
-    ints = lx._scaled_integers([[x for b in bmap.values() for r in b for x in r]])[0][0]
-    coords = [(k * i + a, k * j + b) for i, j in bmap for a in span for b in span]
-    rows = defaultdict(list)
-    for (r, c), v in zip(coords, ints):
-        if v:
-            rows[r].append((c, v))
-    return rows
-
-
 def _composes_to_zero(up, dn):
-    """Whether the product of two integer row maps vanishes, summed in Python ints."""
-    for entries in up.values():
-        acc = defaultdict(int)
-        for c, v in entries:
-            for c2, w in dn.get(c, ()):
-                acc[c2] += v * w
-        if any(acc.values()):
-            return False
-    return True
+    """Whether up . dn vanishes for two block records, composed through shared faces.
+
+    Every (up block, dn block) pair that meets in a face is multiplied in one
+    stacked exact product, and the products are summed per (row, column) pair.
+    """
+    order = np.argsort(dn.rows, kind="stable")
+    lo = np.searchsorted(dn.rows[order], up.cols, "left")
+    count = np.searchsorted(dn.rows[order], up.cols, "right") - lo
+    p = np.repeat(np.arange(len(up.rows)), count)
+    q = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    prod = lx.scaled_matmul((up.nums[p], 1), (dn.nums[q], 1))
+    keys = up.rows[p] * (dn.cols.max(initial=0) + 1) + dn.cols[q]
+    keys, slots = np.unique(keys, return_inverse=True)
+    sums, _ = lx.scaled_sum(slots, len(keys), np.ones(len(p), dtype=np.int64), prod)
+    return not sums.any()
 
 
 def to_frame(tcc, frame):
@@ -325,8 +330,15 @@ def det_prime(mat, rank_tol=RANK_TOL):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise TorsionLabError("det_prime expects a square matrix")
     w = np.linalg.eigvalsh(_symmetric(mat, "det_prime input"))
-    nonzero = _nonzero(w, float(w.max(initial=0.0)), rank_tol)
-    return lx.exp_float(_log_det_prime(nonzero, 0), "det'")
+    # a frexp mantissa and an integer exponent: one rounding per factor, no overflow midway
+    mant, exp = 1.0, 0
+    for x in _nonzero(w, float(w.max(initial=0.0)), rank_tol).tolist():
+        m, e = math.frexp(x)
+        mant, shift = math.frexp(mant * m)
+        exp += e + shift
+    if not sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
+        raise FloatRangeError(f"det' is about 2**{exp}, outside the float range")
+    return math.ldexp(mant, exp)
 
 
 def harmonic_data(tcc, rank_tol=RANK_TOL):

@@ -195,3 +195,20 @@ class TestLoopModify:
         alpha = canonical_spray(cx)
         with pytest.raises(OpenPathError):
             loop_modify(cx, alpha, EdgePath((("e1", 1),), "v1", "v2"))
+
+
+class TestSprayLeg:
+    def test_missing_leg_raises(self):
+        with pytest.raises(SprayError):
+            corpus_get("torus").spray.leg("no-such-cell")
+
+    def test_repeated_cell_keeps_first_leg(self):
+        legs = corpus_get("torus").spray.legs
+        (cid, first), (_, other) = legs[0], legs[1]
+        assert Spray(legs + ((cid, other),)).leg(cid) is first
+
+    def test_lookup_keeps_equality_and_hash(self):
+        spray = corpus_get("torus").spray
+        same = Spray(spray.legs)
+        assert all(same.leg(cid) is path for cid, path in spray.legs)
+        assert same == spray and hash(same) == hash(spray)

@@ -75,6 +75,37 @@ class TestFlatness:
         assert not rep.ok
         assert rep.failing_cells() == ["F"]
 
+    @pytest.mark.parametrize(
+        "name,mats,dev",
+        [
+            ("torus", {"a": [[1, 1], [0, 1]], "b": [[1, 0], [1, 1]]}, 2.0),
+            (
+                "torus",
+                {"a": [[1, Fraction(1, 3)], [0, 1]], "b": [[1, 0], [Fraction(1, 7), 1]]},
+                0.049886621315192746,
+            ),
+            ("klein", {"a": [[2, 1], [1, 1]], "b": [[Fraction(1, 2), 0], [0, 5]]}, 13.0),
+            ("torus", {"a": [[10**30, 1], [10**30 - 1, 1]], "b": [[3, 0], [0, 1]]}, 2e30),
+        ],
+    )
+    def test_nonflat_exact_deviation_is_largest_entry(self, name, mats, dev):
+        # the float of the largest |hol - I| entry of the Fraction holonomy
+        cx = corpus_get(name).complex
+        bundle = FlatBundle(2, mats)
+        rep = check_flatness(cx, bundle)
+        assert rep.mode == "exact" and rep.deviations == {"F": dev}
+        hol = lx.identity(2)
+        for e, d in cx.attaching_walk("F").steps:
+            hol = lx.matmul(hol, bundle.matrix(e, d))
+        rows = enumerate(hol)
+        assert dev == max(abs(float(x - (i == j))) for i, r in rows for j, x in enumerate(r))
+
+    def test_flat_exact_deviation_is_int_zero(self):
+        cx = corpus_get("torus").complex
+        bundle = FlatBundle(2, {"a": [[Fraction(1, 3), 0], [0, 3]], "b": [[2, 0], [0, 1]]})
+        rep = check_flatness(cx, bundle)
+        assert rep.ok and rep.deviations == {"F": 0} and type(rep.deviations["F"]) is int
+
     def test_float_mode_tolerance(self):
         cx = corpus_get("lens-5-1").complex
         rep = check_flatness(cx, corpus_get("lens-5-1").bundle)

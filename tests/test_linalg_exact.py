@@ -244,3 +244,48 @@ def test_to_float_underflow_is_typed():
     with pytest.raises(FloatRangeError):
         lx.to_float([[Fraction(0), Fraction(1, 10**400)]])
     assert np.array_equal(lx.to_float([[Fraction(0), Fraction(1, 10**300)]]), [[0.0, 1e-300]])
+
+
+def test_scaled_inverse_past_int64_range():
+    # Bareiss inverse of m / 7, past the int64 range too: m . inv == 7 den I
+    rng = np.random.default_rng(5)
+    for bits in (3, 70):
+        for n in range(1, 6):
+            m = [[int(rng.integers(-9, 10)) * 2**bits + int(rng.integers(-3, 4)) for _ in range(n)]
+                 for _ in range(n)]
+            if lx.det(m) == 0:
+                continue
+            inv, den = lx.scaled_inverse((np.array(m, dtype=object), 7))
+            want = [[7 * den * (i == j) for j in range(n)] for i in range(n)]
+            assert lx.matmul(m, inv.tolist()) == want
+
+
+def test_scaled_matmul_stacks_past_int64_bound():
+    a = np.array([[[2**40, 1], [1, 1]], [[3, 1], [2, 1]]], dtype=np.int64)
+    got, den = lx.scaled_matmul((a, 6), (a, 4))
+    assert got.dtype == object and den == 24
+    for i in range(2):
+        want = lx.matmul(a[i].tolist(), a[i].tolist())
+        assert [[Fraction(x, den) for x in row] for row in got[i].tolist()] == [
+            [x / 24 for x in row] for row in want
+        ]
+    got, den = lx.scaled_matmul((2 * np.eye(2, dtype=np.int64), 4), (np.eye(2, dtype=np.int64), 1))
+    assert got.dtype == np.int64 and den == 2 and got.tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("den", [1, 3, 2**53, 2**53 + 1, 10**30])
+def test_scaled_to_float_rounds_as_fraction(den):
+    rng = np.random.default_rng(den % 1000)
+    nums = [int(rng.integers(-(2**62), 2**62)) >> int(rng.integers(0, 62)) for _ in range(40)]
+    nums += [2**53, 2**53 + 1, -(2**60) - 1, 0]
+    for ints in (np.array(nums, dtype=np.int64), np.array(nums, dtype=object)):
+        got = lx.scaled_to_float(ints, den)
+        assert got.tolist() == [float(Fraction(n, den)) for n in nums]
+
+
+def test_scaled_to_float_range_errors():
+    with pytest.raises(FloatRangeError):
+        lx.scaled_to_float(np.array([10**400], dtype=object), 1)
+    with pytest.raises(FloatRangeError):
+        lx.scaled_to_float(np.array([0, 1], dtype=np.int64), 10**400)
+    assert lx.scaled_to_float(np.array([10**400], dtype=object), 10**399).tolist() == [10.0]

@@ -18,6 +18,7 @@ from torsionlab.corpus import (
 )
 from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.errors import (
+    DenseSizeError,
     FloatRangeError,
     IllConditionedError,
     TorsionLabError,
@@ -81,12 +82,20 @@ class TestAssemble:
             assert lx.is_zero(lx.matmul(up, dn))
 
 
+def loop_transport(bundle, path):
+    """transport() as a plain left-to-right loop of bundle products, with no walk cache."""
+    out = bundle.identity()
+    for e, d in path.steps:
+        out = bundle.mul(out, bundle.matrix(e, d))
+    return out
+
+
 def per_incidence_boundaries(cx, bundle, spray):
     """Boundaries built one incidence at a time as leg . transport(path) . leg^-1,
     every transport taken from scratch, accumulated in assemble's order."""
     k = bundle.rank
     inv = lx.inverse if bundle.exact else np.linalg.inv
-    legs = {cid: transport(bundle, leg) for cid, leg in spray.legs}
+    legs = {cid: loop_transport(bundle, leg) for cid, leg in spray.legs}
     out = {}
     for d in range(1, cx.dim + 1):
         ri = {c.id: i for i, c in enumerate(cx.cells_of_dim(d))}
@@ -96,9 +105,8 @@ def per_incidence_boundaries(cx, bundle, spray):
         for rec in cx.incidences:
             if rec.coface not in ri:
                 continue
-            block = bundle.mul(
-                bundle.mul(legs[rec.coface], transport(bundle, rec.path)), inv(legs[rec.face])
-            )
+            path = loop_transport(bundle, rec.path)
+            block = bundle.mul(bundle.mul(legs[rec.coface], path), inv(legs[rec.face]))
             i0, j0 = k * ri[rec.coface], k * ci[rec.face]
             if bundle.exact:
                 for a in range(k):
@@ -137,6 +145,29 @@ class TestSharedWalkTransports:
         assert sorted(tcc.boundaries) == sorted(want)
         for d, m in want.items():
             assert np.array_equal(tcc.boundaries[d], m)
+
+    def test_walks_past_int64_bound_equal_per_incidence(self):
+        # walk products reach 2**80, past the int64 rule, so blocks sum in Python ints
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2**40, 1], [2**40 - 1, 1]], "b": [[1, 0], [0, 1]]})
+        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        assert any(rec.nums.dtype == object for rec in tcc.blocks.values())
+        want = per_incidence_boundaries(cx, bundle, spray)
+        assert tcc.boundaries_exact == want
+        for d, m in want.items():
+            assert np.array_equal(tcc.boundaries[d], [[float(x) for x in row] for row in m])
+
+    def test_denominators_equal_per_incidence(self):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[Fraction(1, 3), 0], [0, 3]], "b": [[1, 0], [0, 1]]})
+        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        assert any(rec.den > 1 for rec in tcc.blocks.values())
+        want = per_incidence_boundaries(cx, bundle, spray)
+        assert tcc.boundaries_exact == want
+        for d, m in want.items():
+            assert np.array_equal(tcc.boundaries[d], [[float(x) for x in row] for row in m])
 
     def test_exact_float_boundaries_are_dense_to_float(self):
         # the float copy converts only written blocks; it must equal the dense conversion
@@ -396,9 +427,16 @@ class TestLogDomainRange:
                 t_comb(tcc, method)
 
     def test_det_prime_past_float_range_raises(self):
-        assert abs(det_prime(np.diag([0.0, 1e200])) / 1e200 - 1.0) <= 1e-12
+        assert det_prime(np.diag([0.0, 1e200])) == 1e200
         with pytest.raises(FloatRangeError):
             det_prime(np.diag([1e200, 1e200]))
+        with pytest.raises(FloatRangeError):
+            det_prime(np.diag([1e-200, 1e-200]))
+
+    def test_det_prime_partial_products_leave_the_range(self):
+        # ascending, the first 80 factors multiply to 2**-1120, below every double
+        w = [2.0**-14] * 80 + [2.0**14] * 80
+        assert det_prime(np.diag(w)) == 1.0
 
     def test_subdivided_torus_864_cells(self):
         # rounds 0-2 give 1 and subdivision invariance says round 3 does too
@@ -798,3 +836,22 @@ class TestRankFactorizationVolumes:
                     cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
                 except UnsupportedStructureError:
                     break
+
+
+class TestDenseBudget:
+    def test_over_budget_is_typed_error_before_allocating(self, monkeypatch):
+        cx, bundle, spray = triple("torus")
+        for _ in range(2):
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        biggest = 8 * max(b.size for b in tcc.boundaries.values())
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest)
+        assemble(cx, bundle, spray)
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest - 1)
+        zeros = counting(monkeypatch, np, "zeros")
+        with pytest.raises(DenseSizeError, match="budget"):
+            assemble(cx, bundle, spray)
+        assert zeros == []
+        with pytest.raises(DenseSizeError):
+            tcc.boundaries_exact
+        assert issubclass(DenseSizeError, TorsionLabError)
