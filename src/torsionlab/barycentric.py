@@ -28,7 +28,7 @@ from .complex_core import (
 )
 from .errors import UnsupportedDimensionError, UnsupportedStructureError
 from .euler_struct import Spray, validate_spray
-from .flat_bundle import FlatBundle, require_flat, transport
+from .flat_bundle import FlatBundle, require_flat
 
 
 @dataclass
@@ -110,6 +110,7 @@ def _subdivide_walks(cx, bundle, spray):
 
     edges = {}
     mats = {}
+    walks = {}  # prefix products of the attaching walks, as scaled pairs
     step_images = {}
     carriers = {v: v for v in vertices}
     chain = {v: {v: 1} for v in vertices}
@@ -118,8 +119,8 @@ def _subdivide_walks(cx, bundle, spray):
         h0, h1 = f"{e.id}:h0", f"{e.id}:h1"
         edges[h0] = (t, bary_v[e.id])
         edges[h1] = (bary_v[e.id], h)
-        mats[h0] = bundle.matrix(e.id)
-        mats[h1] = bundle.identity()
+        mats[h0] = bundle.scaled(e.id)
+        mats[h1] = bundle.walk((), walks)
         step_images[e.id] = ((h0, 1), (h1, 1))
         carriers[h0] = carriers[h1] = carriers[bary_v[e.id]] = e.id
         chain[e.id] = {h0: 1, h1: 1}
@@ -135,20 +136,18 @@ def _subdivide_walks(cx, bundle, spray):
         for step in walk.steps:
             corner_at.append(cx.step_endpoints(step)[1])
         spokes_r, spokes_s = [], []
-        prefix_t = bundle.identity()
         for i in range(L):
             r_id = f"{f.id}:r{i}"
             spokes_r.append(r_id)
             edges[r_id] = (bf, corner_at[i])
-            mats[r_id] = prefix_t
+            mats[r_id] = bundle.walk(walk.steps[:i], walks)
             carriers[r_id] = f.id
             e, d = walk.steps[i]
             s_id = f"{f.id}:s{i + 1}"
             spokes_s.append(s_id)
             edges[s_id] = (bf, bary_v[e])
-            mats[s_id] = bundle.mul(prefix_t, bundle.matrix(e)) if d == 1 else prefix_t
+            mats[s_id] = bundle.walk(walk.steps[: i + 1], walks) if d == 1 else mats[r_id]
             carriers[s_id] = f.id
-            prefix_t = bundle.mul(prefix_t, bundle.matrix(e, d))
         face_anchor_spoke[f.id] = spokes_r[0]
         tri_ids = []
         for i in range(1, L + 1):
@@ -284,12 +283,11 @@ def _subdivide_flags(cx, bundle, spray):
             else EdgePath(((eid, -1),), key[1], key[0])
         )
 
-    mats = {}
+    mats, walks = {}, {}
     for e in target.cells_of_dim(1):
         tt, hh = target.edge_endpoints(e.id)
-        mats[e.id] = transport(
-            bundle, old_edge_path(anchor_of[bid_map[tt]], anchor_of[bid_map[hh]])
-        )
+        path = old_edge_path(anchor_of[bid_map[tt]], anchor_of[bid_map[hh]])
+        mats[e.id] = bundle.walk(path.steps, walks)
     new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
 
     step_images = {}

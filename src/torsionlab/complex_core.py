@@ -118,6 +118,7 @@ class ComplexDescription:
         self._walks = {}
         self._h1 = None
         self._tree = None
+        self._endpoints = {}
         self._divisors = {}
 
     # -- basic structure ----------------------------------------------------
@@ -139,9 +140,11 @@ class ComplexDescription:
         return list(self._incident_by_coface.get(coface_id, []))
 
     def edge_endpoints(self, edge_id):
-        """(tail, head) of a 1-cell, from its signed vertex records."""
+        """(tail, head) of a 1-cell, from its signed vertex records; kept once found."""
+        if edge_id in self._endpoints:
+            return self._endpoints[edge_id]
         tail = head = None
-        for rec in self.records_of(edge_id):
+        for rec in self._incident_by_coface.get(edge_id, ()):
             if rec.coeff == 1:
                 head = rec.face
             elif rec.coeff == -1:
@@ -150,6 +153,7 @@ class ComplexDescription:
             raise PathComplexMismatchError(
                 f"1-cell {edge_id!r} lacks a (+1, -1) vertex record pair"
             )
+        self._endpoints[edge_id] = (tail, head)
         return tail, head
 
     def step_endpoints(self, step):

@@ -2,15 +2,14 @@
 
 Transport along a walk is the ordered left-to-right product of edge matrices
 (inverses for reversed steps), so transport(p * q) = transport(p) @ transport(q).
-Matrices with exact rational entries are kept as Fractions and all products,
-inverses and determinants stay exact; float entries fall back to IEEE doubles
-with a relative flatness tolerance.
 
-Walks for the torsion complex and the flatness check run on scaled matrices
-(numerator ndarray, denominator): each edge matrix and inverse is converted
-once, on first use, and every product is one numpy call (see
-``linalg_exact.scaled_matmul``).  Float bundles use the same walks with
-denominator 1.
+Each edge matrix is stored once, as a scaled pair (see ``linalg_exact``):
+(integer numerators, denominator) for an exact bundle, whose products,
+inverses and determinants stay exact, and (float array, 1) for a float one,
+which is compared with a relative flatness tolerance.  The same dict caches
+each inverse on first use.  Walks run on the pairs, and every product is one
+numpy call (``linalg_exact.scaled_matmul``); ``edge_matrices``, ``matrix``
+and ``transport`` are read-only views as Fraction rows or float arrays.
 """
 
 from __future__ import annotations
@@ -27,78 +26,75 @@ from .errors import MissingEdgeMatrixError, NotFlatError, OpenPathError
 EPS_FLAT = 1e-9  # relative flatness / comparison tolerance in float mode
 
 
-def _coerce_matrix(m, exact):
+def _is_pair(m):
+    return isinstance(m, tuple) and len(m) == 2 and isinstance(m[1], int)
+
+
+def _is_exact(m):
+    if _is_pair(m):
+        return m[0].dtype.kind != "f"
+    return not isinstance(m, np.ndarray) and all(lx.is_exact_entry(x) for row in m for x in row)
+
+
+def _to_pair(m, exact):
+    """Rows, a float array or a scaled pair, as a scaled pair in the bundle's field."""
+    if not _is_pair(m):
+        if exact and not isinstance(m, np.ndarray):
+            return lx.scaled(lx.fmat(m))
+        if not isinstance(m, np.ndarray):
+            m = [[float(Fraction(x)) if isinstance(x, str) else float(x) for x in row] for row in m]
+        m = (np.array(m, dtype=float), 1)
+    if m[0].dtype.kind != "f":
+        return m if exact else (lx.scaled_to_float(*m), 1)
     if exact:
-        if isinstance(m, np.ndarray):
-            raise TypeError("exact bundle cannot take float arrays")
-        return lx.fmat(m)
-    if isinstance(m, np.ndarray):
-        return np.array(m, dtype=float)
-    rows = []
-    for row in m:
-        rows.append([float(Fraction(x)) if isinstance(x, str) else float(x) for x in row])
-    return np.array(rows, dtype=float)
-
-
-def _rows_are_exact(m):
-    if isinstance(m, np.ndarray):
-        return False
-    return all(lx.is_exact_entry(x) for row in m for x in row)
+        raise TypeError("exact bundle cannot take float arrays")
+    return m
 
 
 class FlatBundle:
-    """Rank-k local system: an invertible k x k matrix per oriented 1-cell."""
+    """Rank-k local system: an invertible k x k matrix per oriented 1-cell.
+
+    ``edge_matrices`` values may be rows, float arrays or scaled pairs.
+    """
 
     def __init__(self, rank, edge_matrices, exact=None, reference_basis=None):
         self.rank = int(rank)
         if exact is None:
-            exact = all(_rows_are_exact(m) for m in edge_matrices.values())
+            exact = all(_is_exact(m) for m in edge_matrices.values())
         self.exact = bool(exact)
-        self.edge_matrices = {
-            e: _coerce_matrix(m, self.exact) for e, m in edge_matrices.items()
-        }
-        for e, m in self.edge_matrices.items():
-            r = len(m) if self.exact else m.shape[0]
-            c = len(m[0]) if self.exact else m.shape[1]
-            if (r, c) != (self.rank, self.rank):
+        # (edge, +1) -> scaled matrix; (edge, -1) -> its inverse, filled on first use
+        self._pairs = {(e, 1): _to_pair(m, self.exact) for e, m in edge_matrices.items()}
+        for (e, _), m in self._pairs.items():
+            m[0].flags.writeable = False  # pairs may be shared, so views are read-only
+            if m[0].shape != (self.rank, self.rank):
                 raise ValueError(f"edge {e!r}: matrix is not {self.rank} x {self.rank}")
             # relative to Hadamard's bound |det m| <= prod of row norms: scale-free
-            tiny = 0 if self.exact else 1e-14 * np.prod(np.linalg.norm(m, axis=1))
-            if abs(self.det(m)) <= tiny:
+            tiny = 0 if self.exact else 1e-14 * np.prod(np.linalg.norm(m[0], axis=1))
+            if abs(lx.scaled_det(m)) <= tiny:
                 raise ValueError(f"edge {e!r}: matrix is singular")
-        if reference_basis is None:
-            self.reference_basis = None
-        else:
-            self.reference_basis = _coerce_matrix(
-                reference_basis, _rows_are_exact(reference_basis)
-            )
-        self._inv_cache = {}
-        self._scaled_cache = {}
+        rb = reference_basis
+        self.reference_basis = None if rb is None else lx.unscaled(_to_pair(rb, _is_exact(rb)))
 
-    def identity(self):
-        return lx.identity(self.rank) if self.exact else np.eye(self.rank)
+    def _edge_pairs(self):
+        return {e: m for (e, d), m in self._pairs.items() if d == 1}
+
+    @property
+    def edge_matrices(self):
+        """{edge: matrix} as Fraction rows if exact, float arrays if not; built on each read."""
+        return {e: lx.unscaled(m) for e, m in self._edge_pairs().items()}
 
     def matrix(self, edge, direction=1):
-        if edge not in self.edge_matrices:
-            raise MissingEdgeMatrixError(f"no matrix assigned to edge {edge!r}")
-        m = self.edge_matrices[edge]
-        if direction == 1:
-            return m
-        if edge not in self._inv_cache:
-            self._inv_cache[edge] = self.inv(m)
-        return self._inv_cache[edge]
+        return lx.unscaled(self.scaled(edge, direction))
 
     def scaled(self, edge, direction=1):
         """matrix(edge, direction) as (numerators, denominator); (float array, 1) if float."""
-        key = (edge, direction)
-        if key not in self._scaled_cache:
-            if not self.exact:
-                self._scaled_cache[key] = (self.matrix(edge, direction), 1)
-            elif direction == 1:
-                self._scaled_cache[key] = lx.scaled(self.matrix(edge))
-            else:
-                self._scaled_cache[key] = lx.scaled_inverse(self.scaled(edge))
-        return self._scaled_cache[key]
+        key = (edge, 1 if direction == 1 else -1)
+        if key not in self._pairs:
+            if (edge, 1) not in self._pairs:
+                raise MissingEdgeMatrixError(f"no matrix assigned to edge {edge!r}")
+            self._pairs[key] = inv = lx.scaled_inverse(self._pairs[edge, 1])
+            inv[0].flags.writeable = False
+        return self._pairs[key]
 
     def walk(self, steps, walks, inverse=False):
         """Scaled transport along ``steps``, or its inverse, extending the longest cached prefix.
@@ -125,17 +121,8 @@ class FlatBundle:
             walks[steps[: i + 1]] = m
         return m
 
-    def mul(self, a, b):
-        return lx.matmul(a, b) if self.exact else a @ b
-
-    def inv(self, m):
-        return lx.inverse(m) if self.exact else np.linalg.inv(m)
-
-    def det(self, m):
-        return lx.det(m) if self.exact else float(np.linalg.det(m))
-
     def with_reference_basis(self, r):
-        return FlatBundle(self.rank, self.edge_matrices, self.exact, r)
+        return FlatBundle(self.rank, self._edge_pairs(), self.exact, r)
 
     def reference_basis_float(self):
         if self.reference_basis is None:
@@ -147,8 +134,9 @@ class FlatBundle:
     def as_float(self):
         if not self.exact:
             return self
-        mats = {e: lx.to_float(m) for e, m in self.edge_matrices.items()}
-        return FlatBundle(self.rank, mats, exact=False, reference_basis=self.reference_basis)
+        return FlatBundle(
+            self.rank, self._edge_pairs(), exact=False, reference_basis=self.reference_basis
+        )
 
 
 @dataclass
@@ -171,8 +159,7 @@ class FlatnessReport:
 
 def transport(bundle, path):
     """Ordered product of edge matrices along a walk; empty walk gives I."""
-    m, den = bundle.walk(path.steps, {})
-    return [[Fraction(v, den) for v in row] for row in m.tolist()] if bundle.exact else m
+    return lx.unscaled(bundle.walk(path.steps, {}))
 
 
 def check_flatness(complex_, bundle):
@@ -201,20 +188,16 @@ def require_flat(complex_, bundle):
     return rep
 
 
-def _log_abs_det(bundle, m):
-    d = bundle.det(m)
+def kt_evaluate(bundle, loop):
+    """log |det transport(loop)| for a closed walk."""
+    if not loop.is_closed:
+        raise OpenPathError(f"path {loop.src!r} -> {loop.dst!r} is not closed")
+    d = lx.scaled_det(bundle.walk(loop.steps, {}))
     if bundle.exact:
         if d == 0:
             raise ValueError("singular transport")
         return math.log(abs(d.numerator)) - math.log(d.denominator)
     return math.log(abs(d))
-
-
-def kt_evaluate(bundle, loop):
-    """log |det transport(loop)| for a closed walk."""
-    if not loop.is_closed:
-        raise OpenPathError(f"path {loop.src!r} -> {loop.dst!r} is not closed")
-    return _log_abs_det(bundle, transport(bundle, loop))
 
 
 @dataclass(frozen=True)
@@ -248,14 +231,17 @@ def gauge_normalize(complex_, bundle):
     change at vertex v.
     """
     complex_.require_valid()
-    gauges = {}
-    for v in complex_.cells_of_dim(0):
-        gauges[v.id] = transport(bundle, complex_.tree_path(v.id))
+    walks = {}
+    gauges = {
+        v.id: bundle.walk(complex_.tree_path(v.id).steps, walks)
+        for v in complex_.cells_of_dim(0)
+    }
     new = {}
     for e in complex_.cells_of_dim(1):
         t, h = complex_.edge_endpoints(e.id)
-        new[e.id] = bundle.mul(bundle.mul(gauges[t], bundle.matrix(e.id)), bundle.inv(gauges[h]))
+        m = lx.scaled_matmul(gauges[t], bundle.scaled(e.id))
+        new[e.id] = lx.scaled_matmul(m, lx.scaled_inverse(gauges[h]))
     return (
         FlatBundle(bundle.rank, new, bundle.exact, bundle.reference_basis),
-        gauges,
+        {v: lx.unscaled(g) for v, g in gauges.items()},
     )

@@ -1,13 +1,14 @@
 """Exact rational and integer linear algebra.
 
-Dense exact matrices come in two layouts.  Lists of ``fractions.Fraction``
-rows are the interchange form: bundle edge matrices, serialization, and the
-elimination routines (``det``, ``inverse``, ``vol_sq``) read and write them.
-Products run on the scaled-integer form (FLINT's ``fmpq_mat`` layout): an
-integer ndarray of numerators, possibly a stack of matrices, over one
-positive int denominator.  Nothing here touches floats except the checked
-conversions; the Smith normal form works over Python ints, so there is no
-overflow anywhere.
+Exact matrices live in the scaled-integer form (FLINT's ``fmpq_mat``
+layout): an integer ndarray of numerators, possibly a stack of matrices, over
+one positive int denominator.  Float matrices ride the same ``scaled_*``
+calls as (float array, 1); each call picks its kernel by numerator dtype.
+Lists of ``fractions.Fraction`` rows exist only at the edges: serialization,
+views, and the list API (``matmul``, ``det``, ``inverse``, ``vol_sq``), which
+converts through ``scaled`` and ``unscaled``.  Nothing here touches floats
+except the float kernels and the checked conversions; the Smith normal form
+works over Python ints, so there is no overflow anywhere.
 
 Every exact product goes through one kernel, ``_int_matmul``: numpy int64
 when a magnitude bound proves no partial sum can overflow, Python ints in
@@ -66,36 +67,39 @@ def transpose(a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
-def _int_array(rows, peak):
-    """Integer ndarray of rows bounded by peak: int64 if that fits, else Python ints."""
-    return np.array(rows, dtype=np.int64 if peak < 2**63 else object)
+def _int_array(rows):
+    """Integer ndarray of int rows: int64 if every entry fits, else Python ints."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def _peak(ints):
     """Largest absolute entry of an integer ndarray, as a Python int (0 if empty)."""
     if ints.size <= 64:  # a small matrix: one list beats numpy's reduction set-up
         return max(map(abs, ints.ravel().tolist()), default=0)
-    return int(np.abs(ints).max(initial=0))
+    return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
 
 
-def _scaled_rows(m):
-    """(ints, den, peak) with m == ints / den entrywise, ints as lists of int rows.
-
-    ``den`` is the lcm of the entry denominators and ``peak`` the largest
-    absolute value in ``ints`` (0 for a zero or empty matrix).
-    """
+def scaled(m):
+    """(ints, den) form of a Fraction or int matrix; den is the lcm of the denominators."""
     den = math.lcm(*{x.denominator for row in m for x in row})
     if den == 1:
         ints = [[x.numerator for x in row] for row in m]
     else:
         ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
-    return ints, den, max((abs(v) for row in ints for v in row), default=0)
+    return _int_array(ints), den
 
 
-def scaled(m):
-    """(ints, den) form of a Fraction matrix, ints an ndarray."""
-    ints, den, peak = _scaled_rows(m)
-    return _int_array(ints, peak), den
+def unscaled(a):
+    """Fraction rows of a scaled matrix (nums, den); a float one is its own array."""
+    nums, den = a
+    if nums.dtype.kind == "f":
+        return nums
+    if den == 1:
+        return [[Fraction(v) for v in row] for row in nums.tolist()]
+    return [[Fraction(v, den) for v in row] for row in nums.tolist()]
 
 
 def _int_matmul(ia, pa, ib, pb):
@@ -182,15 +186,11 @@ def matmul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    ia, da, pa = _scaled_rows(a)
-    ib, db, pb = _scaled_rows(b)
+    (ia, da), (ib, db) = scaled(a), scaled(b)
+    pa, pb = _peak(ia), _peak(ib)
     if not (pa and pb):
         return zeros(ra, cb)
-    den = da * db
-    prod = _int_matmul(_int_array(ia, pa), pa, _int_array(ib, pb), pb).tolist()
-    if den == 1:
-        return [[Fraction(v) for v in row] for row in prod]
-    return [[Fraction(v, den) for v in row] for row in prod]
+    return unscaled((_int_matmul(ia, pa, ib, pb), da * db))
 
 
 def msub(a, b):
@@ -255,23 +255,34 @@ def _bareiss(m, n, jordan=False):
     return sign, prev
 
 
+def scaled_det(a):
+    """Determinant of a square scaled matrix: a Fraction if exact, a float if float."""
+    nums, den = a
+    if nums.dtype.kind == "f":
+        return float(np.linalg.det(nums))
+    n = len(nums)
+    sign, pivot = _bareiss(nums.tolist(), n)
+    return Fraction(sign * pivot, den**n)
+
+
 def det(a):
     """Determinant by fraction-free elimination of the scaled integers."""
     n, c = shape(a)
     if n != c:
         raise ValueError("det of non-square matrix")
-    ints, den, _ = _scaled_rows(fmat(a))
-    sign, pivot = _bareiss(ints, n)
-    return Fraction(sign * pivot, den**n)
+    return scaled_det(scaled(fmat(a)))
 
 
 def scaled_inverse(a):
-    """Inverse of a square scaled matrix (ints, den), as (ints, den) with den > 0.
+    """Inverse of a square scaled matrix (nums, den), as (nums, den) with den > 0.
 
-    inv(ints / den) = den * inv(ints), and Jordan elimination of [ints | I]
-    leaves pivot * inv(ints) in the right half.
+    Float numerators (den 1) go to LAPACK.  For integers, inv(ints / den) =
+    den * inv(ints), and Jordan elimination of [ints | I] leaves pivot *
+    inv(ints) in the right half.
     """
     ints, den = a
+    if ints.dtype.kind == "f":
+        return np.linalg.inv(ints), 1
     n = len(ints)
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
     _, pivot = _bareiss(m, n, jordan=True)
@@ -279,15 +290,14 @@ def scaled_inverse(a):
         raise SingularMatrixError("matrix is singular")
     scale = den if pivot > 0 else -den
     adj = [[x * scale for x in row[n:]] for row in m]
-    return _reduced(_int_array(adj, max((abs(x) for r in adj for x in r), default=0)), abs(pivot))
+    return _reduced(_int_array(adj), abs(pivot))
 
 
 def inverse(a):
     n, c = shape(a)
     if n != c:
         raise ValueError("inverse of non-square matrix")
-    ints, den = scaled_inverse(scaled(fmat(a)))
-    return [[Fraction(x, den) for x in row] for row in ints.tolist()]
+    return unscaled(scaled_inverse(scaled(fmat(a))))
 
 
 def _echelon(a):
@@ -351,9 +361,9 @@ def product_is_zero(a, b):
 
     Equivalent to is_zero(matmul(a, b)) but builds no Fractions.
     """
-    ia, _, pa = _scaled_rows(a)
-    ib, _, pb = _scaled_rows(b)
-    return not (pa and pb and _int_matmul(_int_array(ia, pa), pa, _int_array(ib, pb), pb).any())
+    (ia, _), (ib, _) = scaled(a), scaled(b)
+    pa, pb = _peak(ia), _peak(ib)
+    return not (pa and pb and _int_matmul(ia, pa, ib, pb).any())
 
 
 # ---------------------------------------------------------------------------

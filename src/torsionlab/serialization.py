@@ -104,8 +104,9 @@ def _entry_to_jsonable(x):
 
 def bundle_to_jsonable(bundle):
     edges = []
-    for e in sorted(bundle.edge_matrices, key=str):
-        m = bundle.edge_matrices[e]
+    mats = bundle.edge_matrices
+    for e in sorted(mats, key=str):
+        m = mats[e]
         if bundle.exact:
             flat = [_entry_to_jsonable(x) for row in m for x in row]
         else:

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg_exact as lx
 from .errors import DenseSizeError, FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
-from .flat_bundle import require_flat, transport
+from .flat_bundle import require_flat
 
 RANK_TOL = 1e-10
 GUARD_LOW, GUARD_HIGH = 0.1, 10.0
@@ -519,7 +519,7 @@ def transport_reference_between_sprays(tcc_alpha, complex_, bundle, alpha, beta,
     """
     loops = leg_shift_loops(complex_, alpha, beta)
     k = bundle.rank
-    bundle_f = bundle.as_float()
+    bundle_f, walks = bundle.as_float(), {}
     out = {}
     for d, rows in refs.items():
         ids = tcc_alpha.cell_order.get(d, [])
@@ -528,7 +528,7 @@ def transport_reference_between_sprays(tcc_alpha, complex_, bundle, alpha, beta,
             continue
         w = np.zeros((k * len(ids), k * len(ids)))
         for i, cid in enumerate(ids):
-            m = np.linalg.inv(transport(bundle_f, loops[cid]))
+            m = np.linalg.inv(bundle_f.walk(loops[cid].steps, walks)[0])
             w[k * i : k * i + k, k * i : k * i + k] = m
         out[d] = np.asarray(rows, dtype=float) @ w
     return out
@@ -563,4 +563,4 @@ def det_of_class(complex_, bundle, u):
     """|det| of the holonomy around a representative loop of u."""
     lat = complex_.h1_lattice()
     loop = lat.representative_loop(u.coords)
-    return abs(float(bundle.det(transport(bundle, loop))))
+    return abs(float(lx.scaled_det(bundle.walk(loop.steps, {}))))

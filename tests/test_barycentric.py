@@ -77,6 +77,49 @@ class TestChainMap:
             assert resid <= 1e-9
 
 
+class TestBundleRefinement:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("name", ["torus", "klein", "tetra-solid"])
+    def test_old_edges_keep_their_matrices_at_rank_two(self, name, exact):
+        # torus and klein take the attaching-walk route, tetra-solid the flag route
+        item = corpus_get(name)
+        bundle = random_flat_bundle(name, item.complex, np.random.default_rng(5), rank=2)
+        if not exact:
+            bundle = bundle.as_float()
+        cx2, b2, _, smap = barycentric_subdivide(item.complex, bundle, item.spray)
+        assert check_flatness(cx2, b2).ok
+        for e in item.complex.cells_of_dim(1):
+            t, h = item.complex.edge_endpoints(e.id)
+            got = transport(b2, smap.path_transfer(EdgePath(((e.id, 1),), t, h)))
+            if exact:
+                assert got == bundle.matrix(e.id)
+            else:
+                assert np.allclose(got, bundle.matrix(e.id), rtol=1e-12, atol=1e-12)
+
+    def test_subdivide_after_ft_inverts_each_edge_once(self, monkeypatch):
+        item = corpus_get("torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        inverse_calls, inverted = [], []
+        inverse, scaled_inverse = lx.inverse, lx.scaled_inverse
+
+        def counted_inverse(a):
+            inverse_calls.append(a)
+            return inverse(a)
+
+        def counted_scaled_inverse(a):
+            inverted.append(a)
+            return scaled_inverse(a)
+
+        monkeypatch.setattr(lx, "inverse", counted_inverse)
+        monkeypatch.setattr(lx, "scaled_inverse", counted_scaled_inverse)
+        ft_torsion(item.complex, bundle, item.spray)
+        barycentric_subdivide(item.complex, bundle, item.spray)
+        assert inverse_calls == []
+        # the attaching word a b a^-1 b^-1 steps backwards along both edges
+        assert len(inverted) == 2
+        assert {id(m) for m in inverted} == {id(bundle.scaled("a")), id(bundle.scaled("b"))}
+
+
 class TestTorsionInvariance:
     def drift(self, name, bundle, rounds=2):
         item = corpus_get(name)

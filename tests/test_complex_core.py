@@ -14,7 +14,11 @@ from torsionlab.complex_core import (
     simplicial_complex,
 )
 from torsionlab.corpus import build_lens, corpus_get, corpus_list
-from torsionlab.errors import InvalidComplexError, UnsupportedStructureError
+from torsionlab.errors import (
+    InvalidComplexError,
+    PathComplexMismatchError,
+    UnsupportedStructureError,
+)
 
 
 def circle():
@@ -227,6 +231,16 @@ class TestEdgePaths:
         cx = circle()
         p = EdgePath((("e", 1), ("e", -1)), "v", "v")
         assert cx.path_chain(p) == {}
+
+    def test_edge_endpoints_of_a_malformed_edge_raise_every_time(self):
+        cx = corpus_get("circle-2vertex").complex
+        # e1 keeps only its head record, so it has no tail
+        recs = [r for r in cx.incidences if not (r.coface == "e1" and r.coeff == -1)]
+        bad = ComplexDescription(cx.cells, recs, cx.base_vertex, "bad")
+        assert bad.edge_endpoints("e2") == cx.edge_endpoints("e2")
+        for _ in range(2):
+            with pytest.raises(PathComplexMismatchError, match="e1"):
+                bad.edge_endpoints("e1")
 
 
 class TestSpanningTree:

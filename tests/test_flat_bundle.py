@@ -213,13 +213,12 @@ class TestExactness:
 
     def test_inv_is_the_reverse_step(self):
         exact = FlatBundle(2, {"e": [["1/2", 1], [0, 3]]})
-        assert exact.inv(exact.matrix("e")) == exact.matrix("e", -1) == [
+        assert exact.matrix("e", -1) == [
             [Fraction(2), Fraction(-2, 3)],
             [Fraction(0), Fraction(1, 3)],
         ]
         floats = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})
-        assert np.array_equal(floats.inv(floats.matrix("e")), floats.matrix("e", -1))
-        assert np.allclose(floats.inv(floats.matrix("e")), [[2.0, -2 / 3], [0.0, 1 / 3]])
+        assert np.allclose(floats.matrix("e", -1), [[2.0, -2 / 3], [0.0, 1 / 3]])
 
     def test_singularity_test_is_scale_free(self):
         b = FlatBundle(3, {"e": 1e-5 * np.eye(3)})
@@ -228,3 +227,23 @@ class TestExactness:
             FlatBundle(2, {"e": [[1.0, 2.0], [2.0, 4.0]]})
         with pytest.raises(ValueError, match="singular"):
             FlatBundle(2, {"e": [[1e-5, 2e-5], [2e-5, 4e-5]]})
+
+    def test_rows_arrays_and_scaled_pairs_build_the_same_bundle(self):
+        rows = [["1/2", 1], [0, 3]]
+        exact = FlatBundle(2, {"e": lx.scaled(lx.fmat(rows))})
+        assert exact.exact and exact.edge_matrices == FlatBundle(2, {"e": rows}).edge_matrices
+        floats = FlatBundle(2, {"e": (np.array([[0.5, 1.0], [0.0, 3.0]]), 1)})
+        assert not floats.exact
+        assert np.array_equal(floats.matrix("e"), exact.as_float().matrix("e"))
+        with pytest.raises(TypeError):
+            FlatBundle(2, {"e": np.eye(2)}, exact=True)
+        with pytest.raises(TypeError):
+            FlatBundle(2, {"e": (np.eye(2), 1)}, exact=True)
+        with pytest.raises(ValueError, match="singular"):
+            FlatBundle(2, {"e": (np.array([[1, 2], [2, 4]]), 3)})
+
+    def test_views_are_read_only(self):
+        b = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})
+        for m in (b.matrix("e"), b.matrix("e", -1), b.edge_matrices["e"]):
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0

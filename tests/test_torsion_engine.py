@@ -82,11 +82,18 @@ class TestAssemble:
             assert lx.is_zero(lx.matmul(up, dn))
 
 
+def _field_ops(bundle):
+    """(product, inverse) on the bundle's matrices: lists of Fractions or float arrays."""
+    return (lx.matmul, lx.inverse) if bundle.exact else (np.matmul, np.linalg.inv)
+
+
 def loop_transport(bundle, path):
-    """transport() as a plain left-to-right loop of bundle products, with no walk cache."""
-    out = bundle.identity()
+    """transport() as a plain left-to-right loop of products of edge_matrices, with no walk cache."""
+    mul, inv = _field_ops(bundle)
+    mats = bundle.edge_matrices
+    out = lx.identity(bundle.rank) if bundle.exact else np.eye(bundle.rank)
     for e, d in path.steps:
-        out = bundle.mul(out, bundle.matrix(e, d))
+        out = mul(out, mats[e] if d == 1 else inv(mats[e]))
     return out
 
 
@@ -94,7 +101,7 @@ def per_incidence_boundaries(cx, bundle, spray):
     """Boundaries built one incidence at a time as leg . transport(path) . leg^-1,
     every transport taken from scratch, accumulated in assemble's order."""
     k = bundle.rank
-    inv = lx.inverse if bundle.exact else np.linalg.inv
+    mul, inv = _field_ops(bundle)
     legs = {cid: loop_transport(bundle, leg) for cid, leg in spray.legs}
     out = {}
     for d in range(1, cx.dim + 1):
@@ -106,7 +113,7 @@ def per_incidence_boundaries(cx, bundle, spray):
             if rec.coface not in ri:
                 continue
             path = loop_transport(bundle, rec.path)
-            block = bundle.mul(bundle.mul(legs[rec.coface], path), inv(legs[rec.face]))
+            block = mul(mul(legs[rec.coface], path), inv(legs[rec.face]))
             i0, j0 = k * ri[rec.coface], k * ci[rec.face]
             if bundle.exact:
                 for a in range(k):
