@@ -12,11 +12,13 @@ works over Python ints, so there is no overflow anywhere.
 
 Every exact product goes through one kernel, ``_int_matmul``: numpy int64
 when a magnitude bound proves no partial sum can overflow, Python ints in
-object arrays otherwise.
+object arrays otherwise.  Exact volumes come from one sparse eliminator,
+``_markowitz``, over {column: int} row maps (``sparse_vol_sq``).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import sys
@@ -340,20 +342,117 @@ def det_prime_psd(a):
     return det(matmul(rows, [[row[j] for j in piv] for row in a]))
 
 
-def vol_sq(m):
-    """Squared product of nonzero singular values of a rational matrix.
+def _markowitz(rows):
+    """Sparse Gaussian elimination of {row: {column: nonzero int}} maps, consuming them.
 
-    Row reduction keeps every column relation, so m = C R exactly, with C the
-    pivot columns of m and R its reduced echelon rows; m^T m = R^T (C^T C) R
-    has the nonzero spectrum of (C^T C)(R R^T), so vol(m)^2 = det(C^T C)
-    det(R R^T).  An empty or zero matrix gives 1.
+    Each step takes the column with the fewest nonzeros, then the shortest
+    row through it, then a +-1 entry (H. Markowitz, Management Sci. 1957), and
+    clears that column from the other rows, so only nonzeros are touched.
+    Rows stay integral: where the pivot does not divide the entry it clears,
+    the row is scaled up first and divided by its content after, and the
+    scale is kept.  Returns (pivot rows P, pivot columns Q, pivot product),
+    the product being +-det m[P, Q] as a Fraction.
     """
-    m = fmat(m)
-    rows, piv = _echelon(m)
-    if not piv:
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(live), j) for j, live in cols.items()]
+    heapq.heapify(heap)
+    scale = {}  # row -> s where the stored row is s times the eliminated one
+    prows, pcols, product, divisor = [], [], 1, 1
+    while heap:
+        n, j = heapq.heappop(heap)
+        live = cols.get(j)
+        if live is None or len(live) != n:
+            continue  # a stale count; the current one is further down the heap
+        del cols[j]
+        if not n:
+            continue
+        i = min(live, key=lambda i: (len(rows[i]), abs(rows[i][j]) != 1, i))
+        live.discard(i)
+        top = rows.pop(i)
+        p = top.pop(j)
+        for c in top:
+            cols[c].discard(i)
+        for t in live:
+            row = rows[t]
+            f = row.pop(j)
+            q, rem = divmod(f, p)
+            if rem:  # row := (p/g) row - (f/g) top
+                g = math.gcd(f, p)
+                a, q = p // g, f // g
+                for c in row:
+                    row[c] *= a
+                scale[t] = scale.get(t, 1) * a
+            for c, v in top.items():
+                x = row.get(c, 0) - q * v
+                if x:
+                    if c not in row:
+                        cols[c].add(t)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(t)
+            if rem and (g := math.gcd(*row.values())) > 1:
+                for c in row:
+                    row[c] //= g
+                scale[t] = Fraction(scale[t], g)
+        for c in top:
+            heapq.heappush(heap, (len(cols[c]), c))
+        prows.append(i)
+        pcols.append(j)
+        product *= p
+        if i in scale:
+            divisor *= scale.pop(i)
+    return prows, pcols, Fraction(product) / divisor
+
+
+def _gram_det(groups):
+    """det of sum_g outer(g, g) over sparse vectors g = [(index, value), ...]."""
+    g = {}
+    for grp in groups:
+        for a, x in grp:
+            ga = g.setdefault(a, {})
+            for b, y in grp:
+                ga[b] = ga.get(b, 0) + x * y
+    return abs(_markowitz({a: {b: v for b, v in ga.items() if v} for a, ga in g.items()})[2])
+
+
+def sparse_vol_sq(rows, den=1):
+    """Squared product of the nonzero singular values of a sparse rational matrix.
+
+    ``rows`` holds one {column: integer numerator} map per row, and every
+    entry is over ``den``.  With P, Q the pivot rows and columns of
+    ``_markowitz``, A = m[P, Q], B = m[P, :] and C = m[:, Q], the rank
+    factorization m = C A^-1 B gives vol(m)^2 = det(C^T C) det(B B^T) /
+    det(A)^2 at every rank r; a Gram factor is det(A)^2 itself when r is its
+    side's count of nonzero rows or columns.  The numerators are eliminated,
+    and vol(N / den)^2 = vol(N)^2 / den^(2r).  A zero matrix gives 1.
+    """
+    m = {i: row for i, row in enumerate(rows) if row}
+    prows, pcols, det_a = _markowitz({i: dict(row) for i, row in m.items()})
+    r = len(prows)
+    if not r:
         return Fraction(1)
-    cols = [[row[j] for j in piv] for row in m]
-    return det(matmul(transpose(cols), cols)) * det(matmul(rows, transpose(rows)))
+    a2 = det_a * det_a
+    cc = bb = a2
+    if r < len(m):
+        q = {j: n for n, j in enumerate(pcols)}
+        cc = _gram_det([[(q[j], v) for j, v in row.items() if j in q] for row in m.values()])
+    if r < len({j for row in m.values() for j in row}):
+        by_col = {}
+        for n, i in enumerate(prows):
+            for j, v in m[i].items():
+                by_col.setdefault(j, []).append((n, v))
+        bb = _gram_det(by_col.values())
+    return Fraction(cc * bb) / (a2 * den ** (2 * r))
+
+
+def vol_sq(m):
+    """``sparse_vol_sq`` of a rational matrix given as rows, through ``scaled``."""
+    nums, den = scaled(fmat(m))
+    return sparse_vol_sq([{j: v for j, v in enumerate(row) if v} for row in nums.tolist()], den)
 
 
 def product_is_zero(a, b):
@@ -493,15 +592,21 @@ def echelon_float(m, rtol=1e-10, scale=None):
             continue
         a[[row, i]] = a[[i, row]]
         a[row] = a[row] / a[row, col]
-        mask = np.arange(r) != row
-        a[mask] -= np.outer(a[mask, col], a[row])
+        # rows with a zero in the pivot column would only take x - 0 * y = x
+        hit = np.flatnonzero(a[:, col])
+        hit = hit[hit != row]
+        a[hit] -= np.outer(a[hit, col], a[row])
         pivots.append(col)
         row += 1
     return a[:row], pivots
 
 
 def vol_float(m, rtol=1e-10, scale=None):
-    """Product of nonzero singular values from m = C R as in ``vol_sq``, by LU log-dets."""
+    """Product of nonzero singular values by LU log-dets.
+
+    With C the pivot columns of m and R its reduced echelon rows, m = C R and
+    vol(m)^2 = det(C^T C) det(R R^T).
+    """
     m = np.asarray(m, dtype=float)
     rows, piv = echelon_float(m, rtol, scale)
     if not piv:

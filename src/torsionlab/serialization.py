@@ -37,6 +37,8 @@ def path_to_jsonable(path):
 def path_from_jsonable(data, src, dst, where="path"):
     steps = []
     for item in data:
+        if not (isinstance(item, dict) and "edge" in item and "dir" in item):
+            raise FormatError(f'{where}: a step is an {{"edge", "dir"}} object, got {item!r}')
         d = _require_int(item["dir"], where)
         if d not in (1, -1):
             raise FormatError(f"{where}: step direction must be +-1")

@@ -70,6 +70,18 @@ class BlockRecord:
     nums: np.ndarray
     den: int
 
+    def sparse_rows(self):
+        """The nonzero numerators as one {column: numerator} map per nonzero row."""
+        k = self.nums.shape[1]
+        n, a, b = np.nonzero(self.nums)
+        out = {}
+        for i, j, v in zip(
+            (k * self.rows[n] + a).tolist(), (k * self.cols[n] + b).tolist(),
+            self.nums[n, a, b].tolist(),
+        ):
+            out.setdefault(i, {})[j] = v
+        return list(out.values())
+
 
 @dataclass
 class TwistedChainComplex:
@@ -84,7 +96,10 @@ class TwistedChainComplex:
 
     @functools.cached_property
     def boundaries_exact(self):
-        """d -> dense Fraction boundary laid out from ``blocks``; None unless exact."""
+        """d -> dense Fraction boundary laid out from ``blocks``; None unless exact.
+
+        A view for inspection: no route of the library reads it.
+        """
         if self.blocks is None:
             return None
         k, out = self.rank, {}
@@ -419,16 +434,13 @@ def _sqrt_float(x):
 
 
 def t_comb_squared_exact(tcc):
-    """Exact rational square of the torsion, by Gaussian elimination only."""
-    if tcc.boundaries_exact is None:
+    """Exact rational square of the torsion: one sparse elimination per degree's blocks."""
+    if tcc.blocks is None:
         raise TorsionLabError("exact torsion needs a rational bundle")
     out = Fraction(1)
-    for d in range(1, tcc.top_dim + 1):
-        b = tcc.boundaries_exact.get(d)
-        if b is None or not b or not b[0]:
-            continue
-        v = lx.vol_sq(b)
-        out = out * v if (d % 2 == 1) else out / v
+    for d, rec in tcc.blocks.items():
+        v = lx.sparse_vol_sq(rec.sparse_rows(), rec.den)
+        out = out * v if d % 2 else out / v
     return out
 
 

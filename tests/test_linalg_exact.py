@@ -120,6 +120,75 @@ def test_echelon_float_scale_guard():
     assert lx.vol_float(noise, scale=1.0) == 1.0
 
 
+def all_rows_echelon_float(m, rtol=1e-10, scale=None):
+    """echelon_float with the rank-1 update applied to every other row, as a reference."""
+    a = np.array(m, dtype=float)
+    r, c = a.shape
+    own = np.max(np.abs(a), initial=0.0)
+    scale = max(own, scale or 0.0)
+    if r == 0 or c == 0 or scale == 0.0 or own <= rtol * scale:
+        return np.zeros((0, c)), []
+    pivots, row = [], 0
+    for col in range(c):
+        if row >= r:
+            break
+        i = row + int(np.argmax(np.abs(a[row:, col])))
+        if abs(a[i, col]) <= rtol * scale:
+            continue
+        a[[row, i]] = a[[i, row]]
+        a[row] = a[row] / a[row, col]
+        mask = np.arange(r) != row
+        a[mask] -= np.outer(a[mask, col], a[row])
+        pivots.append(col)
+        row += 1
+    return a[:row], pivots
+
+
+def test_echelon_float_updates_only_rows_in_the_pivot_column():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        r, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        m = rng.standard_normal((r, c)) * (rng.random((r, c)) < rng.uniform(0.1, 0.9))
+        if rng.random() < 0.3:  # a repeated row makes the matrix rank deficient
+            m[-1] = m[0]
+        rows, piv = lx.echelon_float(m)
+        want_rows, want_piv = all_rows_echelon_float(m)
+        assert piv == want_piv and np.array_equal(rows, want_rows)
+
+
+def echelon_vol_sq(m):
+    """The dense Gauss-Jordan volume, det(C^T C) det(R R^T), as a reference."""
+    rows, piv = lx._echelon(lx.fmat(m))
+    if not piv:
+        return Fraction(1)
+    cols = [[row[j] for j in piv] for row in lx.fmat(m)]
+    return lx.det(lx.matmul(lx.transpose(cols), cols)) * lx.det(lx.matmul(rows, lx.transpose(rows)))
+
+
+def test_sparse_vol_sq_matches_dense_echelon_at_every_rank():
+    rng = np.random.default_rng(23)
+    ranks = set()
+    for _ in range(60):
+        r, c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        k = int(rng.integers(1, min(r, c) + 1))
+        ints = rng.integers(-3, 4, (r, k)) @ rng.integers(-3, 4, (k, c))
+        ints *= rng.random((r, c)) < 0.7  # sparsity may lower the rank further
+        den = int(rng.integers(1, 6))
+        m = [[Fraction(int(v), den) for v in row] for row in ints]
+        rows = [{j: int(v) for j, v in enumerate(row) if v} for row in ints]
+        got = lx.sparse_vol_sq(rows, den)
+        assert got == echelon_vol_sq(m) == lx.vol_sq(m) and type(got) is Fraction
+        ranks.add((len(lx._echelon(m)[1]), r, c))
+    assert any(k < min(r, c) for k, r, c in ranks) and any(0 < k == r < c for k, r, c in ranks)
+    assert any(0 < k == c < r for k, r, c in ranks)
+
+
+def test_sparse_vol_sq_of_zero_or_empty_is_one():
+    assert lx.sparse_vol_sq([]) == 1
+    assert lx.sparse_vol_sq([{}, {}], 7) == 1
+    assert lx.vol_sq([]) == lx.vol_sq([[0, 0], [0, 0]]) == 1
+
+
 def test_vol_float_log_domain():
     # det(M^T M) = 1e400 overflows; the volume 1e200 does not
     assert abs(lx.vol_float(1e50 * np.eye(4)) / 1e200 - 1.0) <= 1e-12

@@ -151,6 +151,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("step", [["a:h0", 1], {"edge": "a"}, {"dir": 1}, "a"])
+    def test_malformed_path_step_exits_2(self, torus_files, capsys, step):
+        path = json.dumps({"src": "v", "steps": [step]})
+        files = ["--complex", torus_files["complex"], "--bundle", torus_files["bundle"]]
+        for argv in (["transport", *files, "--path", path], ["kt", *files, "--loop", path]):
+            assert self.run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: path:") and "Traceback" not in err
+
     def test_euler_verbs(self, torus_files, tmp_path, capsys):
         rc = self.run(
             "euler", "act", "--complex", torus_files["complex"], "--coords", "1,0"

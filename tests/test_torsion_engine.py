@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,7 +369,8 @@ class TestTComb:
         assert t_comb(tcc, "exact") == 1e200
         tcc = assemble(cx, FlatBundle(1, {"e": [[Fraction(10**200 + 1, 10**200)]]}), spray)
         assert t_comb(tcc, "exact") == 1e-200
-        tcc.boundaries_exact[1] = [[Fraction(10**700)]]
+        rec = tcc.blocks[1]
+        tcc.blocks[1] = replace(rec, nums=np.full((1, 1, 1), 10**700, dtype=object), den=1)
         with pytest.raises(FloatRangeError):
             t_comb(tcc, "exact")
 
@@ -843,6 +845,49 @@ class TestRankFactorizationVolumes:
                     cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
                 except UnsupportedStructureError:
                     break
+
+
+class TestSparseExactVolumes:
+    def test_exact_route_builds_no_dense_exact_boundary(self):
+        cx, _, spray = triple("torus")
+        tcc = assemble(cx, FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]}), spray)
+        assert t_comb_squared_exact(tcc) == 1
+        assert "boundaries_exact" not in vars(tcc)
+
+    def test_torus_rank_two_is_one_at_every_round(self):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        for _ in range(3):
+            assert t_comb_squared_exact(assemble(cx, bundle, spray)) == 1
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+
+    def test_tetra_solid_closed_form(self):
+        # simply connected, so the bundle is trivial and t^2 = n0^k
+        cx, _, spray = triple("tetra-solid")
+        bundle = random_flat_bundle("tetra-solid", cx, np.random.default_rng(3), rank=2)
+        for want in (16, 225):
+            got = t_comb_squared_exact(assemble(cx, bundle, spray))
+            assert got == want == len(cx.cells_of_dim(0)) ** 2 and type(got) is Fraction
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+
+    def test_object_dtype_blocks_match_dense_volumes(self):
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": [[2**40, 1], [2**40 - 1, 1]], "b": [[1, 0], [0, 1]]})
+        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)
+        assert any(rec.nums.dtype == object for rec in tcc.blocks.values())
+        got = t_comb_squared_exact(tcc)
+        for vol in (lx.vol_sq, kernel_trick_vol_sq):
+            want = Fraction(1)
+            for d, b in tcc.boundaries_exact.items():
+                want = want * vol(b) if d % 2 else want / vol(b)
+            assert got == want
+
+    def test_all_zero_degree_gives_one(self):
+        cx, _, spray = triple("circle-1cell")
+        tcc = assemble(cx, FlatBundle(2, {"e": [[1, 0], [0, 1]]}), spray)
+        assert not tcc.blocks[1].nums.any()
+        assert t_comb_squared_exact(tcc) == 1
 
 
 class TestDenseBudget:
