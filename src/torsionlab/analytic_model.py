@@ -6,7 +6,9 @@ has, per complex eigenvalue nu = r e^{i theta} of H, the spectrum
 of one such line is 4 sin^2(pi a) with a = (theta - i log r) / (2 pi), and
 the modulus-corrected factor per eigenvalue is |1 - nu|^2, independent of L.
 The truncated spectral product with an Euler-Maclaurin tail, and a Hurwitz
-zeta derivative evaluation, are shipped as independent oracles.
+zeta derivative evaluation, are shipped as independent oracles.  The
+truncated product is summed in real arithmetic, one log1p per term, over
+blocks of at most _BLOCK terms, so its memory does not grow with N.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import mpmath
 import numpy as np
 
 from . import linalg_exact as lx
-from .errors import ZeroModeError
+from .errors import FloatRangeError, ZeroModeError
 
 _EIG_ONE_TOL = 1e-12
+_BLOCK = 1 << 16  # terms of the truncated product per block
 
 
 @dataclass
@@ -39,10 +42,12 @@ class CircleModel:
         self.holonomy = np.array(h, dtype=float)
         if self.holonomy.ndim != 2 or self.holonomy.shape[0] != self.holonomy.shape[1]:
             raise ValueError("holonomy must be a square matrix")
-        if abs(np.linalg.det(self.holonomy)) < 1e-14:
+        if not np.isfinite(self.holonomy).all():
+            raise ValueError("holonomy entries must be finite")
+        if lx.singular_float(self.holonomy):
             raise ValueError("holonomy must be invertible")
-        if float(self.circumference) <= 0:
-            raise ValueError("circumference must be positive")
+        if not 0 < float(self.circumference) < math.inf:
+            raise ValueError("circumference must be positive and finite")
 
     @property
     def rank(self):
@@ -86,17 +91,62 @@ def eigenvalue_factor_raw(nu):
     return 2.0 - nu - 1.0 / nu
 
 
-def eigenvalue_factor_hurwitz(nu):
-    """Hurwitz-zeta-derivative route to the raw factor (independent oracle)."""
+def _spectral_shift(nu):
+    """w = theta - i log r for nu = r e^{i theta}: the line's spectrum is (2 pi n + w)^2 / L^2."""
     nu = complex(nu)
     w = cmath.phase(nu) - 1j * math.log(abs(nu))
-    a = w / (2 * math.pi)
-    if abs(a) < 1e-14:
+    if abs(w) < 1e-14:
         raise ZeroModeError("eigenvalue 1 has a zero mode; no full determinant")
+    return w
+
+
+def eigenvalue_factor_hurwitz(nu):
+    """Hurwitz-zeta-derivative route to the raw factor (independent oracle)."""
+    a = _spectral_shift(nu) / (2 * math.pi)
     za = mpmath.zeta(0, mpmath.mpc(a), 1)
     zb = mpmath.zeta(0, mpmath.mpc(1 - a), 1)
     log_det = -2.0 * complex(za + zb)
     return complex(cmath.exp(log_det))
+
+
+def _truncated_logs(ws, n_terms, tail_correction=True, phase=False):
+    """log|w^2 prod_{n<=N} (1 - z/n^2)^2| per w, z = (w / 2 pi)^2, plus its phase.
+
+    lambda_n lambda_{-n} = (4 pi^2 n^2)^2 (1 - z/n^2)^2, so each pair counts
+    twice; the divergent (4 pi^2 n^2)^2 is removed analytically.  Each term
+    is one real log1p((|z|^2/n^2 - 2 Re z)/n^2) = log|1 - z/n^2|^2, and with
+    `phase` one atan2(-Im z/n^2, 1 - Re z/n^2).  n runs in blocks of _BLOCK
+    terms whose 1/n^2 is shared by every w, so memory is O(_BLOCK) for any
+    N.  The Euler-Maclaurin tail -2z sum_{n>N} 1/n^2 - z^2 sum 1/n^4 comes
+    from two polygamma values, once per call.  Returns (log moduli, phases),
+    the phases zero unless asked for.
+    """
+    if n_terms < 0:
+        raise ValueError(f"truncation must be non-negative, got {n_terms}")
+    ws = [complex(w) for w in ws]
+    zs = [(w / (2 * math.pi)) ** 2 for w in ws]
+    mods = np.array([2.0 * math.log(abs(w)) for w in ws])
+    args = np.array([2.0 * cmath.phase(w) for w in ws])
+    if tail_correction:
+        t1 = float(mpmath.psi(1, n_terms + 1))
+        t3 = float(mpmath.psi(3, n_terms + 1)) / 6.0
+        tails = [2.0 * (-z * t1 - (z * z / 2.0) * t3) for z in zs]
+        mods += [t.real for t in tails]
+        args += [t.imag for t in tails]
+    for lo in range(1, n_terms + 1, _BLOCK):
+        inv = np.arange(lo, min(lo + _BLOCK, n_terms + 1), dtype=float)
+        inv = 1.0 / (inv * inv)
+        buf = np.empty_like(inv)
+        for i, z in enumerate(zs):
+            np.multiply(inv, abs(z) ** 2, out=buf)
+            buf -= 2.0 * z.real
+            buf *= inv
+            mods[i] += np.log1p(buf, out=buf).sum()
+            if phase:
+                np.multiply(inv, -z.real, out=buf)
+                buf += 1.0
+                args[i] += 2.0 * np.arctan2(-z.imag * inv, buf, out=buf).sum()
+    return mods, args
 
 
 def eigenvalue_factor_truncated(nu, n_terms, tail_correction=True):
@@ -106,21 +156,8 @@ def eigenvalue_factor_truncated(nu, n_terms, tail_correction=True):
     summed is log(1 - w^2 / (4 pi^2 n^2)) for n <= N plus the integral-and-
     correction tail, then the n = 0 eigenvalue w^2 multiplies back in.
     """
-    nu = complex(nu)
-    w = cmath.phase(nu) - 1j * math.log(abs(nu))
-    if abs(w) < 1e-14:
-        raise ZeroModeError("eigenvalue 1 has a zero mode; no full determinant")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    z = (w / (2 * math.pi)) ** 2
-    # lambda_n lambda_{-n} = (4 pi^2 n^2)^2 (1 - z/n^2)^2: each pair counts twice
-    s = 2.0 * np.sum(np.log1p(-z / (n * n)))
-    tail = 0.0
-    if tail_correction:
-        # tail: -2z sum_{n>N} 1/n^2 - z^2 sum 1/n^4 - ..., via polygamma tails
-        t1 = float(mpmath.psi(1, n_terms + 1))
-        t3 = float(mpmath.psi(3, n_terms + 1)) / 6.0
-        tail = 2.0 * (-z * t1 - (z * z / 2.0) * t3)
-    return w * w * complex(cmath.exp(s + tail))
+    (mod,), (arg,) = _truncated_logs([_spectral_shift(nu)], n_terms, tail_correction, phase=True)
+    return cmath.rect(lx.exp_float(float(mod), "truncated factor"), float(arg))
 
 
 @dataclass
@@ -160,20 +197,32 @@ def zeta_det_laplacian(model, truncation=None, allow_zero_modes=False, tail_corr
             "holonomy has eigenvalue 1; pass allow_zero_modes for det'"
         )
     live = list(unit) + list(off)
-    value = 1.0
+    log_l = 2 * len(at_one) * math.log(float(model.circumference))
+    log_nu = math.fsum(math.log(abs(complex(nu))) for nu in live)
+    # |1 - nu|^2 and |2 - nu - 1/nu| = |1 - nu|^2 / |nu|: the ranges are
+    # decided in logs; in range, the values are the products of the factors
+    log_value = math.fsum(2.0 * math.log(abs(1.0 - complex(nu))) for nu in live)
+    in_range = lx.exp_float(log_value + log_l, "zeta determinant")
+    lx.exp_float(log_value - log_nu, "raw zeta determinant")
     raw = complex(1.0)
     for nu in live:
-        value *= eigenvalue_factor_closed(nu)
         raw *= eigenvalue_factor_raw(nu)
-    value *= float(model.circumference) ** (2 * len(at_one))
+    if not cmath.isfinite(raw):
+        raise FloatRangeError("raw zeta determinant: a factor leaves the float range")
+    value = 1.0
+    try:
+        for nu in live:
+            value *= eigenvalue_factor_closed(nu)
+        value *= float(model.circumference) ** (2 * len(at_one))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):  # one factor left the range that the product is in
+        value = in_range
     truncated = None
     discrepancy = None
     if truncation is not None:
-        truncated = 1.0
-        for nu in live:
-            t = eigenvalue_factor_truncated(nu, truncation, tail_correction)
-            truncated *= abs(t) * abs(complex(nu))
-        truncated *= float(model.circumference) ** (2 * len(at_one))
+        mods, _ = _truncated_logs([_spectral_shift(nu) for nu in live], truncation, tail_correction)
+        truncated = lx.exp_float(math.fsum(mods) + log_nu + log_l, "truncated zeta determinant")
         discrepancy = abs(truncated - value) / max(abs(value), 1e-300)
     return ZetaDetResult(
         value=float(value),

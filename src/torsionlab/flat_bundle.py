@@ -68,9 +68,7 @@ class FlatBundle:
             m[0].flags.writeable = False  # pairs may be shared, so views are read-only
             if m[0].shape != (self.rank, self.rank):
                 raise ValueError(f"edge {e!r}: matrix is not {self.rank} x {self.rank}")
-            # relative to Hadamard's bound |det m| <= prod of row norms: scale-free
-            tiny = 0 if self.exact else 1e-14 * np.prod(np.linalg.norm(m[0], axis=1))
-            if abs(lx.scaled_det(m)) <= tiny:
+            if lx.scaled_det(m) == 0 if self.exact else lx.singular_float(m[0]):
                 raise ValueError(f"edge {e!r}: matrix is singular")
         rb = reference_basis
         self.reference_basis = None if rb is None else lx.unscaled(_to_pair(rb, _is_exact(rb)))

@@ -229,6 +229,19 @@ def exp_float(log_x, what):
     return math.exp(log_x)
 
 
+def singular_float(m):
+    """Whether |det m| <= 1e-14 prod_i |row_i| for a square float matrix.
+
+    The bound is Hadamard's, so the test is scale-free.  It is taken on the
+    rows divided by their largest entry, so no entry size overflows it.
+    """
+    big = np.abs(m).max(axis=1, keepdims=True)
+    if not big.all():
+        return True
+    m = m / big
+    return abs(np.linalg.det(m)) <= 1e-14 * np.prod(np.linalg.norm(m, axis=1))
+
+
 def _bareiss(m, n, jordan=False):
     """Fraction-free elimination of int rows m on their first n columns, in place.
 
@@ -601,8 +614,8 @@ def echelon_float(m, rtol=1e-10, scale=None):
     return a[:row], pivots
 
 
-def vol_float(m, rtol=1e-10, scale=None):
-    """Product of nonzero singular values by LU log-dets.
+def log_vol_float(m, rtol=1e-10, scale=None):
+    """log of the product of nonzero singular values, by LU log-dets.
 
     With C the pivot columns of m and R its reduced echelon rows, m = C R and
     vol(m)^2 = det(C^T C) det(R R^T).
@@ -610,7 +623,12 @@ def vol_float(m, rtol=1e-10, scale=None):
     m = np.asarray(m, dtype=float)
     rows, piv = echelon_float(m, rtol, scale)
     if not piv:
-        return 1.0
+        return 0.0
     cols = m[:, piv]
     log_val = np.linalg.slogdet(cols.T @ cols)[1] + np.linalg.slogdet(rows @ rows.T)[1]
-    return exp_float(0.5 * float(log_val), "volume")
+    return 0.5 * float(log_val)
+
+
+def vol_float(m, rtol=1e-10, scale=None):
+    """Product of nonzero singular values; FloatRangeError outside the double range."""
+    return exp_float(log_vol_float(m, rtol, scale), "volume")

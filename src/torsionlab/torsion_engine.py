@@ -413,7 +413,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
             b = tcc.boundary(d)
             if b.size == 0:
                 continue
-            log_t += (-1) ** (d + 1) * math.log(lx.vol_float(b, scale=max(scale, 1.0)))
+            log_t += (-1) ** (d + 1) * lx.log_vol_float(b, scale=max(scale, 1.0))
         return lx.exp_float(log_t, "t_comb")
     if method == "exact":
         return _sqrt_float(t_comb_squared_exact(tcc))

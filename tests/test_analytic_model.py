@@ -1,8 +1,11 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from torsionlab import analytic_model
 from torsionlab import linalg_exact as lx
 from torsionlab.analytic_model import (
     CircleModel,
@@ -14,7 +17,7 @@ from torsionlab.analytic_model import (
     zeta_det_laplacian,
 )
 from torsionlab.corpus import corpus_get, random_invertible, rotation_matrix
-from torsionlab.errors import ZeroModeError
+from torsionlab.errors import FloatRangeError, ZeroModeError
 from torsionlab.euler_struct import canonical_spray
 from torsionlab.flat_bundle import FlatBundle
 from torsionlab.torsion_engine import assemble, t_comb
@@ -123,10 +126,138 @@ class TestAnalyticTorsion:
         assert errs[0] > errs[1] > errs[2]
 
 
+def reference_factor(nu, n_terms, tail_correction=True):
+    """The truncated factor by one complex log1p per term over all of 1..N at once."""
+    nu = complex(nu)
+    w = cmath.phase(nu) - 1j * math.log(abs(nu))
+    n = np.arange(1, n_terms + 1, dtype=float)
+    z = (w / (2 * math.pi)) ** 2
+    s = 2.0 * np.sum(np.log1p(-z / (n * n)))
+    tail = 0.0
+    if tail_correction:
+        t1 = float(mpmath.psi(1, n_terms + 1))
+        t3 = float(mpmath.psi(3, n_terms + 1)) / 6.0
+        tail = 2.0 * (-z * t1 - (z * z / 2.0) * t3)
+    return w * w * complex(cmath.exp(s + tail))
+
+
+def seeded_nus(count=50):
+    """Negative reals and complex nu with |nu| log-uniform over [1e-3, 1e3]."""
+    rng = np.random.default_rng(61)
+    out = []
+    while len(out) < count:
+        r = 10 ** rng.uniform(-3, 3)
+        nu = -r if len(out) % 5 == 0 else cmath.rect(r, rng.uniform(-math.pi, math.pi))
+        if abs(nu - 1) > 1e-3:
+            out.append(nu)
+    return out
+
+
+def model_of(nu):
+    """Real holonomy with eigenvalue nu (and its conjugate when nu is not real)."""
+    nu = complex(nu)
+    if nu.imag == 0:
+        return CircleModel([[nu.real]])
+    return CircleModel([[nu.real, -nu.imag], [nu.imag, nu.real]])
+
+
+def rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+class TestTruncatedKernel:
+    """The real, blocked kernel against the complex-log1p product it replaced."""
+
+    block = analytic_model._BLOCK
+
+    @pytest.mark.parametrize("n_terms", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000])
+    def test_matches_complex_reference(self, n_terms):
+        assert self.block == 1 << 16
+        for nu in seeded_nus():
+            model = model_of(nu)
+            want = 1.0
+            for e in model.eigenvalues():
+                if e.imag < 0:  # the conjugate of a factor already taken
+                    continue
+                ref = reference_factor(e, n_terms)
+                assert rel(eigenvalue_factor_truncated(e, n_terms), ref) <= 1e-11
+                want *= (abs(ref) * abs(e)) ** (1 if e.imag == 0 else 2)
+            assert rel(zeta_det_laplacian(model, truncation=n_terms).truncated_value, want) <= 1e-11
+
+    def test_discrepancy_at_float_noise_rank_three(self):
+        rng = np.random.default_rng(62)
+        checked = 0
+        while checked < 20:
+            m = rng.normal(size=(3, 3)) * rng.uniform(0.2, 3.0)
+            if np.abs(np.linalg.eigvals(m) - 1).min() < 1e-3:
+                continue
+            assert zeta_det_laplacian(CircleModel(m), truncation=100_000).discrepancy <= 1e-13
+            checked += 1
+
+    def test_memory_is_one_block_at_any_truncation(self, monkeypatch):
+        sizes = []
+        real = np.arange
+
+        def arange(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "arange", arange)
+        model = CircleModel([[0.3, 1.2, 0.1], [-0.7, 0.5, 2.0], [1.1, 0.0, 0.9]])
+        res = zeta_det_laplacian(model, truncation=1_000_000)
+        assert sum(sizes) == 1_000_000 and max(sizes) <= self.block
+        assert res.discrepancy <= 1e-13
+
+    def test_closed_form_value_unchanged(self):
+        # the closed form multiplies |1 - nu|^2 out as it always has, bit for bit
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            model = CircleModel(rng.normal(size=(3, 3)))
+            want = 1.0
+            for nu in model.eigenvalues():
+                want *= abs(1.0 - complex(nu)) ** 2
+            assert zeta_det_laplacian(model).value == want
+
+    def test_range_is_decided_in_logs(self):
+        with pytest.raises(FloatRangeError):
+            zeta_det_laplacian(CircleModel([[1e200]]))
+        with pytest.raises(FloatRangeError):
+            zeta_det_laplacian(CircleModel([[1.0]], circumference=1e200), truncation=10, allow_zero_modes=True)
+        with pytest.raises(FloatRangeError):  # the raw factor 1/nu leaves the range
+            zeta_det_laplacian(CircleModel(1e-160 * np.eye(2)))
+        # the factor (1e160 - 1)^2 alone overflows; with L^2 = 1e-20 the product does not
+        model = CircleModel(np.diag([1e160, 1.0]), circumference=1e-10)
+        res = zeta_det_laplacian(model, truncation=100_000, allow_zero_modes=True)
+        assert rel(res.value, 1e300) <= 1e-12 and res.discrepancy <= 1e-12
+        res = zeta_det_laplacian(CircleModel([[1e-150]]), truncation=100_000)
+        assert res.value == abs(1.0 - 1e-150) ** 2 and res.discrepancy <= 1e-12
+
+    def test_truncation_must_be_non_negative(self):
+        model = CircleModel([[3.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            zeta_det_laplacian(model, truncation=-5)
+        with pytest.raises(ValueError, match="non-negative"):
+            zeta_det_laplacian(CircleModel([[1.0]]), truncation=-1, allow_zero_modes=True)
+        res = zeta_det_laplacian(model, truncation=0)
+        assert res.truncated_value > 0 and res.discrepancy < 1e-3
+
+
 class TestModelValidation:
     def test_singular_holonomy_rejected(self):
         with pytest.raises(ValueError):
             CircleModel([[0.0]])
+
+    def test_invertibility_is_scale_free(self):
+        # the rule of FlatBundle: |det| against 1e-14 of the product of row norms
+        model = CircleModel(1e-5 * np.eye(3))
+        assert abs(analytic_torsion_circle(model).value - (1 - 1e-5) ** 3) <= 1e-12
+        with pytest.raises(ValueError, match="invertible"):
+            CircleModel([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="finite"):
+            CircleModel([[math.nan]])
+        with pytest.raises(ValueError, match="circumference"):
+            CircleModel([[2.0]], circumference=math.inf)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -196,6 +198,17 @@ def test_vol_float_log_domain():
         lx.vol_float(1e100 * np.eye(4))
     with pytest.raises(FloatRangeError):
         lx.vol_float(1e-100 * np.eye(4), scale=1e-100)
+    assert abs(lx.log_vol_float(1e100 * np.eye(4)) / (400 * math.log(10)) - 1.0) <= 1e-12
+    assert lx.log_vol_float(np.zeros((2, 3))) == 0.0
+
+
+def test_singular_float_is_scale_free_and_overflow_free():
+    assert not lx.singular_float(1e-5 * np.eye(3))
+    assert not lx.singular_float(1e60 * np.eye(8))  # det is 1e480, past the double range
+    assert not lx.singular_float(np.array([[1e200]]))
+    assert lx.singular_float(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert lx.singular_float(np.array([[1e-5, 2e-5], [2e-5, 4e-5]]))
+    assert lx.singular_float(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def reference_matmul(a, b):

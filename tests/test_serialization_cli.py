@@ -188,6 +188,43 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["value"] - 2.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--holonomy", "[[1e200]]"],
+            ["--holonomy", "[[1.0]]", "--circumference", "1e200", "--truncation", "10"],
+            ["--holonomy", "[[3]]", "--truncation", "-5"],
+        ],
+    )
+    def test_analytic_circle_out_of_range_exits_2(self, capsys, extra):
+        assert self.run("analytic", "circle", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_analytic_circle_small_holonomy_accepted(self, capsys):
+        assert self.run("analytic", "circle", "--holonomy", "[[1e-5,0,0],[0,1e-5,0],[0,0,1e-5]]") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["zeta_det"]["discrepancy"] <= 1e-12
+        assert self.run("analytic", "circle", "--holonomy", "[[1,2],[2,4]]") == 2
+        assert capsys.readouterr().err.startswith("error: holonomy must be invertible")
+
+    def test_det_route_past_float_range_volumes(self, torus_files, tmp_path, capsys):
+        # rank 8, a = 1e60 I, b = I: vol(D_1) = 1e480, t_comb = 1
+        eye = np.eye(8, dtype=int)
+        bundle = {
+            "rank": 8,
+            "edges": [
+                {"edge": "a", "matrix": [10**60 * int(x) for x in eye.flat]},
+                {"edge": "b", "matrix": [int(x) for x in eye.flat]},
+            ],
+        }
+        path = tmp_path / "big.bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert self.run("torsion", "compute", "--complex", torus_files["complex"], "--bundle", str(path), "--json") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["t_comb_det_route"] - 1.0) <= 1e-9
+        assert out["t_comb_exact_route"] == 1.0
+
     def test_corpus_verbs(self, capsys):
         assert self.run("corpus", "list") == 0
         names = json.loads(capsys.readouterr().out)["names"]

@@ -421,8 +421,10 @@ class TestLogDomainRange:
         assert abs(res.ft_metric.value - 1.0) <= 1e-9
         assert abs(t_comb(tcc, "eig") - 1.0) <= 1e-9
         assert t_comb(tcc, "exact") == 1.0
-        with pytest.raises(FloatRangeError):  # vol(D_1) = 1e480 itself leaves the range
-            t_comb(tcc, "det")
+        # vol(D_1) = 1e480 leaves the range, but the det route sums log-volumes
+        assert abs(t_comb(tcc, "det") - 1.0) <= 1e-9
+        floats = FlatBundle(8, {"a": 1e60 * np.eye(8), "b": np.eye(8)})
+        assert abs(t_comb(assemble(cx, floats, spray), "det") - 1.0) <= 1e-9
 
     def test_circle_torsion_past_float_range_raises(self):
         # t_comb = (1e60 - 1)**8, about 1e480
