@@ -261,6 +261,11 @@ def analytic_torsion_circle(model, truncation=None):
     no eigenvalue 1 this equals |det(H - I)| and is circumference-independent.
     """
     det0 = zeta_det_laplacian(model, truncation=truncation, allow_zero_modes=True)
+    return analytic_torsion_of_det(model, det0)
+
+
+def analytic_torsion_of_det(model, det0):
+    """Analytic torsion of the twisted circle from its 0-form determinant ``det0``."""
     m = model.zero_mode_dimension()
     value = math.sqrt(det0.value)
     return AnalyticTorsionResult(

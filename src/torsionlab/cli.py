@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import linalg_exact as lx
-from .analytic_model import CircleModel, analytic_torsion_circle, zeta_det_laplacian
+from .analytic_model import CircleModel, analytic_torsion_of_det, zeta_det_laplacian
 from .barycentric import barycentric_subdivide
 from .complex_core import EdgePath
 from .corpus import corpus_get, corpus_list
@@ -305,11 +305,9 @@ def _dispatch(args):
     if args.cmd == "analytic" and args.analytic_cmd == "circle":
         rows = json.loads(args.holonomy)
         model = CircleModel(np.array(rows, dtype=float), circumference=args.circumference)
-        res = analytic_torsion_circle(model)
-        out = res.to_jsonable()
-        out["zeta_det"] = zeta_det_laplacian(
-            model, truncation=args.truncation, allow_zero_modes=True
-        ).to_jsonable()
+        det0 = zeta_det_laplacian(model, truncation=args.truncation, allow_zero_modes=True)
+        out = analytic_torsion_of_det(model, det0).to_jsonable()
+        out["zeta_det"] = det0.to_jsonable()
         _emit(args, out)
         return 0
 

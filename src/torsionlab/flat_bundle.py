@@ -72,6 +72,8 @@ class FlatBundle:
                 raise ValueError(f"edge {e!r}: matrix is singular")
         rb = reference_basis
         self.reference_basis = None if rb is None else lx.unscaled(_to_pair(rb, _is_exact(rb)))
+        # (complex, spray, twisted complex) of the last torsion_engine.assemble
+        self.last_assembly = None
 
     def _edge_pairs(self):
         return {e: m for (e, d), m in self._pairs.items() if d == 1}

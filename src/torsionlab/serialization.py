@@ -124,38 +124,42 @@ def bundle_to_jsonable(bundle):
     return out
 
 
+def _entry_from_jsonable(x, where):
+    """A matrix entry: a float as is, an integer or "p/q" string as a Fraction."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"{where}: bad entry {x!r}")
+
+
 def bundle_from_jsonable(data, exact=None):
     rank = _require_int(data["rank"], "rank")
     mats = {}
     any_float = False
     for item in data["edges"]:
         flat = item["matrix"]
-        if len(flat) != rank * rank:
-            raise FormatError(f"edge {item['edge']!r}: matrix needs {rank * rank} entries")
-        rows = []
-        for i in range(rank):
-            row = []
-            for j in range(rank):
-                x = flat[rank * i + j]
-                if isinstance(x, float):
-                    any_float = True
-                    if exact:
-                        raise FormatError(
-                            f"edge {item['edge']!r}: float entry {x!r} rejected in exact mode"
-                        )
-                    row.append(x)
-                elif isinstance(x, str):
-                    row.append(Fraction(x))
-                elif isinstance(x, int) and not isinstance(x, bool):
-                    row.append(Fraction(x))
-                else:
-                    raise FormatError(f"edge {item['edge']!r}: bad entry {x!r}")
-            rows.append(row)
-        mats[item["edge"]] = rows
+        where = f"edge {item['edge']!r}"
+        if not isinstance(flat, list) or len(flat) != rank * rank:
+            raise FormatError(f"{where}: matrix needs a list of {rank * rank} entries")
+        entries = [_entry_from_jsonable(x, where) for x in flat]
+        floats = [x for x in entries if isinstance(x, float)]
+        if floats and exact:
+            raise FormatError(f"{where}: float entry {floats[0]!r} rejected in exact mode")
+        any_float = any_float or bool(floats)
+        mats[item["edge"]] = [entries[rank * i : rank * i + rank] for i in range(rank)]
     want_exact = (not any_float) if exact is None else exact
     if not want_exact:
         mats = {e: [[float(x) for x in row] for row in m] for e, m in mats.items()}
-    return FlatBundle(rank, mats, exact=want_exact, reference_basis=data.get("reference_basis"))
+    rb = data.get("reference_basis")
+    if rb is not None:
+        if not (isinstance(rb, list) and all(isinstance(row, list) for row in rb)):
+            raise FormatError("reference_basis: expected a list of rows")
+        rb = [[_entry_from_jsonable(x, "reference_basis") for x in row] for row in rb]
+    return FlatBundle(rank, mats, exact=want_exact, reference_basis=rb)
 
 
 def spray_to_jsonable(spray):

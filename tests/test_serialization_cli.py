@@ -372,6 +372,28 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:") and "too small" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value, words",
+        [
+            ("matrix", ["1/0"], "bad entry '1/0'"),
+            ("reference_basis", [["1/0"]], "bad entry '1/0'"),
+            ("matrix", 2, "a list of 1 entries"),
+        ],
+    )
+    def test_malformed_bundle_entry_exits_2(self, torus_files, tmp_path, capsys, key, value, words):
+        data = {"rank": 1, "edges": [{"edge": "a", "matrix": [2]}, {"edge": "b", "matrix": [1]}]}
+        if key == "matrix":
+            data["edges"][0]["matrix"] = value
+        else:
+            data[key] = value
+        save_json(tmp_path / "b.json", data)
+        rc = self.run(
+            "torsion", "compute", "--complex", torus_files["complex"], "--bundle", str(tmp_path / "b.json")
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and words in err and "Traceback" not in err
+
     def test_transport_out_of_float_range_exits_2(self, tmp_path, capsys):
         save_json(tmp_path / "c.json", complex_to_jsonable(corpus_get("circle-1cell").complex))
         save_json(tmp_path / "b.json", {"rank": 1, "edges": [{"edge": "e", "matrix": [10**400]}]})

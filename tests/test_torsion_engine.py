@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from torsionlab.errors import (
 )
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, h1_zero
 from torsionlab.flat_bundle import FlatBundle, transport
-from torsionlab import torsion_engine
+from torsionlab import flat_bundle, torsion_engine
 from torsionlab.torsion_engine import (
     EULER_ACTION_EXPONENT,
     assemble,
@@ -909,3 +911,73 @@ class TestDenseBudget:
         with pytest.raises(DenseSizeError):
             tcc.boundaries_exact
         assert issubclass(DenseSizeError, TorsionLabError)
+
+
+def torus_triple():
+    """Fresh torus, rank-2 exact bundle and canonical spray: H1 = Z^2, acyclic."""
+    cx, _, spray = triple("torus")
+    return cx, FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]}), spray
+
+
+def assert_same_complex(got, want):
+    assert got.cell_order == want.cell_order and sorted(got.boundaries) == sorted(want.boundaries)
+    for d, b in want.boundaries.items():
+        assert np.array_equal(got.boundaries[d], b)
+    assert sorted(got.blocks) == sorted(want.blocks)
+    for d, rec in want.blocks.items():
+        mine = got.blocks[d]
+        assert mine.den == rec.den
+        for a, b in ((mine.rows, rec.rows), (mine.cols, rec.cols), (mine.nums, rec.nums)):
+            assert np.array_equal(a, b)
+
+
+class TestAssemblyReuse:
+    def test_repeat_call_returns_the_same_object_unchecked(self, monkeypatch):
+        cx, bundle, spray = torus_triple()
+        tcc = assemble(cx, bundle, spray)
+        flatness = counting(monkeypatch, flat_bundle, "check_flatness")
+        sprays = counting(monkeypatch, torsion_engine, "validate_spray")
+        walks = counting(monkeypatch, FlatBundle, "walk")
+        assert assemble(cx, bundle, spray) is tcc
+        assert assemble(cx, bundle, canonical_spray(cx)) is tcc  # equal spray, another object
+        assert flatness == sprays == walks == []
+
+    def test_each_miss_equals_a_cold_assembly(self):
+        def wound(cx, spray):
+            return act(cx, h1_class_for(cx, (0, 1)), spray)
+
+        cx, bundle, spray = torus_triple()
+        other_cx = torus_triple()[0]
+        misses = [
+            ((cx, torus_triple()[1], spray), lambda cx, s: s),  # another bundle
+            ((other_cx, bundle, canonical_spray(other_cx)), lambda cx, s: s),  # another complex
+            ((cx, bundle, wound(cx, spray)), wound),  # another spray
+        ]
+        for args, spray_of in misses:
+            tcc = assemble(cx, bundle, spray)
+            got = assemble(*args)
+            assert got is not tcc
+            fresh_cx, fresh_bundle, fresh_spray = torus_triple()
+            assert_same_complex(got, assemble(fresh_cx, fresh_bundle, spray_of(fresh_cx, fresh_spray)))
+
+    def test_arrays_are_read_only(self):
+        tcc = assemble(*torus_triple())
+        for b in tcc.boundaries.values():
+            with pytest.raises(ValueError):
+                b[...] = 0.0
+        for rec in tcc.blocks.values():
+            for a in (rec.rows, rec.cols, rec.nums):
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+    def test_dropped_bundle_is_freed_without_the_cycle_collector(self):
+        cx, bundle, spray = torus_triple()
+        gc.disable()
+        try:
+            tcc = assemble(cx, bundle, spray)
+            ref = weakref.ref(bundle)
+            del bundle
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert t_comb_squared_exact(tcc) == 1
