@@ -176,13 +176,10 @@ def loop_modify(complex_, alpha, gamma):
     return Spray(tuple((cid, gamma.compose(leg)) for cid, leg in alpha.legs))
 
 
-def leg_shift_loops(complex_, alpha, beta):
-    """Per-cell based loops gamma with beta_leg = gamma . alpha_leg (as walks).
+def leg_shift_loops(alpha, beta, cell_ids):
+    """Based loops gamma with beta_leg = gamma . alpha_leg (as walks), one per cell id.
 
     Used to transport twisted chains between the two spray frames; the loop of
     cell c is beta_leg(c) followed by alpha_leg(c) reversed.
     """
-    out = {}
-    for cid, b_leg in beta.legs:
-        out[cid] = b_leg.compose(alpha.leg(cid).reverse())
-    return out
+    return [beta.leg(c).compose(alpha.leg(c).reverse()) for c in cell_ids]

@@ -51,6 +51,18 @@ def _to_pair(m, exact):
     return m
 
 
+def _not_invertible(m, k):
+    """Why the scaled pair m is not a finite invertible k x k matrix; None if it is."""
+    nums, _ = m
+    if nums.shape != (k, k):
+        return f"matrix is not {k} x {k}"
+    if nums.dtype.kind != "f":
+        return "matrix is singular" if lx.scaled_det(m) == 0 else None
+    if not np.isfinite(nums).all():
+        return "matrix entries must be finite"
+    return "matrix is singular" if lx.singular_float(nums) else None
+
+
 class FlatBundle:
     """Rank-k local system: an invertible k x k matrix per oriented 1-cell.
 
@@ -66,12 +78,18 @@ class FlatBundle:
         self._pairs = {(e, 1): _to_pair(m, self.exact) for e, m in edge_matrices.items()}
         for (e, _), m in self._pairs.items():
             m[0].flags.writeable = False  # pairs may be shared, so views are read-only
-            if m[0].shape != (self.rank, self.rank):
-                raise ValueError(f"edge {e!r}: matrix is not {self.rank} x {self.rank}")
-            if lx.scaled_det(m) == 0 if self.exact else lx.singular_float(m[0]):
-                raise ValueError(f"edge {e!r}: matrix is singular")
+            if why := _not_invertible(m, self.rank):
+                raise ValueError(f"edge {e!r}: {why}")
         rb = reference_basis
-        self.reference_basis = None if rb is None else lx.unscaled(_to_pair(rb, _is_exact(rb)))
+        if rb is not None:
+            try:
+                rb = _to_pair(rb, _is_exact(rb))
+            except (TypeError, ValueError):
+                raise ValueError(f"reference_basis: expected {self.rank} x {self.rank} rows") from None
+            if why := _not_invertible(rb, self.rank):
+                raise ValueError(f"reference_basis: {why}")
+            rb = lx.unscaled(rb)
+        self.reference_basis = rb
         # (complex, spray, twisted complex) of the last torsion_engine.assemble
         self.last_assembly = None
 

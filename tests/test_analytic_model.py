@@ -170,9 +170,12 @@ class TestTruncatedKernel:
 
     block = analytic_model._BLOCK
 
-    @pytest.mark.parametrize("n_terms", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000])
+    # the edges of one block and of eight blocks (1 << 13 terms each), and a ragged last block
+    @pytest.mark.parametrize("n_terms", [
+        0, 1, (1 << 13) - 1, 1 << 13, (1 << 13) + 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000,
+    ])
     def test_matches_complex_reference(self, n_terms):
-        assert self.block == 1 << 16
+        assert self.block == 1 << 13
         for nu in seeded_nus():
             model = model_of(nu)
             want = 1.0

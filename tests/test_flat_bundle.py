@@ -242,6 +242,38 @@ class TestExactness:
         with pytest.raises(ValueError, match="singular"):
             FlatBundle(2, {"e": (np.array([[1, 2], [2, 4]]), 3)})
 
+    @pytest.mark.parametrize(
+        "rank, basis, words",
+        [
+            (1, [[0]], "singular"),
+            (1, [[1, 0]], "not 1 x 1"),
+            (1, [], "not 1 x 1"),
+            (1, [[1], [2, 3]], "1 x 1 rows"),
+            (1, [[float("nan")]], "finite"),
+            (1, np.array([[np.inf]]), "finite"),
+            (1, np.array([[0.0]]), "singular"),
+            (2, [[1, 2], [2, 4]], "singular"),
+            (2, [["1/3", "2/3"], [1, 2]], "singular"),
+            (2, [[1e-5, 2e-5], [2e-5, 4e-5]], "singular"),
+        ],
+    )
+    def test_bad_reference_basis_rejected_at_construction(self, rank, basis, words):
+        edges = {"e": np.eye(rank).astype(int).tolist()}
+        with pytest.raises(ValueError, match=f"reference_basis: .*{words}"):
+            FlatBundle(rank, edges, reference_basis=basis)
+        with pytest.raises(ValueError, match="reference_basis"):
+            FlatBundle(rank, edges).with_reference_basis(basis)
+
+    def test_non_finite_edge_matrix_rejected(self):
+        with pytest.raises(ValueError, match="edge 'e': matrix entries must be finite"):
+            FlatBundle(1, {"e": [[float("inf")]]})
+
+    def test_good_reference_basis_is_kept(self):
+        exact = FlatBundle(2, {"e": [[1, 0], [0, 1]]}, reference_basis=[["1/2", 0], [0, 3]])
+        assert exact.reference_basis == [[Fraction(1, 2), 0], [0, 3]]
+        floats = FlatBundle(1, {"e": [[2.0]]}, reference_basis=np.array([[1e-5]]))
+        assert floats.reference_basis_float().tolist() == [[1e-5]]
+
     def test_views_are_read_only(self):
         b = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})
         for m in (b.matrix("e"), b.matrix("e", -1), b.edge_matrices["e"]):

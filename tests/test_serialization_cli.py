@@ -378,6 +378,8 @@ class TestCli:
             ("matrix", ["1/0"], "bad entry '1/0'"),
             ("reference_basis", [["1/0"]], "bad entry '1/0'"),
             ("matrix", 2, "a list of 1 entries"),
+            ("reference_basis", [[0]], "reference_basis: matrix is singular"),
+            ("reference_basis", [[1, 0]], "reference_basis: matrix is not 1 x 1"),
         ],
     )
     def test_malformed_bundle_entry_exits_2(self, torus_files, tmp_path, capsys, key, value, words):
@@ -391,7 +393,7 @@ class TestCli:
             "torsion", "compute", "--complex", torus_files["complex"], "--bundle", str(tmp_path / "b.json")
         )
         err = capsys.readouterr().err
-        assert rc == 2
+        assert rc == 2 and err.count("\n") == 1
         assert err.startswith("error:") and words in err and "Traceback" not in err
 
     def test_transport_out_of_float_range_exits_2(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from torsionlab.errors import (
     DenseSizeError,
     FloatRangeError,
     IllConditionedError,
+    NotFlatError,
     TorsionLabError,
     UnsupportedStructureError,
 )
@@ -43,6 +44,7 @@ from torsionlab.torsion_engine import (
     laplacians,
     t_comb,
     t_comb_squared_exact,
+    to_frame,
     transport_reference_between_sprays,
 )
 
@@ -981,3 +983,163 @@ class TestAssemblyReuse:
         finally:
             gc.enable()
         assert t_comb_squared_exact(tcc) == 1
+
+
+def klein_triple():
+    """Klein bottle, seeded rank-2 exact bundle (b_0 = b_1 = 1) and its canonical spray."""
+    cx, _, spray = triple("klein")
+    return cx, random_flat_bundle("klein", cx, np.random.default_rng(0), rank=2), spray
+
+
+class TestHarmonicMemo:
+    def test_repeat_call_runs_no_eigensolver(self, monkeypatch):
+        cx, bundle, spray = klein_triple()
+        tcc = assemble(cx, bundle, spray)
+        first = harmonic_data(tcc)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
+        again = harmonic_data(tcc)
+        assert eighs == eigvalshs == []
+        assert first[1] == again[1] == {0: 1, 1: 1, 2: 0}
+        assert first[0] == again[0] and sorted(first[2]) == sorted(again[2])
+        for d, b in first[2].items():
+            assert np.array_equal(b, again[2][d])
+            with pytest.raises(ValueError):
+                b[...] = 0.0
+        assert all(x is not y for x, y in zip(first, again))  # fresh dicts
+        again[0].clear()
+        again[2][1] = None
+        spectra, _, bases = harmonic_data(tcc)
+        assert spectra == first[0] and bases[1] is first[2][1]
+
+    def test_new_rank_tol_and_copies_miss(self, monkeypatch):
+        cx, bundle, spray = klein_triple()
+        tcc = assemble(cx, bundle, spray)
+        want = harmonic_data(tcc)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        harmonic_data(tcc, rank_tol=1e-9)
+        assert len(eighs) == 2  # degrees 0 and 1
+        for copy in (replace(tcc), to_frame(tcc, np.eye(2))):
+            del eighs[:]
+            got = harmonic_data(copy)
+            assert len(eighs) == 2 and got[:2] == want[:2]
+
+    def test_ft_torsion_reuses_the_ft_pass(self, monkeypatch):
+        cx, bundle, spray = klein_triple()
+        want = ft_torsion(cx, bundle, spray)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
+        got = ft_torsion(cx, bundle, spray)
+        assert abs(euler_action_on_torsion(cx, bundle, spray, h1_zero(cx)) - 1.0) <= 1e-12
+        assert eighs == eigvalshs == []
+        assert got.ft_metric == want.ft_metric and got.spectra == want.spectra
+
+
+class TestFlatnessThroughTheSlot:
+    def test_second_spray_skips_flatness_and_new_complex_checks_it(self, monkeypatch):
+        cx, bundle, spray = torus_triple()
+        assemble(cx, bundle, spray)
+        flatness = counting(monkeypatch, flat_bundle, "check_flatness")
+        beta = act(cx, h1_class_for(cx, (0, 1)), spray)
+        got = assemble(cx, bundle, beta)
+        assert flatness == []
+        fresh_cx, fresh_bundle, fresh_spray = torus_triple()
+        fresh_beta = act(fresh_cx, h1_class_for(fresh_cx, (0, 1)), fresh_spray)
+        assert_same_complex(got, assemble(fresh_cx, fresh_bundle, fresh_beta))
+        other_cx = torus_triple()[0]
+        del flatness[:]
+        assemble(other_cx, bundle, canonical_spray(other_cx))
+        assert len(flatness) == 1
+
+    def test_non_flat_bundle_raises_on_every_call(self, monkeypatch):
+        cx, _, spray = torus_triple()
+        # a and b do not commute, so the torus face's holonomy is not the identity
+        bundle = FlatBundle(2, {"a": [[1, 1], [0, 1]], "b": [[1, 0], [1, 1]]})
+        flatness = counting(monkeypatch, flat_bundle, "check_flatness")
+        sprays = [spray, spray, act(cx, h1_class_for(cx, (1, 0)), spray)]
+        for s in sprays:
+            with pytest.raises(NotFlatError):
+                assemble(cx, bundle, s)
+        assert len(flatness) == len(sprays) and bundle.last_assembly is None
+
+
+def dense_transport_reference(tcc_alpha, bundle, alpha, beta, refs):
+    """The earlier transport, kept as a reference: rows times one dense block-diagonal
+    matrix of inverse float loop transports, walked on a float copy of the bundle."""
+    k, bundle_f, walks, out = bundle.rank, bundle.as_float(), {}, {}
+    for d, rows in refs.items():
+        ids = tcc_alpha.cell_order[d]
+        w = np.zeros((k * len(ids), k * len(ids)))
+        for i, cid in enumerate(ids):
+            loop = beta.leg(cid).compose(alpha.leg(cid).reverse())
+            m = np.linalg.inv(bundle_f.walk(loop.steps, walks)[0])
+            w[k * i : k * i + k, k * i : k * i + k] = m
+        out[d] = np.asarray(rows, dtype=float) @ w
+    return out
+
+
+class TestReferenceTransport:
+    COORDS = {"klein": [(1, 1), (0, 2), (1, -1)], "rp2": [(1,)], "sphere": [()]}
+
+    @pytest.mark.parametrize("name", sorted(COORDS))
+    def test_matches_the_dense_block_formula(self, name, monkeypatch):
+        cx, _, alpha = triple(name)
+        as_float = counting(monkeypatch, FlatBundle, "as_float")
+        checked = set()
+        for rank in (1, 2, 3):
+            for seed in range(6):
+                exact = random_flat_bundle(name, cx, np.random.default_rng(seed), rank=rank)
+                for bundle in (exact, FlatBundle(rank, exact.edge_matrices, exact=False)):
+                    tcc = assemble(cx, bundle, alpha)
+                    refs = {d: b for d, b in harmonic_data(tcc)[2].items() if b.size}
+                    if not refs:
+                        continue
+                    for coords in self.COORDS[name]:
+                        beta = act(cx, h1_class_for(cx, coords), alpha)
+                        del as_float[:]
+                        got = transport_reference_between_sprays(tcc, cx, bundle, alpha, beta, refs)
+                        assert as_float == []
+                        want = dense_transport_reference(tcc, bundle, alpha, beta, refs)
+                        assert sorted(got) == sorted(want)
+                        for d, rows in want.items():
+                            assert np.abs(got[d] - rows).max() <= 1e-14 * np.abs(rows).max()
+                    checked.add(rank)
+        assert checked == {1, 2, 3}
+
+    def test_walks_only_degrees_with_reference_rows(self, monkeypatch):
+        cx, bundle, spray = klein_triple()
+        tcc = assemble(cx, bundle, spray)
+        refs = {d: b for d, b in harmonic_data(tcc)[2].items() if b.size}
+        beta = act(cx, h1_class_for(cx, (1, 1)), spray)
+        walks = counting(monkeypatch, FlatBundle, "walk")
+        transport_reference_between_sprays(tcc, cx, bundle, spray, beta, refs)
+        walked = sum(len(tcc.cell_order[d]) for d in refs)
+        assert len(walks) == walked < sum(map(len, tcc.cell_order.values()))
+
+    def test_acyclic_triple_walks_nothing(self, monkeypatch):
+        cx, bundle, spray = torus_triple()
+        beta = act(cx, h1_class_for(cx, (1, 0)), spray)
+        res_a = ft_torsion(cx, bundle, spray)
+        assert res_a.acyclic
+        walks = counting(monkeypatch, FlatBundle, "walk")
+        transports = counting(monkeypatch, torsion_engine, "transport_reference_between_sprays")
+        tcc = assemble(cx, bundle, spray)
+        del walks[:]
+        assert transport_reference_between_sprays(tcc, cx, bundle, spray, beta, {}) == {}
+        assert walks == []
+        euler_action_on_torsion(cx, bundle, spray, h1_class_for(cx, (1, 0)))
+        assert len(transports) == 1 and transports[0][-1] == {}
+
+    def test_dropped_bundle_dies_after_the_euler_action(self):
+        cx, bundle, spray = klein_triple()
+        gc.disable()
+        try:
+            ratio = euler_action_on_torsion(cx, bundle, spray, h1_class_for(cx, (1, 1)))
+            tcc = bundle.last_assembly[2]
+            harmonic_data(tcc)
+            ref = weakref.ref(bundle)
+            del bundle
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert harmonic_data(tcc)[1][1] == 1 and math.isfinite(ratio)
