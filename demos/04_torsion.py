@@ -28,7 +28,7 @@ circ = corpus_get("circle-1cell").complex
 bundle = FlatBundle(1, {"e": [[3]]})
 spray = canonical_spray(circ)
 tcc = assemble(circ, bundle, spray)
-print("circle D1 =", tcc.boundaries[1], " Laplacians:", {d: m.tolist() for d, m in laplacians(tcc).items()})
+print("circle D1 =", tcc.boundary(1), " Laplacians:", {d: m.tolist() for d, m in laplacians(tcc).items()})
 print("t_comb =", t_comb(tcc), " (exact square:", t_comb_squared_exact(tcc), ")")
 res = ft_torsion(circ, bundle, spray)
 print("torsion value (squared-norm semantics):", res.ft_metric.value, "= t_comb^2")

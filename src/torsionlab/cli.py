@@ -278,7 +278,7 @@ def _dispatch(args):
             tcc = assemble(cx, bundle, spray)
             out = ft_torsion_of_tcc(tcc, rank_tol=rank_tol).to_jsonable()
             out["t_comb_det_route"] = t_comb(tcc, "det", rank_tol)
-            if bundle.exact:
+            if tcc.exact:
                 out["t_comb_exact_route"] = t_comb(tcc, "exact")
             _emit(args, out)
             return 0

@@ -528,9 +528,6 @@ class H1Lattice:
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
 
-    def neg(self, a):
-        return self.reduce([-x for x in a])
-
     def _kernel_coords(self, chain):
         """Coordinates of an integer 1-cycle {edge: coeff} in the cycle basis."""
         nz = [(self.edge_index[e], x) for e, x in chain.items()]

@@ -142,13 +142,6 @@ class FlatBundle:
     def with_reference_basis(self, r):
         return FlatBundle(self.rank, self._edge_pairs(), self.exact, r)
 
-    def reference_basis_float(self):
-        if self.reference_basis is None:
-            return np.eye(self.rank)
-        if isinstance(self.reference_basis, np.ndarray):
-            return self.reference_basis
-        return lx.to_float(self.reference_basis)
-
     def as_float(self):
         if not self.exact:
             return self

@@ -167,8 +167,11 @@ def scaled_to_float(ints, den):
     """ints / den as floats, each entry correctly rounded as float(Fraction) is.
 
     FloatRangeError if an entry leaves the double range or a nonzero one
-    rounds to 0.0.
+    rounds to 0.0.  Float numerators (den 1) are their own array, as in
+    ``unscaled``.
     """
+    if ints.dtype.kind == "f":
+        return ints
     if ints.dtype != object and den <= 2**53 and _peak(ints) <= 2**53:
         out = ints / den  # both sides exact in doubles, so one correctly rounded division
     else:
@@ -212,14 +215,7 @@ def is_zero(a):
 
 def to_float(a):
     """Float copy of an exact matrix; FloatRangeError if an entry leaves the double range."""
-    try:
-        rows = [[float(x) for x in row] for row in a]
-    except OverflowError:
-        raise FloatRangeError("exact matrix entry is too large for a float") from None
-    for row, frow in zip(a, rows):
-        if 0.0 in frow and any(x for x, f in zip(row, frow) if not f):
-            raise FloatRangeError("nonzero exact matrix entry is too small for a float")
-    return np.array(rows, dtype=float)
+    return scaled_to_float(*scaled(fmat(a)))
 
 
 def exp_float(log_x, what):

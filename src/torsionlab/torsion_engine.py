@@ -43,8 +43,8 @@ EULER_ACTION_EXPONENT = -2
 
 GRADING_CONVENTION = "chain_even_straight"
 
-# Largest dense boundary, in bytes at 8 per entry, that assemble scatters or
-# boundaries_exact lays out; beyond it DenseSizeError is raised before allocating.
+# Largest dense boundary, in bytes at 8 per entry, that the boundary views lay
+# out; beyond it DenseSizeError is raised before allocating.
 DENSE_BUDGET_BYTES = 2**31
 
 
@@ -61,8 +61,9 @@ class BlockRecord:
     """One degree's k x k boundary blocks over one denominator.
 
     Block (rows[n], cols[n]) is nums[n] / den; the (row, column) pairs are
-    distinct.  nums is an (n_blocks, k, k) integer ndarray, int64 or Python
-    ints (object dtype), and den a positive int.  The arrays are read-only.
+    distinct and ascending.  nums is an (n_blocks, k, k) ndarray: integers (int64 or Python
+    ints in object dtype) over a positive int den for an exact bundle, floats
+    over den 1 for a float one.  The arrays are read-only.
     """
 
     rows: np.ndarray
@@ -89,45 +90,39 @@ class BlockRecord:
 
 @dataclass
 class TwistedChainComplex:
-    """Twisted boundaries of one (complex, bundle, spray) triple.
+    """Twisted boundaries of one (complex, bundle, spray) triple, stored as blocks.
 
-    ``assemble`` hands the same object to every caller of the same triple, so
-    the boundary arrays are read-only; build a changed complex with
-    ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with an
-    empty ``harmonic_data`` memo.
+    ``blocks`` is the only stored form; ``boundary(d)`` lays out the dense
+    float D_d on first read and keeps it.  ``assemble`` hands the same object
+    to every caller of the same triple, so all arrays are read-only; build a
+    changed complex with ``dataclasses.replace``, as ``to_frame`` does.  Such
+    a copy starts with no dense boundary and an empty ``harmonic_data`` memo.
     """
 
     rank: int
     cell_order: dict  # d -> list of cell ids
-    boundaries: dict  # d -> float ndarray, shape (k*n_d, k*n_{d-1})
-    blocks: dict | None  # d -> BlockRecord of D_d's scaled-integer blocks, if exact
+    blocks: dict  # d >= 1 -> BlockRecord of D_d
     frame: np.ndarray | None = None  # fiber frame applied at every cell
+    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # rank_tol -> (spectra, betti, bases) of harmonic_data
     _harmonic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for b in self.boundaries.values():
-            b.flags.writeable = False
+    @property
+    def exact(self):
+        """Whether the blocks hold integer numerators (a rational bundle and frame)."""
+        return all(rec.nums.dtype.kind != "f" for rec in self.blocks.values())
 
     @functools.cached_property
     def boundaries_exact(self):
-        """d -> dense Fraction boundary laid out from ``blocks``; None unless exact.
+        """d -> dense Fraction boundary rows laid out from ``blocks``; None unless exact.
 
         A view for inspection: no route of the library reads it.
         """
-        if self.blocks is None:
+        if not self.exact:
             return None
-        k, out = self.rank, {}
-        for d, rec in self.blocks.items():
-            shape = (k * len(self.cell_order[d]), k * len(self.cell_order[d - 1]))
-            _require_dense_fits(*shape, f"exact degree-{d} boundary")
-            m = out[d] = lx.zeros(*shape)
-            for i, j, block in zip(rec.rows.tolist(), rec.cols.tolist(), rec.nums.tolist()):
-                for a, row in enumerate(block):
-                    m[k * i + a][k * j : k * j + k] = [Fraction(v, rec.den) for v in row]
-        return out
+        return {d: self._layout(d, exact=True).tolist() for d in self.blocks}
 
-    @property
+    @functools.cached_property
     def dims(self):
         return {d: self.rank * len(ids) for d, ids in self.cell_order.items()}
 
@@ -136,9 +131,27 @@ class TwistedChainComplex:
         return max(self.cell_order) if self.cell_order else 0
 
     def boundary(self, d):
-        if d in self.boundaries:
-            return self.boundaries[d]
-        return np.zeros((self.dims.get(d, 0), self.dims.get(d - 1, 0)))
+        """Dense float D_d (empty past either end), laid out on first read, read-only."""
+        if d not in self._dense:
+            m = self._dense[d] = self._layout(d)
+            m.flags.writeable = False
+        return self._dense[d]
+
+    def _layout(self, d, exact=False):
+        """Dense D_d from its blocks: floats rounded as float(Fraction), or Fractions if exact.
+
+        One scatter of every block through the (n_d, k, n_{d-1}, k) view;
+        DenseSizeError before anything is allocated past the budget.
+        """
+        k, rec = self.rank, self.blocks.get(d)
+        shape = (self.dims.get(d, 0), self.dims.get(d - 1, 0))
+        _require_dense_fits(*shape, f"degree-{d} boundary")
+        out = np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+        if rec is not None:
+            convert = np.frompyfunc(Fraction, 2, 1) if exact else lx.scaled_to_float
+            vals = convert(rec.nums, rec.den)
+            out.reshape(shape[0] // k, k, shape[1] // k, k)[rec.rows, :, rec.cols, :] = vals
+        return out
 
 
 @dataclass(frozen=True)
@@ -180,37 +193,35 @@ def assemble(complex_, bundle, spray):
 
     Every leg, inverse leg and incidence path is one scaled walk through a
     prefix cache; each degree's blocks leg . path . leg^-1 come from two
-    stacked products, summed per (cell, face) pair in incidence order.
+    stacked products, summed per (cell, face) pair in incidence order.  No
+    dense boundary is built here.
 
     The bundle keeps its last result: asked again for the same complex (by
     identity) and an equal spray, it returns that object.  All three inputs
     are immutable, so the spray, flatness and D.D checks are not repeated;
-    validity and the dense budget are checked on every call.  A result for
-    the same complex and another spray skips only the flatness check, which
-    does not depend on the spray.
+    validity is checked on every call.  A result for the same complex and
+    another spray skips only the flatness check, which does not depend on
+    the spray.
     """
     complex_.require_valid()
-    k = bundle.rank
-    order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
-    for d in range(1, complex_.dim + 1):
-        _require_dense_fits(k * len(order[d]), k * len(order[d - 1]), f"degree-{d} boundary")
     last = bundle.last_assembly
     if last is not None and last[0] is complex_ and last[1] == spray:
         return last[2]
     validate_spray(complex_, spray)
     if last is None or last[0] is not complex_:
         require_flat(complex_, bundle)
+    k = bundle.rank
+    order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
     walks, inverse_walks = {}, {}
     legs = {cid: bundle.walk(leg.steps, walks) for cid, leg in spray.legs}
     legs_inv = {
         cid: bundle.walk(leg.steps, inverse_walks, inverse=True) for cid, leg in spray.legs
     }
-    blocks, boundaries = {}, {}
+    blocks = {}
     for d in range(1, complex_.dim + 1):
         ri = {c: i for i, c in enumerate(order[d])}
         ci = {c: j for j, c in enumerate(order[d - 1])}
         recs = [rec for rec in complex_.incidences if rec.coface in ri]
-        out = boundaries[d] = np.zeros((k * len(ri), k * len(ci)))
         if not recs:
             nums = np.zeros((0, k, k), dtype=np.int64 if bundle.exact else float)
             blocks[d] = BlockRecord(np.zeros(0, int), np.zeros(0, int), nums, 1)
@@ -226,28 +237,19 @@ def assemble(complex_, bundle, spray):
         keys, slots = np.unique(keys, return_inverse=True)
         coeffs = np.array([rec.coeff for rec in recs])
         nums, den = lx.scaled_sum(slots, len(keys), coeffs, prod)
-        record = blocks[d] = BlockRecord(keys // len(ci), keys % len(ci), nums, den)
-        vals = lx.scaled_to_float(nums, den) if bundle.exact else nums
-        # one scatter of every block through the (n_d, k, n_{d-1}, k) view
-        out.reshape(len(ri), k, len(ci), k)[record.rows, :, record.cols, :] = vals
-    tcc = TwistedChainComplex(k, order, boundaries, blocks if bundle.exact else None)
+        blocks[d] = BlockRecord(keys // len(ci), keys % len(ci), nums, den)
+    tcc = TwistedChainComplex(k, order, blocks)
     _check_boundary_squared(tcc)
     if bundle.reference_basis is not None:
-        tcc = to_frame(tcc, bundle.reference_basis_float())
+        tcc = to_frame(tcc, bundle.reference_basis)
     bundle.last_assembly = (complex_, spray, tcc)
     return tcc
 
 
 def _check_boundary_squared(tcc):
-    """D_d D_{d-1} == 0: in integers through shared faces if exact, else by BLAS."""
+    """D_d D_{d-1} == 0, composed block by block through shared faces."""
     for d in range(2, tcc.top_dim + 1):
-        if tcc.blocks is not None:
-            zero = _composes_to_zero(tcc.blocks[d], tcc.blocks[d - 1])
-        else:
-            up, dn = tcc.boundary(d), tcc.boundary(d - 1)
-            scale = up.size and dn.size and max(np.abs(up).max() * np.abs(dn).max(), 1.0)
-            zero = not scale or np.abs(up @ dn).max() <= 1e-9 * scale
-        if not zero:
+        if not _composes_to_zero(tcc.blocks[d], tcc.blocks[d - 1]):
             raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
 
 
@@ -255,34 +257,43 @@ def _composes_to_zero(up, dn):
     """Whether up . dn vanishes for two block records, composed through shared faces.
 
     Every (up block, dn block) pair that meets in a face is multiplied in one
-    stacked exact product, and the products are summed per (row, column) pair.
+    stacked product, and the products are summed per (row, column) pair.
+    Integer sums must be 0; float sums within 1e-9 of the largest entry
+    product (at least 1).
     """
-    order = np.argsort(dn.rows, kind="stable")
-    lo = np.searchsorted(dn.rows[order], up.cols, "left")
-    count = np.searchsorted(dn.rows[order], up.cols, "right") - lo
+    lo = np.searchsorted(dn.rows, up.cols, "left")  # dn.rows ascend
+    count = np.searchsorted(dn.rows, up.cols, "right") - lo
     p = np.repeat(np.arange(len(up.rows)), count)
-    q = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    q = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     prod = lx.scaled_matmul((up.nums[p], 1), (dn.nums[q], 1))
     keys = up.rows[p] * (dn.cols.max(initial=0) + 1) + dn.cols[q]
     keys, slots = np.unique(keys, return_inverse=True)
     sums, _ = lx.scaled_sum(slots, len(keys), np.ones(len(p), dtype=np.int64), prod)
-    return not sums.any()
+    if sums.dtype.kind != "f":
+        return not sums.any()
+    scale = max(np.abs(up.nums).max(initial=0.0) * np.abs(dn.nums).max(initial=0.0), 1.0)
+    return np.abs(sums).max(initial=0.0) <= 1e-9 * scale
 
 
 def to_frame(tcc, frame):
     """Express the complex in a new fiber frame applied at every cell.
 
     Chains-as-rows transform by frame^T on the right in every cell's fiber, so
-    each k x k boundary block conjugates; the standard inner product in the
-    new coordinates is the metric that declares the frame orthonormal.
+    each k x k boundary block B becomes frame^T B frame^-T; the standard inner
+    product in the new coordinates is the metric that declares the frame
+    orthonormal.  A rational frame (rows of Fractions or ints) keeps exact
+    blocks exact; under a float array the blocks are rounded to floats first.
     """
-    frame = np.asarray(frame, dtype=float)
-    k, inv_t = tcc.rank, np.linalg.inv(frame.T)
-    boundaries = {}
-    for d, b in tcc.boundaries.items():
-        left = frame.T @ b.reshape(b.shape[0] // k, k, b.shape[1])
-        boundaries[d] = (left.reshape(-1, k) @ inv_t).reshape(b.shape)
-    return replace(tcc, boundaries=boundaries, blocks=None, frame=frame)
+    exact = tcc.exact and not isinstance(frame, np.ndarray)
+    f = lx.scaled(lx.fmat(frame)) if exact else (np.asarray(frame, dtype=float), 1)
+    f_t = (f[0].T, f[1])
+    inv_t = lx.scaled_inverse(f_t)
+    blocks = {}
+    for d, rec in tcc.blocks.items():
+        b = (rec.nums, rec.den) if exact else (lx.scaled_to_float(rec.nums, rec.den), 1)
+        nums, den = lx.scaled_matmul(lx.scaled_matmul(f_t, b), inv_t)
+        blocks[d] = BlockRecord(rec.rows, rec.cols, nums, den)
+    return replace(tcc, blocks=blocks, frame=lx.scaled_to_float(*f))
 
 
 def frame_coords(tcc, z_rows):
@@ -329,7 +340,10 @@ def _spectra(tcc, rank_tol):
     D_{d+1} D_d = 0, so the nonzero spectrum of Delta_d is that of D_d D_d^T
     together with that of D_{d+1}^T D_{d+1}: one values-only eigensolve per
     boundary, on the smaller of its two Gram matrices, serves both degrees.
+    Every dense boundary is checked against the budget before any is laid out.
     """
+    for d in tcc.blocks:
+        _require_dense_fits(tcc.dims[d], tcc.dims[d - 1], f"degree-{d} boundary")
     grams = {}
     for d in range(1, tcc.top_dim + 1):
         b = tcc.boundary(d)
@@ -438,18 +452,12 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     result outside the double range raises FloatRangeError.
     """
     if method == "eig":
-        return _spectral_torsion(*_spectra(tcc, rank_tol)[:2])[0]
+        memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
+        return _spectral_torsion(*(memo or _spectra(tcc, rank_tol))[:2])[0]
     if method == "det":
-        scale = max(
-            (float(np.abs(b).max()) for b in tcc.boundaries.values() if b.size),
-            default=1.0,
-        )
-        log_t = 0.0
-        for d in range(1, tcc.top_dim + 1):
-            b = tcc.boundary(d)
-            if b.size == 0:
-                continue
-            log_t += (-1) ** (d + 1) * lx.log_vol_float(b, scale=max(scale, 1.0))
+        bs = {d: b for d in tcc.blocks if (b := tcc.boundary(d)).size}
+        scale = max([1.0] + [float(np.abs(b).max()) for b in bs.values()])
+        log_t = sum((-1) ** (d + 1) * lx.log_vol_float(b, scale=scale) for d, b in bs.items())
         return lx.exp_float(log_t, "t_comb")
     if method == "exact":
         return _sqrt_float(t_comb_squared_exact(tcc))
@@ -471,7 +479,7 @@ def _sqrt_float(x):
 
 def t_comb_squared_exact(tcc):
     """Exact rational square of the torsion: one sparse elimination per degree's blocks."""
-    if tcc.blocks is None:
+    if not tcc.exact:
         raise TorsionLabError("exact torsion needs a rational bundle")
     out = Fraction(1)
     for d, rec in tcc.blocks.items():
@@ -574,7 +582,7 @@ def transport_reference_between_sprays(tcc_alpha, complex_, bundle, alpha, beta,
             out[d] = rows
             continue
         mats = [bundle.walk(g.steps, walks) for g in leg_shift_loops(alpha, beta, ids)]
-        inv = np.linalg.inv([lx.scaled_to_float(*m) if bundle.exact else m[0] for m in mats])
+        inv = np.linalg.inv([lx.scaled_to_float(*m) for m in mats])
         rows = np.asarray(rows, dtype=float)
         cells = rows.reshape(len(rows), len(ids), 1, k)
         out[d] = np.matmul(cells, inv).reshape(rows.shape)
@@ -585,10 +593,13 @@ def ft_torsion_pair(complex_, bundle, alpha, beta, rank_tol=RANK_TOL):
     """ft_torsion under alpha and under beta, with one shared reference.
 
     alpha's deterministic kernel basis is the reference; it is transported to
-    beta's frames for the second result.  Each spray is assembled once.
+    beta's frames for the second result.  Each spray is assembled once, and
+    when beta equals alpha the first result serves both.
     """
     tcc_a = assemble(complex_, bundle, alpha)
     res_a = ft_torsion_of_tcc(tcc_a, rank_tol=rank_tol)
+    if beta == alpha:
+        return res_a, res_a
     refs = {d: b for d, b in res_a.harmonic_bases.items() if b.size}
     refs_b = transport_reference_between_sprays(tcc_a, complex_, bundle, alpha, beta, refs)
     res_b = ft_torsion(complex_, bundle, beta, reference_cycles=refs_b, rank_tol=rank_tol)

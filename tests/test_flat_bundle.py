@@ -272,7 +272,7 @@ class TestExactness:
         exact = FlatBundle(2, {"e": [[1, 0], [0, 1]]}, reference_basis=[["1/2", 0], [0, 3]])
         assert exact.reference_basis == [[Fraction(1, 2), 0], [0, 3]]
         floats = FlatBundle(1, {"e": [[2.0]]}, reference_basis=np.array([[1e-5]]))
-        assert floats.reference_basis_float().tolist() == [[1e-5]]
+        assert floats.reference_basis.tolist() == [[1e-5]]
 
     def test_views_are_read_only(self):
         b = FlatBundle(2, {"e": [[0.5, 1.0], [0.0, 3.0]]})

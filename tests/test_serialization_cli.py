@@ -7,7 +7,7 @@ import pytest
 
 from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.cli import main as cli_main
-from torsionlab.corpus import corpus_get, corpus_list
+from torsionlab.corpus import corpus_get, corpus_list, random_flat_bundle
 from torsionlab.flat_bundle import FlatBundle
 from torsionlab.serialization import (
     FormatError,
@@ -224,6 +224,23 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["t_comb_det_route"] - 1.0) <= 1e-9
         assert out["t_comb_exact_route"] == 1.0
+
+    @pytest.mark.parametrize("name", ["rp2", "sphere"])
+    def test_rational_reference_basis_keeps_the_exact_route(self, name, tmp_path, capsys):
+        # chi != 0, so the frame enters t_comb; the blocks stay rational under it
+        item = corpus_get(name)
+        bundle = random_flat_bundle(name, item.complex, np.random.default_rng(5), rank=2)
+        save_json(tmp_path / "c.json", complex_to_jsonable(item.complex))
+        save_json(
+            tmp_path / "b.json",
+            bundle_to_jsonable(bundle.with_reference_basis([["2", 0], ["1/3", 1]])),
+        )
+        argv = ("torsion", "compute", "--complex", str(tmp_path / "c.json"),
+                "--bundle", str(tmp_path / "b.json"), "--json")
+        assert self.run(*argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["t_comb_exact_route"] - out["t_comb_det_route"]) <= 1e-9
+        assert abs(out["t_comb_exact_route"] - out["t_comb"]) <= 1e-9 * out["t_comb"]
 
     def test_corpus_verbs(self, capsys):
         assert self.run("corpus", "list") == 0

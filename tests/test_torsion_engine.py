@@ -39,6 +39,7 @@ from torsionlab.torsion_engine import (
     euler_action_on_torsion,
     ft_torsion,
     ft_torsion_of_tcc,
+    ft_torsion_pair,
     harmonic_data,
     harmonic_metric,
     laplacians,
@@ -154,9 +155,9 @@ class TestSharedWalkTransports:
         spray = canonical_spray(cx)
         tcc = assemble(cx, bundle, spray)
         want = per_incidence_boundaries(cx, bundle, spray)
-        assert sorted(tcc.boundaries) == sorted(want)
+        assert sorted(tcc.blocks) == sorted(want)
         for d, m in want.items():
-            assert np.array_equal(tcc.boundaries[d], m)
+            assert np.array_equal(tcc.boundary(d), m)
 
     def test_walks_past_int64_bound_equal_per_incidence(self):
         # walk products reach 2**80, past the int64 rule, so blocks sum in Python ints
@@ -168,7 +169,7 @@ class TestSharedWalkTransports:
         want = per_incidence_boundaries(cx, bundle, spray)
         assert tcc.boundaries_exact == want
         for d, m in want.items():
-            assert np.array_equal(tcc.boundaries[d], [[float(x) for x in row] for row in m])
+            assert np.array_equal(tcc.boundary(d), [[float(x) for x in row] for row in m])
 
     def test_denominators_equal_per_incidence(self):
         cx, _, spray = triple("torus")
@@ -179,7 +180,7 @@ class TestSharedWalkTransports:
         want = per_incidence_boundaries(cx, bundle, spray)
         assert tcc.boundaries_exact == want
         for d, m in want.items():
-            assert np.array_equal(tcc.boundaries[d], [[float(x) for x in row] for row in m])
+            assert np.array_equal(tcc.boundary(d), [[float(x) for x in row] for row in m])
 
     def test_exact_float_boundaries_are_dense_to_float(self):
         # the float copy converts only written blocks; it must equal the dense conversion
@@ -194,8 +195,8 @@ class TestSharedWalkTransports:
             tcc = assemble(cx, bundle, spray)
             for d, m in tcc.boundaries_exact.items():
                 want = lx.to_float(m)
-                assert tcc.boundaries[d].shape == want.shape
-                assert np.array_equal(tcc.boundaries[d], want)
+                assert tcc.boundary(d).shape == want.shape
+                assert np.array_equal(tcc.boundary(d), want)
 
     @pytest.mark.parametrize("name", corpus_list())
     def test_corpus_rounds_0_1_equal_per_incidence(self, name):
@@ -215,9 +216,9 @@ class TestSharedWalkTransports:
                 if bundle.exact:
                     assert tcc.boundaries_exact == want
                     want = {d: lx.to_float(m) for d, m in want.items()}
-                assert sorted(tcc.boundaries) == sorted(want)
+                assert sorted(tcc.blocks) == sorted(want)
                 for d, m in want.items():
-                    assert np.array_equal(tcc.boundaries[d], m)
+                    assert np.array_equal(tcc.boundary(d), m)
                 try:
                     cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
                 except UnsupportedStructureError:
@@ -379,9 +380,14 @@ class TestTComb:
             t_comb(tcc, "exact")
 
     def test_huge_rational_entry_is_typed_error(self):
+        # the blocks stay exact, so the exact route holds; the float view cannot
         cx, _, spray = triple("circle-1cell")
-        with pytest.raises(FloatRangeError):
-            assemble(cx, FlatBundle(1, {"e": [[10**400]]}), spray)
+        tcc = assemble(cx, FlatBundle(1, {"e": [[10**400]]}), spray)
+        assert t_comb_squared_exact(tcc) == (10**400 - 1) ** 2
+        for route in (lambda: tcc.boundary(1), lambda: ft_torsion_of_tcc(tcc),
+                      lambda: t_comb(tcc, "det"), lambda: t_comb(tcc, "exact")):
+            with pytest.raises(FloatRangeError):
+                route()
 
     def test_tiny_nonzero_entry_is_typed_error(self):
         # holonomy 1 + 10**-400: the boundary entry 10**-400 is nonzero but rounds to 0.0,
@@ -499,7 +505,9 @@ class TestOneSpectralPass:
         tcc = assemble(cx, bundle, spray)
         assert ft_torsion_of_tcc(tcc).acyclic
         assert len(eighs) == 0 and len(eigvalshs) == tcc.top_dim == 2
-        t_comb(tcc, "eig")
+        t_comb(tcc, "eig")  # reads the ft pass's spectra
+        assert len(eighs) == 0 and len(eigvalshs) == tcc.top_dim
+        t_comb(replace(tcc), "eig")  # a cold copy: one values-only pass, still no eigh
         assert len(eighs) == 0 and len(eigvalshs) == 2 * tcc.top_dim
 
     def test_sphere_eigh_only_in_kernel_degrees(self, monkeypatch):
@@ -699,6 +707,20 @@ class TestEulerAction:
         assert abs(want / 1e30 - 1.0) <= 1e-12
         assert abs(ratio / want - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "seed, name, rank",
+        [(0, "sphere", 1), (0, "sphere", 3), (0, "tetra-solid", 1), (0, "tetra-solid", 3),
+         (1, "sphere", 3), (2, "rp2", 2)],
+    )
+    def test_zero_class_ratio_is_exactly_one(self, seed, name, rank):
+        # act(0, alpha) is alpha, so both sides are one result; transporting the
+        # reference through trivial frames used to leave a few ulps
+        cx, _, spray = triple(name)
+        bundle = random_flat_bundle(name, cx, np.random.default_rng(seed), rank=rank)
+        assert euler_action_on_torsion(cx, bundle, spray, h1_zero(cx)) == 1.0
+        res_a, res_b = ft_torsion_pair(cx, bundle, spray, act(cx, h1_zero(cx), spray))
+        assert res_b is res_a
+
 
 class TestFrameCovariance:
     def test_point_scales_by_inverse_square(self):
@@ -736,6 +758,51 @@ class TestFrameCovariance:
             v1 = ft_torsion(cx, framed, spray, reference_cycles=refs).ft_metric.value
             want = v0 * abs(np.linalg.det(s)) ** (-2 * chi)
             assert abs(v1 - want) <= 1e-9 * want, (k, v1, want)
+
+    @pytest.mark.parametrize("name", ["sphere", "rp2", "tetra-solid"])
+    def test_rational_frame_keeps_the_exact_route(self, name):
+        rng = np.random.default_rng(53)
+        item = corpus_get(name)
+        cx, spray = item.complex, item.spray
+        for k in (1, 2, 3):
+            bundle = random_flat_bundle(name, cx, rng, rank=k)
+            s = random_invertible(rng, k)
+            plain = assemble(cx, bundle, spray)
+            tcc = assemble(cx, bundle.with_reference_basis(s), spray)
+            assert tcc.exact and np.array_equal(tcc.frame, lx.to_float(s))
+            # every k x k block B becomes S^T B S^-T, in Fractions
+            s_t = lx.transpose(s)
+            inv_t = lx.inverse(s_t)
+            for d, m in plain.boundaries_exact.items():
+                got = tcc.boundaries_exact[d]
+                for i in range(0, len(m), k):
+                    for j in range(0, len(m[0]), k):
+                        block = [row[j : j + k] for row in m[i : i + k]]
+                        want = lx.matmul(lx.matmul(s_t, block), inv_t)
+                        assert [row[j : j + k] for row in got[i : i + k]] == want
+                assert np.array_equal(tcc.boundary(d), lx.to_float(got))
+            te, td = t_comb(tcc, "exact"), t_comb(tcc, "det")
+            floats = assemble(cx, bundle.with_reference_basis(lx.to_float(s)), spray)
+            assert abs(te - td) <= 1e-9 * te and abs(te - t_comb(floats, "eig")) <= 1e-9 * te
+
+    def test_float_frame_equals_dense_conjugation(self):
+        # the earlier route conjugated the dense float boundary; blocks must match it bit for bit
+        rng = np.random.default_rng(59)
+        for name in ("sphere", "klein", "tetra-solid"):
+            cx, _, spray = triple(name)
+            for k in (1, 2, 3):
+                exact = random_flat_bundle(name, cx, rng, rank=k)
+                frame = lx.to_float(random_invertible(rng, k))
+                for bundle in (exact, exact.as_float()):
+                    plain = assemble(cx, bundle, spray)
+                    framed = assemble(cx, bundle.with_reference_basis(frame), spray)
+                    assert not framed.exact and framed.boundaries_exact is None
+                    inv_t = np.linalg.inv(frame.T)
+                    for d in plain.blocks:
+                        b = plain.boundary(d)
+                        left = frame.T @ b.reshape(b.shape[0] // k, k, b.shape[1])
+                        want = (left.reshape(-1, k) @ inv_t).reshape(b.shape)
+                        assert np.array_equal(framed.boundary(d), want)
 
 
 class TestReferenceValidation:
@@ -898,20 +965,31 @@ class TestSparseExactVolumes:
 
 class TestDenseBudget:
     def test_over_budget_is_typed_error_before_allocating(self, monkeypatch):
-        cx, bundle, spray = triple("torus")
-        for _ in range(2):
-            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
-        tcc = assemble(cx, bundle, spray)
-        biggest = 8 * max(b.size for b in tcc.boundaries.values())
-        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest)
-        assemble(cx, bundle, spray)
+        # the budget bites at the dense view: assemble and the exact route read blocks only
+        def torus_at_2():
+            cx, bundle, spray = triple("torus")
+            for _ in range(2):
+                cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+            return cx, bundle, spray
+
+        tcc = assemble(*torus_at_2())
+        want = t_comb_squared_exact(tcc)
+        big = max(tcc.blocks, key=lambda d: tcc.dims[d] * tcc.dims[d - 1])
+        biggest = 8 * tcc.dims[big] * tcc.dims[big - 1]
         monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest - 1)
+        tcc = assemble(*torus_at_2())
+        got = t_comb_squared_exact(tcc)
+        assert got == want and type(got) is Fraction
         zeros = counting(monkeypatch, np, "zeros")
         with pytest.raises(DenseSizeError, match="budget"):
-            assemble(cx, bundle, spray)
+            tcc.boundary(big)
+        with pytest.raises(DenseSizeError, match="budget"):
+            ft_torsion_of_tcc(tcc)
         assert zeros == []
         with pytest.raises(DenseSizeError):
             tcc.boundaries_exact
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest)
+        assert tcc.boundary(big).shape == (tcc.dims[big], tcc.dims[big - 1])
         assert issubclass(DenseSizeError, TorsionLabError)
 
 
@@ -922,9 +1000,9 @@ def torus_triple():
 
 
 def assert_same_complex(got, want):
-    assert got.cell_order == want.cell_order and sorted(got.boundaries) == sorted(want.boundaries)
-    for d, b in want.boundaries.items():
-        assert np.array_equal(got.boundaries[d], b)
+    assert got.cell_order == want.cell_order
+    for d in want.blocks:
+        assert np.array_equal(got.boundary(d), want.boundary(d))
     assert sorted(got.blocks) == sorted(want.blocks)
     for d, rec in want.blocks.items():
         mine = got.blocks[d]
@@ -964,7 +1042,7 @@ class TestAssemblyReuse:
 
     def test_arrays_are_read_only(self):
         tcc = assemble(*torus_triple())
-        for b in tcc.boundaries.values():
+        for b in map(tcc.boundary, tcc.blocks):
             with pytest.raises(ValueError):
                 b[...] = 0.0
         for rec in tcc.blocks.values():
@@ -1033,6 +1111,18 @@ class TestHarmonicMemo:
         assert abs(euler_action_on_torsion(cx, bundle, spray, h1_zero(cx)) - 1.0) <= 1e-12
         assert eighs == eigvalshs == []
         assert got.ft_metric == want.ft_metric and got.spectra == want.spectra
+
+    def test_eig_route_reads_the_ft_spectra(self, monkeypatch):
+        cx, bundle, spray = klein_triple()
+        tcc = assemble(cx, bundle, spray)
+        cold = t_comb(replace(tcc), "eig")
+        ft_torsion_of_tcc(tcc)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
+        assert t_comb(tcc, "eig") == cold == ft_torsion_of_tcc(tcc).t_comb
+        assert eighs == eigvalshs == []
+        t_comb(tcc, "eig", rank_tol=1e-9)  # another cutoff has no memo: values only
+        assert eighs == [] and len(eigvalshs) == tcc.top_dim
 
 
 class TestFlatnessThroughTheSlot:
