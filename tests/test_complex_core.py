@@ -64,6 +64,87 @@ def full_homology(cx):
     return [cx.integral_homology(d) for d in range(cx.dim + 1)]
 
 
+# one-vertex circle v, e and a 2-cell F on it, broken one way per case
+_V, _E, _F = Cell("v", 0, "v"), Cell("e", 1, "v"), Cell("F", 2, "v")
+_HEAD = Incidence("e", "v", 1, EdgePath((("e", 1),), "v", "v"))
+_TAIL = Incidence("e", "v", -1, EdgePath((), "v", "v"))
+_FE = Incidence("F", "e", 1, EdgePath((), "v", "v"))
+_FE_BACK = Incidence("F", "e", -1, EdgePath((("e", 1), ("e", -1)), "v", "v"))
+_STRAY = EdgePath((("x", 1),), "v", "v")  # steps along an edge that is not there
+_NOT_CONNECTED = ("connectivity", "1-skeleton is not connected")
+_BAD_CONNECTOR = ("connector", "incidence 'F'->'e' connector is not a walk 'v' -> 'v'")
+
+# case -> (cells, incidences, base vertex, violations in report order)
+MALFORMED = {
+    "duplicate-id": (
+        [_V, _V, _E], [_HEAD, _TAIL], "v", [("duplicate-id", "cell ids are not unique")]
+    ),
+    "base-vertex": (
+        [_V, _E], [_HEAD, _TAIL], "w",
+        [("base-vertex", "base vertex 'w' is not a 0-cell"), _NOT_CONNECTED],
+    ),
+    "dimension": (
+        [_V, _E, Cell("x", -1, "v")], [_HEAD, _TAIL], "v",
+        [("dimension", "cell 'x' has negative dimension")],
+    ),
+    "anchor": (
+        [_V, Cell("w", 0, "v"), Cell("e", 1, "e")], [_HEAD, _TAIL], "v",
+        [
+            ("anchor", "0-cell 'w' must anchor itself"),
+            ("anchor", "cell 'e' anchor 'e' is not a 0-cell"),
+            ("connector", "incidence 'e'->'v' connector is not a walk 'e' -> 'v'"),
+            ("connector", "incidence 'e'->'v' connector is not a walk 'e' -> 'v'"),
+            _NOT_CONNECTED,
+        ],
+    ),
+    "incidence": (
+        [_V, _E], [_HEAD, _TAIL, Incidence("G", "e", 1, EdgePath((), "v", "v"))], "v",
+        [("incidence", "incidence 'G'->'e' names unknown cells")],
+    ),
+    "incidence-dim": (
+        [_V, _E, _F], [_HEAD, _TAIL, _FE, _FE_BACK, Incidence("F", "v", 1, EdgePath((), "v", "v"))],
+        "v", [("incidence-dim", "incidence 'F'->'v' connects dim 2 to dim 0")],
+    ),
+    "incidence-coeff": (
+        [_V, _E, _F], [_HEAD, _TAIL, _FE, _FE_BACK, Incidence("F", "e", 0, EdgePath((), "v", "v"))],
+        "v", [("incidence-coeff", "incidence 'F'->'e' has coefficient 0")],
+    ),
+    "edge-endpoints": (
+        [_V, _E, _F], [_HEAD, _HEAD, _FE], "v",
+        [
+            ("edge-endpoints", "1-cell 'e' needs exactly one +1 and one -1 vertex record"),
+            ("boundary-squared", "d(d('F')) has coefficient 2 on 'v'"),
+        ],
+    ),
+    "connector": (
+        [_V, _E, _F],
+        [
+            _HEAD, _TAIL, _FE, Incidence("F", "e", -1, _STRAY),
+            Incidence("F", "e", 1, EdgePath((("e", 1),), "v", "w")),
+        ],
+        "v", [_BAD_CONNECTOR, _BAD_CONNECTOR],
+    ),
+    "connectivity": ([_V, Cell("w", 0, "w"), _E], [_HEAD, _TAIL], "v", [_NOT_CONNECTED]),
+    "mixed": (
+        [_V, _E, _F, Cell("w", 0, "v")],
+        [
+            Incidence("F", "v", 1, EdgePath((), "v", "v")),
+            Incidence("G", "e", 1, EdgePath((), "v", "v")),
+            _HEAD, _TAIL, Incidence("F", "e", 0, _STRAY), _FE, _FE_BACK,
+        ],
+        "v",
+        [
+            ("anchor", "0-cell 'w' must anchor itself"),
+            ("incidence-dim", "incidence 'F'->'v' connects dim 2 to dim 0"),
+            ("incidence", "incidence 'G'->'e' names unknown cells"),
+            ("incidence-coeff", "incidence 'F'->'e' has coefficient 0"),
+            _BAD_CONNECTOR,
+            _NOT_CONNECTED,
+        ],
+    ),
+}
+
+
 class TestValidation:
     def test_smallest_legal_complex_is_valid(self):
         assert circle().validate().ok
@@ -133,6 +214,45 @@ class TestValidation:
         cx = ComplexDescription(cells, [], "v", "broken")
         with pytest.raises(InvalidComplexError):
             cx.euler_characteristic()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_report_pins_codes_messages_and_order(self, case):
+        cells, incidences, base, want = MALFORMED[case]
+        cx = ComplexDescription(cells, incidences, base, case)
+        assert cx.validate().violations == want
+
+
+class TestWordBuilder:
+    @pytest.mark.parametrize(
+        "edges, word, words",
+        [
+            ({"a": ("v", "v")}, [], "empty attaching word"),
+            ({"a": ("v", "v")}, [("z", 1)], "'z'"),
+            ({"a": ("v", "w"), "b": ("v", "w")}, [("a", 1), ("b", 1)], "not head-to-tail"),
+            ({"a": ("v", "w"), "b": ("v", "w")}, [("a", 1)], "does not close"),
+        ],
+    )
+    def test_malformed_word_raises(self, edges, word, words):
+        with pytest.raises(PathComplexMismatchError, match=words):
+            cw_complex_from_words("bad", ["v", "w"], edges, {"F": word}, "v")
+
+    def test_records_carry_prefix_connectors(self):
+        cx = cw_complex_from_words(
+            "w", ["v", "w"], {"a": ("v", "w"), "b": ("v", "w")}, {"F": [("a", 1), ("b", -1)]}, "v"
+        )
+        assert cx.cells == (
+            Cell("v", 0, "v"), Cell("w", 0, "w"), Cell("a", 1, "v"), Cell("b", 1, "v"),
+            Cell("F", 2, "v"),
+        )
+        assert cx.records_of("a") == [
+            Incidence("a", "w", 1, EdgePath((("a", 1),), "v", "w")),
+            Incidence("a", "v", -1, EdgePath((), "v", "v")),
+        ]
+        assert cx.records_of("F") == [
+            Incidence("F", "a", 1, EdgePath((), "v", "v")),
+            Incidence("F", "b", -1, EdgePath((("a", 1), ("b", -1)), "v", "v")),
+        ]
+        assert cx.validate().ok
 
 
 class TestEulerCharacteristic:
