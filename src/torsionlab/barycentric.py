@@ -17,6 +17,7 @@ cell-interior edges carry prefix transports in the spray-compatible gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class SubdivisionMap:
         steps = []
         for e, d in path.steps:
             imgs = self.step_images[e]
-            steps.extend(imgs if d == 1 else tuple((ee, -dd) for ee, dd in reversed(imgs)))
+            steps.extend(imgs if d == 1 else ((ee, -dd) for ee, dd in reversed(imgs)))
         src = self.vertex_images[path.src]
         dst = self.vertex_images[path.dst]
-        return EdgePath(tuple(steps), src, dst)
+        return EdgePath.of_normal(tuple(steps), src, dst)
 
     def chain_map_matrix(self, d, rank=1):
         """Twisted chain map C_d(source) -> C_d(target), row convention.
@@ -68,32 +69,74 @@ class SubdivisionMap:
         return m
 
     def transport_reference(self, refs, rank=1):
-        """Push degree-wise reference rows (default coordinates) forward."""
+        """Push degree-wise reference rows (default coordinates) forward.
+
+        Equal to ``rows @ chain_map_matrix(d, rank)`` without laying that
+        matrix out: each source cell's k columns are added, signed, into the
+        columns of its image cells.
+        """
         out = {}
         for d, rows in refs.items():
             if rows is None or not len(rows):
                 continue
-            out[d] = np.asarray(rows, dtype=float) @ self.chain_map_matrix(d, rank)
+            rows = np.asarray(rows, dtype=float)
+            sources = self.source.cells_of_dim(d)
+            if rows.shape[-1] != rank * len(sources):
+                raise ValueError(f"degree-{d} reference rows need {rank * len(sources)} columns")
+            col = {c.id: j for j, c in enumerate(self.target.cells_of_dim(d))}
+            i, j, sign = np.array(
+                [(i, col[t], x) for i, c in enumerate(sources)
+                 for t, x in self.chain_coefficients[c.id].items()], dtype=int,
+            ).reshape(-1, 3).T
+            k = np.arange(rank)
+            out[d] = np.zeros(rows.shape[:-1] + (rank * len(col),))
+            np.add.at(out[d], (..., (rank * j[:, None] + k).ravel()),
+                      rows[..., (rank * i[:, None] + k).ravel()] * np.repeat(sign, rank))
         return out
 
 
 def barycentric_subdivide(complex_, bundle, spray):
-    """One round of barycentric subdivision of (complex, bundle, spray)."""
+    """One round of barycentric subdivision of (complex, bundle, spray).
+
+    The spray and flatness checks are skipped where ``bundle.last_assembly``
+    already holds them, as in ``torsion_engine.assemble``: the spray for the
+    same complex (by identity) and an equal spray, flatness for the same
+    complex.  The subdivided complex is validated once, by its Euler check.
+    """
     complex_.require_valid()
-    validate_spray(complex_, spray)
-    require_flat(complex_, bundle)
+    last = bundle.last_assembly or (None, None)
+    if last[0] is not complex_ or last[1] != spray:
+        validate_spray(complex_, spray)
+    if last[0] is not complex_:
+        require_flat(complex_, bundle)
     if complex_.dim > 3:
         raise UnsupportedDimensionError(
             f"subdivision supports dimension <= 3, got {complex_.dim}"
         )
     if complex_.dim <= 2:
-        return _subdivide_walks(complex_, bundle, spray)
-    if complex_.simplex_vertices:
-        return _subdivide_flags(complex_, bundle, spray)
-    raise UnsupportedStructureError(
-        "3-complexes need simplicial structure for subdivision; attaching data "
-        "of general 3-cells is not reconstructible from incidence records"
-    )
+        out = _subdivide_walks(complex_, bundle, spray)
+    elif complex_.simplex_vertices:
+        out = _subdivide_flags(complex_, bundle, spray)
+    else:
+        raise UnsupportedStructureError(
+            "3-complexes need simplicial structure for subdivision; attaching data "
+            "of general 3-cells is not reconstructible from incidence records"
+        )
+    if out[0].euler_characteristic() != complex_.euler_characteristic():
+        raise UnsupportedStructureError("subdivision changed the Euler characteristic")
+    return out
+
+
+def _transfer_spray(smap, spray, internal):
+    """Each target cell's leg: its carrier's leg, transferred once per carrier,
+    then ``internal(cell, carrier)``, a walk inside the carrier."""
+    moved, legs = {}, []
+    for c in smap.target.cells:
+        carrier = smap.cell_carriers[c.id]
+        if carrier not in moved:
+            moved[carrier] = smap.path_transfer(spray.leg(carrier))
+        legs.append((c.id, moved[carrier].compose(internal(c, carrier))))
+    return Spray(tuple(legs))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +222,9 @@ def _subdivide_walks(cx, bundle, spray):
         chain_coefficients=chain,
     )
 
-    new_legs = []
-    for c in target.cells:
-        carrier = carriers[c.id]
-        base = smap.path_transfer(spray.leg(carrier))
-        internal = _internal_path_walks(cx, c, carrier, bary_v, face_anchor_spoke)
-        new_legs.append((c.id, base.compose(internal)))
-    new_spray = Spray(tuple(new_legs))
-
-    if target.euler_characteristic() != cx.euler_characteristic():
-        raise UnsupportedStructureError("subdivision changed the Euler characteristic")
+    new_spray = _transfer_spray(
+        smap, spray, lambda c, carrier: _internal_path_walks(cx, c, carrier, bary_v, face_anchor_spoke)
+    )
     return target, new_bundle, new_spray, smap
 
 
@@ -199,7 +235,7 @@ def _internal_path_walks(cx, new_cell, carrier, bary_v, face_anchor_spoke):
     dst = new_cell.anchor
     cdim = cx.cell(carrier).dim
     if cdim == 0:
-        return EdgePath((), src, dst)
+        return EdgePath.of_normal((), src, dst)
     if cdim == 1:
         # dispatch on the new cell itself: endpoint vertices may coincide
         # (loop edges), so the destination vertex alone is ambiguous
@@ -209,15 +245,15 @@ def _internal_path_walks(cx, new_cell, carrier, bary_v, face_anchor_spoke):
         from_tail = src == t
         if new_cell.id == h0:  # anchored at the tail
             return (
-                EdgePath((), t, t)
+                EdgePath.of_normal((), t, t)
                 if from_tail
-                else EdgePath(((h1, -1), (h0, -1)), h, t)
+                else EdgePath.of_normal(((h1, -1), (h0, -1)), h, t)
             )
         if new_cell.id in (h1, bc):  # anchored at the barycenter
             return (
-                EdgePath(((h0, 1),), t, bc)
+                EdgePath.of_normal(((h0, 1),), t, bc)
                 if from_tail
-                else EdgePath(((h1, -1),), h, bc)
+                else EdgePath.of_normal(((h1, -1),), h, bc)
             )
         raise UnsupportedStructureError(
             f"unexpected edge-carried cell {new_cell.id!r}"
@@ -225,11 +261,11 @@ def _internal_path_walks(cx, new_cell, carrier, bary_v, face_anchor_spoke):
     # carrier is a 2-cell: route through the face barycenter via corner spoke 0
     r0 = face_anchor_spoke[carrier]
     bf = bary_v[carrier]
-    to_bf = EdgePath(((r0, -1),), src, bf)
+    to_bf = EdgePath.of_normal(((r0, -1),), src, bf)
     if dst == bf:
         return to_bf
     if dst == src:
-        return EdgePath((), src, src)
+        return EdgePath.of_normal((), src, src)
     raise UnsupportedStructureError(
         f"no internal route from {src!r} to {dst!r} inside {carrier!r}"
     )
@@ -246,57 +282,56 @@ def _subdivide_flags(cx, bundle, spray):
     def bid(cell_id):
         return f"b.{cell_id}"
 
-    by_cell_verts = {cid: frozenset(vs) for cid, vs in simp.items()}
-    flags = []
-
-    def grow(chain_ids):
-        flags.append(tuple(chain_ids))
-        smallest = chain_ids[0]
-        for other in ids:
-            if by_cell_verts[other] < by_cell_verts[smallest]:
-                grow([other] + chain_ids)
-
-    for cid in ids:
-        grow([cid])
+    # flags ending at a cell: the cell alone, or a flag ending at one of its
+    # proper faces followed by the cell; faces come before their cofaces
+    cell_of = {frozenset(vs): cid for cid, vs in simp.items()}
+    flags_to = {}  # cell -> flags ending at it, as barycenter tuples
+    for cid in sorted(ids, key=lambda c: len(simp[c])):
+        vs, b = simp[cid], (bid(cid),)
+        subs = (frozenset(f) for k in range(1, len(vs)) for f in combinations(vs, k))
+        faces = [cell_of[f] for f in subs if f in cell_of]
+        flags_to[cid] = [b] + [fl + b for f in faces for fl in flags_to[f]]
     bid_map = {bid(c): c for c in ids}
-    flag_simplices = [tuple(bid(c) for c in fl) for fl in flags]
+    # longest first, so the builder meets each sub-flag after a flag that holds it
+    flag_simplices = [fl for fls in reversed(flags_to.values()) for fl in reversed(fls)]
     target = simplicial_complex(f"{cx.name}-sub", flag_simplices, bid(cx.base_vertex))
 
-    carriers = {}
+    # a flag simplex is carried by the top of its chain, the face with most vertices
+    size = {b: len(simp[c]) for b, c in bid_map.items()}
     vertex_images = {c.id: bid(c.id) for c in cx.cells_of_dim(0)}
-    for c in target.cells:
-        tops = [bid_map[v] for v in target.simplex_vertices[c.id]]
-        carriers[c.id] = max(tops, key=lambda t: (len(by_cell_verts[t]), str(t)))
+    carriers = {
+        sid: bid_map[max(vs, key=size.__getitem__)] for sid, vs in target.simplex_vertices.items()
+    }
 
     anchor_of = {cid: cx.cell(cid).anchor for cid in ids}
 
     def old_edge_path(u, v):
         if u == v:
-            return EdgePath((), u, u)
+            return ()
         key = tuple(sorted((u, v), key=str))
         eid = "|".join(str(x) for x in key)
         if not cx.has_cell(eid):
             raise UnsupportedStructureError(f"missing old edge {eid!r}")
-        return (
-            EdgePath(((eid, 1),), key[0], key[1])
-            if key[0] == u
-            else EdgePath(((eid, -1),), key[1], key[0])
-        )
+        return ((eid, 1 if key[0] == u else -1),)
 
-    mats, walks = {}, {}
+    # each new edge: its oriented steps by barycenter pair, and the walk
+    # between the anchors of the two cells it joins
+    step, mats, walks = {}, {}, {}
     for e in target.cells_of_dim(1):
-        tt, hh = target.edge_endpoints(e.id)
-        path = old_edge_path(anchor_of[bid_map[tt]], anchor_of[bid_map[hh]])
-        mats[e.id] = bundle.walk(path.steps, walks)
+        u, v = target.simplex_vertices[e.id]
+        step[u, v], step[v, u] = (e.id, 1), (e.id, -1)
+        mats[e.id] = bundle.walk(old_edge_path(anchor_of[bid_map[u]], anchor_of[bid_map[v]]), walks)
     new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
+
+    def edge_step(a, b):
+        if (a, b) not in step:
+            raise UnsupportedStructureError(f"missing subdivision edge {a!r} - {b!r}")
+        return step[a, b]
 
     step_images = {}
     for e in cx.cells_of_dim(1):
         t, h = cx.edge_endpoints(e.id)
-        step_images[e.id] = (
-            _flag_edge_step(target, bid(t), bid(e.id)),
-            _flag_edge_step(target, bid(e.id), bid(h)),
-        )
+        step_images[e.id] = (edge_step(bid(t), bid(e.id)), edge_step(bid(e.id), bid(h)))
 
     smap = SubdivisionMap(
         source=cx,
@@ -307,40 +342,19 @@ def _subdivide_flags(cx, bundle, spray):
         chain_coefficients=_cone_chain_map(cx, target, bid),
     )
 
-    new_legs = []
-    for c in target.cells:
-        carrier = carriers[c.id]
-        base = smap.path_transfer(spray.leg(carrier))
-        internal = _internal_path_flags(target, c, carrier, bid, anchor_of)
-        new_legs.append((c.id, base.compose(internal)))
-    new_spray = Spray(tuple(new_legs))
+    def internal(new_cell, carrier):
+        """Walk from the carrier anchor's image to the new cell's anchor through b.carrier."""
+        src, dst, bc = bid(anchor_of[carrier]), new_cell.anchor, bid(carrier)
+        if src == dst:
+            return EdgePath.of_normal((), src, src)
+        steps = []
+        if src != bc:
+            steps.append(edge_step(src, bc))
+        if dst != bc:
+            steps.append(edge_step(bc, dst))
+        return EdgePath.of_normal(tuple(steps), src, dst)
 
-    if target.euler_characteristic() != cx.euler_characteristic():
-        raise UnsupportedStructureError("subdivision changed the Euler characteristic")
-    return target, new_bundle, new_spray, smap
-
-
-def _flag_edge_step(target, a, b):
-    """Oriented step along the target edge joining barycenter vertices a, b."""
-    key = tuple(sorted((a, b), key=str))
-    eid = "|".join(str(x) for x in key)
-    if not target.has_cell(eid):
-        raise UnsupportedStructureError(f"missing subdivision edge {eid!r}")
-    return (eid, 1) if key[0] == a else (eid, -1)
-
-
-def _internal_path_flags(target, new_cell, carrier, bid, anchor_of):
-    src = bid(anchor_of[carrier])
-    dst = new_cell.anchor
-    if src == dst:
-        return EdgePath((), src, src)
-    bc = bid(carrier)
-    steps = []
-    if src != bc:
-        steps.append(_flag_edge_step(target, src, bc))
-    if dst != bc:
-        steps.append(_flag_edge_step(target, bc, dst))
-    return EdgePath(tuple(steps), src, dst)
+    return target, new_bundle, _transfer_spray(smap, spray, internal), smap
 
 
 def _cone_chain_map(cx, target, bid):

@@ -11,12 +11,13 @@ what twisted assembly consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import linalg_exact as lx
 from .errors import InvalidComplexError, PathComplexMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgePath:
     """Walk in the 1-skeleton: ordered (edge id, direction) steps."""
 
@@ -29,6 +30,15 @@ class EdgePath:
         if not self.steps and self.dst is None:
             object.__setattr__(self, "dst", self.src)
 
+    @classmethod
+    def of_normal(cls, steps, src, dst):
+        """Path from a tuple of (edge, int) steps, as __post_init__ leaves them; not re-normalized."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "src", src)
+        object.__setattr__(path, "dst", dst)
+        return path
+
     @property
     def is_empty(self):
         return not self.steps
@@ -38,14 +48,16 @@ class EdgePath:
         return self.src == self.dst
 
     def reverse(self):
-        return EdgePath(tuple((e, -d) for e, d in reversed(self.steps)), self.dst, self.src)
+        return EdgePath.of_normal(
+            tuple((e, -d) for e, d in reversed(self.steps)), self.dst, self.src
+        )
 
     def compose(self, other):
         if self.dst != other.src:
             raise PathComplexMismatchError(
                 f"cannot compose path ending at {self.dst!r} with path starting at {other.src!r}"
             )
-        return EdgePath(self.steps + other.steps, self.src, other.dst)
+        return EdgePath.of_normal(self.steps + other.steps, self.src, other.dst)
 
     def __mul__(self, other):
         return self.compose(other)
@@ -58,14 +70,14 @@ class EdgePath:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     id: object
     dim: int
     anchor: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Incidence:
     coface: object
     face: object
@@ -191,7 +203,9 @@ class ComplexDescription:
         ids = [c.id for c in self.cells]
         if len(set(ids)) != len(ids):
             rep.add("duplicate-id", "cell ids are not unique")
-        if not self.has_cell(self.base_vertex) or self.cell(self.base_vertex).dim != 0:
+        dim = {c.id: c.dim for c in self.cells}  # the last cell of an id wins, as in cell()
+        anchor = {c.id: c.anchor for c in self.cells}
+        if dim.get(self.base_vertex) != 0:
             rep.add("base-vertex", f"base vertex {self.base_vertex!r} is not a 0-cell")
         for c in self.cells:
             if c.dim < 0:
@@ -199,13 +213,25 @@ class ComplexDescription:
             if c.dim == 0:
                 if c.anchor != c.id:
                     rep.add("anchor", f"0-cell {c.id!r} must anchor itself")
-            elif not self.has_cell(c.anchor) or self.cell(c.anchor).dim != 0:
+            elif dim.get(c.anchor) != 0:
                 rep.add("anchor", f"cell {c.id!r} anchor {c.anchor!r} is not a 0-cell")
+        # 1-cells need well-defined endpoints before connector checks mean anything
+        ends, bad_edges = {}, []
+        for c in self._by_dim.get(1, ()):
+            recs = self._incident_by_coface.get(c.id, ())
+            heads = [r.face for r in recs if r.coeff == 1]
+            tails = [r.face for r in recs if r.coeff == -1]
+            if len(heads) != 1 or len(tails) != 1 or len(recs) != 2:
+                bad_edges.append(c.id)
+            else:
+                ends[c.id] = (tails[0], heads[0])
+        # one sweep over the records; connector findings are reported after the endpoints
+        connectors = []
         for rec in self.incidences:
-            if not self.has_cell(rec.coface) or not self.has_cell(rec.face):
+            dc, df = dim.get(rec.coface), dim.get(rec.face)
+            if dc is None or df is None:
                 rep.add("incidence", f"incidence {rec.coface!r}->{rec.face!r} names unknown cells")
                 continue
-            dc, df = self.cell(rec.coface).dim, self.cell(rec.face).dim
             if dc != df + 1:
                 rep.add(
                     "incidence-dim",
@@ -213,41 +239,40 @@ class ComplexDescription:
                 )
             if rec.coeff == 0:
                 rep.add("incidence-coeff", f"incidence {rec.coface!r}->{rec.face!r} has coefficient 0")
-        # 1-cells need well-defined endpoints before path checks mean anything
-        endpoints_ok = True
-        for c in self.cells_of_dim(1):
-            recs = self.records_of(c.id)
-            plus = [r for r in recs if r.coeff == 1]
-            minus = [r for r in recs if r.coeff == -1]
-            if len(plus) != 1 or len(minus) != 1 or len(recs) != 2:
-                rep.add(
-                    "edge-endpoints",
-                    f"1-cell {c.id!r} needs exactly one +1 and one -1 vertex record",
-                )
-                endpoints_ok = False
-        if endpoints_ok:
-            for rec in self.incidences:
-                if not self.has_cell(rec.coface) or not self.has_cell(rec.face):
-                    continue
-                if self.cell(rec.coface).dim == 0:
-                    continue
-                a_from = self.cell(rec.coface).anchor
-                a_to = self.cell(rec.face).anchor
-                if rec.path.src != a_from or rec.path.dst != a_to or not self.path_is_valid(rec.path):
-                    rep.add(
-                        "connector",
-                        f"incidence {rec.coface!r}->{rec.face!r} connector is not a walk "
-                        f"{a_from!r} -> {a_to!r}",
-                    )
+            if bad_edges or dc == 0:
+                continue
+            a_from, a_to = anchor[rec.coface], anchor[rec.face]
+            path, at = rec.path, a_from
+            if path.src == a_from and path.dst == a_to:
+                for e, d in path.steps:
+                    if dim.get(e) != 1:
+                        break
+                    t, h = ends[e] if d == 1 else ends[e][::-1]
+                    if t != at:
+                        break
+                    at = h
+                else:
+                    if at == a_to:
+                        continue
+            connectors.append(
+                f"incidence {rec.coface!r}->{rec.face!r} connector is not a walk {a_from!r} -> {a_to!r}"
+            )
+        for e in bad_edges:
+            rep.add("edge-endpoints", f"1-cell {e!r} needs exactly one +1 and one -1 vertex record")
+        if not bad_edges:
+            for msg in connectors:
+                rep.add("connector", msg)
+            self._endpoints.update(ends)
             if not self._skeleton_connected():
                 rep.add("connectivity", "1-skeleton is not connected")
         # integer boundary-of-boundary, composed through the sparse columns;
         # reported in (face, coface) order
+        upper = self.boundary_columns(1)
         for d in range(2, self.dim + 1):
-            lower = self.boundary_columns(d - 1)
+            lower, upper = upper, self.boundary_columns(d)
             face_index = {c.id: i for i, c in enumerate(self.cells_of_dim(d - 2))}
             bad = []
-            for j, (cof, col) in enumerate(self.boundary_columns(d).items()):
+            for j, (cof, col) in enumerate(upper.items()):
                 acc = {}
                 for tau, x in col.items():
                     for f, y in lower[tau].items():
@@ -621,42 +646,37 @@ def cw_complex_from_words(name, vertices, edges, faces, base_vertex):
 
     vertices: iterable of ids.  edges: {id: (tail, head)}.
     faces: {id: [(edge, dir), ...]} with the walk starting (and closing) at the
-    face's anchor, which is the walk's first vertex.
+    face's anchor, which is the walk's first vertex.  Each face record carries
+    the walk prefix up to its edge's tail (the edge's anchor) as connector.
     """
     cells = [Cell(v, 0, v) for v in vertices]
     incidences = []
     for e, (t, h) in edges.items():
         cells.append(Cell(e, 1, t))
-        incidences.append(Incidence(e, h, 1, EdgePath(((e, 1),), t, h)))
-        incidences.append(Incidence(e, t, -1, EdgePath((), t, t)))
-    sk1 = ComplexDescription(cells, incidences, base_vertex, name)
+        incidences.append(Incidence(e, h, 1, EdgePath.of_normal(((e, 1),), t, h)))
+        incidences.append(Incidence(e, t, -1, EdgePath.of_normal((), t, t)))
     for f, word in faces.items():
         if not word:
             raise PathComplexMismatchError(f"face {f!r} has an empty attaching word")
-        first_tail, _ = sk1.step_endpoints(word[0])
-        anchor = first_tail
-        cells.append(Cell(f, 2, anchor))
-        at = anchor
-        prefix = EdgePath((), anchor, anchor)
+        prefix, anchor = (), None
         for e, d in word:
-            s, t = sk1.step_endpoints((e, d))
+            if e not in edges:
+                raise PathComplexMismatchError(f"face {f!r} word names unknown edge {e!r}")
+            s, t = edges[e] if d == 1 else reversed(edges[e])
+            if anchor is None:
+                anchor = at = s
             if s != at:
                 raise PathComplexMismatchError(f"face {f!r} word is not head-to-tail")
-            edge_anchor = sk1.cell(e).anchor
             if d == 1:
-                conn = prefix
+                conn = EdgePath.of_normal(prefix, anchor, s)
             else:
-                conn = EdgePath(prefix.steps + ((e, -1),), anchor, t)
-            if conn.dst != edge_anchor:
-                # connector must land on the edge's anchor; append tree-free fix
-                raise PathComplexMismatchError(
-                    f"face {f!r}: edge {e!r} anchor is not its tail; unsupported layout"
-                )
+                conn = EdgePath.of_normal(prefix + ((e, -1),), anchor, t)
             incidences.append(Incidence(f, e, d, conn))
-            prefix = EdgePath(prefix.steps + ((e, d),), anchor, t)
+            prefix += ((e, int(d)),)
             at = t
         if at != anchor:
             raise PathComplexMismatchError(f"face {f!r} word does not close")
+        cells.append(Cell(f, 2, anchor))
     return ComplexDescription(cells, incidences, base_vertex, name)
 
 
@@ -669,74 +689,35 @@ def simplicial_complex(name, simplices, base_vertex=None):
     simps = set()
     for s in simplices:
         s = tuple(sorted(set(s), key=str))
-        if not s:
-            continue
-        for k in range(1, len(s) + 1):
-            from itertools import combinations
-
-            for sub in combinations(s, k):
-                simps.add(sub)
-    verts = sorted({s[0] for s in simps if len(s) == 1}, key=str)
+        if s not in simps:  # a simplex already in comes with all its faces
+            for k in range(1, len(s) + 1):
+                simps.update(combinations(s, k))
+    order = sorted(simps, key=lambda s: (len(s), [str(v) for v in s]))
     if base_vertex is None:
-        base_vertex = verts[0]
+        base_vertex = order[0][0]
+    sid = {s: s[0] if len(s) == 1 else "|".join(map(str, s)) for s in order}
+    path = EdgePath.of_normal
+    stay = {s[0]: path((), s[0], s[0]) for s in order if len(s) == 1}  # shared empty walks
 
-    def sid(s):
-        return s[0] if len(s) == 1 else "|".join(str(v) for v in s)
-
-    cells = []
-    incidences = []
-    simplex_vertices = {}
-    edge_of = {}
-    for s in sorted(simps, key=lambda s: (len(s), [str(v) for v in s])):
-        cid = sid(s)
-        simplex_vertices[cid] = s
-        d = len(s) - 1
-        cells.append(Cell(cid, d, s[0]))
+    cells, edge_records, records = [], [], []
+    for s in order:
+        cid, d, v = sid[s], len(s) - 1, s[0]
+        cells.append(Cell(cid, d, v))
         if d == 1:
-            edge_of[s] = cid
-            incidences.append(Incidence(cid, s[1], 1, EdgePath(((cid, 1),), s[0], s[1])))
-            incidences.append(Incidence(cid, s[0], -1, EdgePath((), s[0], s[0])))
-
-    def epath(u, v):
-        """Single-edge path u -> v (vertices of a common simplex)."""
-        if u == v:
-            return EdgePath((), u, u)
-        key = tuple(sorted((u, v), key=str))
-        e = edge_of[key]
-        return EdgePath(((e, 1),), key[0], key[1]) if key[0] == u else EdgePath(
-            ((e, -1),), key[1], key[0]
-        )
-
-    for s in sorted(simps, key=lambda s: (len(s), [str(v) for v in s])):
-        d = len(s) - 1
-        if d < 2:
-            continue
-        cid = sid(s)
-        anchor = s[0]
-        if d == 2:
+            edge_records.append(Incidence(cid, s[1], 1, path(((cid, 1),), v, s[1])))
+            edge_records.append(Incidence(cid, v, -1, stay[v]))
+        elif d == 2:
             # attaching walk v0 -> v1 -> v2 -> v0; records carry prefix connectors
-            walk = [
-                (epath(s[0], s[1]), s[1]),
-                (epath(s[1], s[2]), s[2]),
-                (epath(s[2], s[0]), s[0]),
-            ]
-            prefix_steps = ()
-            at = anchor
-            for leg, target in walk:
-                (e, dd) = leg.steps[0]
-                if dd == 1:
-                    conn = EdgePath(prefix_steps, anchor, at)
-                else:
-                    conn = EdgePath(prefix_steps + ((e, -1),), anchor, target)
-                incidences.append(Incidence(cid, e, dd, conn))
-                prefix_steps = prefix_steps + ((e, dd),)
-                at = target
-            continue
-        # d >= 3: boundary faces with alternating signs; connector between anchors
-        for omit in range(d + 1):
-            face = s[:omit] + s[omit + 1 :]
-            incidences.append(
-                Incidence(cid, sid(face), (-1) ** omit, epath(s[0], face[0]))
-            )
-    cx = ComplexDescription(cells, incidences, base_vertex, name, simplex_vertices)
-    return cx
+            e01, e12, e02 = sid[s[:2]], sid[s[1:]], sid[(v, s[2])]
+            records.append(Incidence(cid, e01, 1, stay[v]))
+            records.append(Incidence(cid, e12, 1, path(((e01, 1),), v, s[1])))
+            walk = ((e01, 1), (e12, 1), (e02, -1))
+            records.append(Incidence(cid, e02, -1, path(walk, v, v)))
+        elif d >= 3:
+            # boundary faces with alternating signs; connector between anchors
+            first = path(((sid[s[:2]], 1),), v, s[1])
+            for omit in range(d + 1):
+                face = sid[s[:omit] + s[omit + 1 :]]
+                records.append(Incidence(cid, face, (-1) ** omit, stay[v] if omit else first))
+    simplex_vertices = {sid[s]: s for s in order}
+    return ComplexDescription(cells, edge_records + records, base_vertex, name, simplex_vertices)

@@ -51,16 +51,30 @@ def _to_pair(m, exact):
     return m
 
 
-def _not_invertible(m, k):
-    """Why the scaled pair m is not a finite invertible k x k matrix; None if it is."""
-    nums, _ = m
-    if nums.shape != (k, k):
-        return f"matrix is not {k} x {k}"
-    if nums.dtype.kind != "f":
-        return "matrix is singular" if lx.scaled_det(m) == 0 else None
-    if not np.isfinite(nums).all():
-        return "matrix entries must be finite"
-    return "matrix is singular" if lx.singular_float(nums) else None
+def _not_invertible(ms, k):
+    """Why each scaled pair in ms is not a finite invertible k x k matrix; None where it is.
+
+    Exact matrices by their exact determinants, each distinct object once;
+    float ones together, by one stacked finiteness and Hadamard test.
+    """
+    why, floats, dets = [None] * len(ms), [], {}
+    for i, m in enumerate(ms):
+        if m[0].shape != (k, k):
+            why[i] = f"matrix is not {k} x {k}"
+        elif m[0].dtype.kind == "f":
+            floats.append(i)
+        else:
+            if id(m) not in dets:
+                dets[id(m)] = lx.scaled_det(m)
+            why[i] = "matrix is singular" if dets[id(m)] == 0 else None
+    if floats:
+        stack = np.stack([ms[i][0] for i in floats])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        singular = np.zeros(len(floats), dtype=bool)
+        singular[finite] = lx.singular_float(stack[finite])
+        for i, ok, sing in zip(floats, finite, singular):
+            why[i] = "matrix entries must be finite" if not ok else "matrix is singular" if sing else None
+    return why
 
 
 class FlatBundle:
@@ -76,9 +90,10 @@ class FlatBundle:
         self.exact = bool(exact)
         # (edge, +1) -> scaled matrix; (edge, -1) -> its inverse, filled on first use
         self._pairs = {(e, 1): _to_pair(m, self.exact) for e, m in edge_matrices.items()}
-        for (e, _), m in self._pairs.items():
+        for m in self._pairs.values():
             m[0].flags.writeable = False  # pairs may be shared, so views are read-only
-            if why := _not_invertible(m, self.rank):
+        for (e, _), why in zip(self._pairs, _not_invertible(list(self._pairs.values()), self.rank)):
+            if why:
                 raise ValueError(f"edge {e!r}: {why}")
         rb = reference_basis
         if rb is not None:
@@ -86,7 +101,7 @@ class FlatBundle:
                 rb = _to_pair(rb, _is_exact(rb))
             except (TypeError, ValueError):
                 raise ValueError(f"reference_basis: expected {self.rank} x {self.rank} rows") from None
-            if why := _not_invertible(rb, self.rank):
+            if why := _not_invertible([rb], self.rank)[0]:
                 raise ValueError(f"reference_basis: {why}")
             rb = lx.unscaled(rb)
         self.reference_basis = rb

@@ -226,16 +226,16 @@ def exp_float(log_x, what):
 
 
 def singular_float(m):
-    """Whether |det m| <= 1e-14 prod_i |row_i| for a square float matrix.
+    """Whether |det m| <= 1e-14 prod_i |row_i| for a square float matrix, or
+    for each matrix of a stack (one bool per matrix).
 
     The bound is Hadamard's, so the test is scale-free.  It is taken on the
-    rows divided by their largest entry, so no entry size overflows it.
+    rows divided by their largest entry, so no entry size overflows it; a
+    zero row makes both sides exactly 0.
     """
-    big = np.abs(m).max(axis=1, keepdims=True)
-    if not big.all():
-        return True
-    m = m / big
-    return abs(np.linalg.det(m)) <= 1e-14 * np.prod(np.linalg.norm(m, axis=1))
+    big = np.abs(m).max(axis=-1, keepdims=True)
+    m = m / np.where(big == 0, 1.0, big)
+    return np.abs(np.linalg.det(m)) <= 1e-14 * np.prod(np.linalg.norm(m, axis=-1), axis=-1)
 
 
 def _bareiss(m, n, jordan=False):

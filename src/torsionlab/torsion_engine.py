@@ -43,7 +43,7 @@ EULER_ACTION_EXPONENT = -2
 
 GRADING_CONVENTION = "chain_even_straight"
 
-# Largest dense boundary, in bytes at 8 per entry, that the boundary views lay
+# Largest dense boundary or Laplacian, in bytes at 8 per entry, that is laid
 # out; beyond it DenseSizeError is raised before allocating.
 DENSE_BUDGET_BYTES = 2**31
 
@@ -310,6 +310,8 @@ def laplacians(tcc):
 
 
 def _laplacian(tcc, d):
+    n = tcc.dims.get(d, 0)
+    _require_dense_fits(n, n, f"degree-{d} Laplacian")
     dn, up = tcc.boundary(d), tcc.boundary(d + 1)  # empty past either end
     return dn @ dn.T + up.T @ up
 

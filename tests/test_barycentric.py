@@ -67,6 +67,23 @@ class TestChainMap:
                 resid = np.abs(phi_d @ tcc2.boundary(d) - tcc.boundary(d) @ phi_p).max()
                 assert resid <= 1e-9
 
+    @pytest.mark.parametrize("name, rounds", [("sphere", 2), ("rp2", 2), ("tetra-solid", 1)])
+    def test_transport_reference_equals_the_dense_product(self, name, rounds):
+        item = corpus_get(name)
+        cx, spray = item.complex, item.spray
+        bundle = random_flat_bundle(name, cx, np.random.default_rng(7), rank=2)
+        rng = np.random.default_rng(11)
+        for _ in range(rounds):
+            cx2, b2, s2, smap = barycentric_subdivide(cx, bundle, spray)
+            refs = {d: rng.standard_normal((2, 2 * len(cx.cells_of_dim(d)))) for d in range(cx.dim + 1)}
+            got = smap.transport_reference(refs, 2)
+            assert sorted(got) == sorted(refs)
+            for d, rows in refs.items():
+                assert np.array_equal(got[d], rows @ smap.chain_map_matrix(d, 2))
+            with pytest.raises(ValueError, match="columns"):
+                smap.transport_reference({0: rng.standard_normal((1, 3))}, 2)
+            cx, bundle, spray = cx2, b2, s2
+
     def test_integer_chain_map_on_flags(self):
         (cx, bundle, spray), (cx2, b2, s2, smap) = subdivide_corpus("tetra-solid", rank=1)
         for d in range(1, 4):

@@ -264,6 +264,20 @@ class TestExactness:
         with pytest.raises(ValueError, match="reference_basis"):
             FlatBundle(rank, edges).with_reference_basis(basis)
 
+    def test_stacked_check_names_the_first_failing_edge(self):
+        good, zero_row = np.eye(2), np.array([[0.0, 0.0], [1.0, 2.0]])
+        flat, inf = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]])
+        for mats, words in [
+            ({"a": good, "b": zero_row, "c": inf}, "edge 'b': matrix is singular"),
+            ({"a": good, "c": inf, "b": flat}, "edge 'c': matrix entries must be finite"),
+            ({"a": good, "b": np.eye(3), "c": flat}, "edge 'b': matrix is not 2 x 2"),
+        ]:
+            with pytest.raises(ValueError, match=words):
+                FlatBundle(2, mats)
+        assert list(lx.singular_float(np.stack([good, zero_row, flat, 1e-300 * good]))) == [
+            False, True, True, False,
+        ]
+
     def test_non_finite_edge_matrix_rejected(self):
         with pytest.raises(ValueError, match="edge 'e': matrix entries must be finite"):
             FlatBundle(1, {"e": [[float("inf")]]})

@@ -992,6 +992,21 @@ class TestDenseBudget:
         assert tcc.boundary(big).shape == (tcc.dims[big], tcc.dims[big - 1])
         assert issubclass(DenseSizeError, TorsionLabError)
 
+    def test_laplacian_over_budget_raises_where_the_boundaries_fit(self, monkeypatch):
+        # rank-1 trivial torus: D_1 is 2 x 1 and D_2 is 1 x 2 (16 bytes each), Delta_1 is 2 x 2
+        cx, _, spray = triple("torus")
+        tcc = assemble(cx, FlatBundle(1, {"a": [[1]], "b": [[1]]}), spray)
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", 16)
+        assert tcc.boundary(1).shape == (2, 1) and tcc.boundary(2).shape == (1, 2)
+        zeros = counting(monkeypatch, np, "zeros")
+        reads = counting(monkeypatch, type(tcc), "boundary")
+        with pytest.raises(DenseSizeError, match="degree-1 Laplacian is 2 x 2"):
+            laplacians(tcc)
+        # only Delta_0 was formed: its empty D_0 is the one array laid out
+        assert zeros == [((1, 0),)] and [d for _, d in reads] == [0, 1]
+        with pytest.raises(DenseSizeError, match="degree-1 Laplacian"):
+            harmonic_data(tcc)  # b_1 = 2, so degree 1 needs eigh of Delta_1
+
 
 def torus_triple():
     """Fresh torus, rank-2 exact bundle and canonical spray: H1 = Z^2, acyclic."""
