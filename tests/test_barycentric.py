@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from torsionlab import barycentric
 from torsionlab import linalg_exact as lx
 from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.complex_core import EdgePath, point_complex, simplicial_complex
 from torsionlab.corpus import corpus_get, random_flat_bundle
 from torsionlab.errors import UnsupportedDimensionError, UnsupportedStructureError
-from torsionlab.euler_struct import canonical_spray, validate_spray
+from torsionlab.euler_struct import act, canonical_spray, h1_class_for, validate_spray
 from torsionlab.flat_bundle import FlatBundle, check_flatness, transport
 from torsionlab.torsion_engine import assemble, ft_torsion
 
@@ -135,6 +136,30 @@ class TestBundleRefinement:
         # the attaching word a b a^-1 b^-1 steps backwards along both edges
         assert len(inverted) == 2
         assert {id(m) for m in inverted} == {id(bundle.scaled("a")), id(bundle.scaled("b"))}
+
+
+class TestCheckReuse:
+    def test_verdicts_of_the_last_assembly_are_not_checked_again(self, monkeypatch):
+        item = corpus_get("torus")
+        cx, spray = item.complex, item.spray
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
+        wound = act(cx, h1_class_for(cx, (0, 1)), spray)
+        calls = []
+        for name in ("validate_spray", "require_flat"):
+            fn = getattr(barycentric, name)
+            monkeypatch.setattr(barycentric, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+
+        def checks(spray):
+            calls.clear()
+            barycentric_subdivide(cx, bundle, spray)
+            return sorted(calls)
+
+        assert checks(spray) == ["require_flat", "validate_spray"]  # nothing assembled yet
+        assemble(cx, bundle, spray)
+        assert checks(spray) == checks(canonical_spray(cx)) == []  # the same or an equal spray
+        assert checks(wound) == ["validate_spray"]  # another spray on the same complex
+        assemble(corpus_get("torus").complex, bundle, spray)  # the slot now holds another complex
+        assert checks(spray) == ["require_flat", "validate_spray"]
 
 
 class TestTorsionInvariance:
