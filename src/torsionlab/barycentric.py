@@ -84,14 +84,13 @@ class SubdivisionMap:
             if rows.shape[-1] != rank * len(sources):
                 raise ValueError(f"degree-{d} reference rows need {rank * len(sources)} columns")
             col = {c.id: j for j, c in enumerate(self.target.cells_of_dim(d))}
-            i, j, sign = np.array(
-                [(i, col[t], x) for i, c in enumerate(sources)
-                 for t, x in self.chain_coefficients[c.id].items()], dtype=int,
-            ).reshape(-1, 3).T
+            pairs = [(i, col[t], x) for i, c in enumerate(sources)
+                     for t, x in self.chain_coefficients[c.id].items()]
+            src, tgt, sign = np.array(pairs, dtype=int).reshape(-1, 3).T
             k = np.arange(rank)
             out[d] = np.zeros(rows.shape[:-1] + (rank * len(col),))
-            np.add.at(out[d], (..., (rank * j[:, None] + k).ravel()),
-                      rows[..., (rank * i[:, None] + k).ravel()] * np.repeat(sign, rank))
+            np.add.at(out[d], (..., (rank * tgt[:, None] + k).ravel()),
+                      rows[..., (rank * src[:, None] + k).ravel()] * np.repeat(sign, rank))
         return out
 
 
