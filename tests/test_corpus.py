@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from torsionlab.corpus import corpus_get, corpus_list, random_flat_bundle
+from torsionlab.corpus import corpus_get, corpus_list, random_flat_bundle, random_invertible
 from torsionlab.flat_bundle import check_flatness
 from torsionlab.serialization import (
     bundle_to_jsonable,
@@ -26,6 +29,9 @@ EXPECTED_DIGESTS = {
     "tetra-solid": "0dd9b7850bb480c7206ba6c3d524c5d5ba238854dbc8cacf6d9c2decf165ae32",
     "torus": "420cac1927f5967ef782ad1593ef31e991454e322a0d9206012f4118beee4933",
 }
+
+# Digest of _draws_record(): every corpus item at ranks None/1/2/3 and seeds 0-3.
+RANDOM_DRAWS_DIGEST = "50e973fa97cf22b7009c2e45d34568eee36cd5e25b211152aeb3670c965ccf02"
 
 EXPECTED_TOPOLOGY = {
     # name -> (chi, H1)
@@ -86,3 +92,36 @@ def test_random_bundles_are_exactly_flat(name):
         rep = check_flatness(cx, b)
         assert rep.mode == "exact"
         assert all(d == 0 for d in rep.deviations.values())
+
+
+def _draws_record():
+    """Everything the seeded generators produce, as plain JSON data."""
+    out = []
+    for name in corpus_list():
+        cx = corpus_get(name).complex
+        for rank in (None, 1, 2, 3):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                b = random_flat_bundle(name, cx, rng, rank=rank)
+                pairs = [
+                    [str(e), str(nums.dtype), nums.tolist(), den]
+                    for e in sorted(b.edge_matrices, key=str)
+                    for nums, den in [b.scaled(e)]
+                ]
+                out.append([name, rank, seed, bundle_to_jsonable(b), pairs, int(rng.integers(1 << 62))])
+    for k in (1, 2, 3):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m = random_invertible(rng, k)
+            out.append([k, seed, [[str(x) for x in row] for row in m], int(rng.integers(1 << 62))])
+    return out
+
+
+def test_random_generators_are_pinned():
+    """The seeded random bundles and matrices, and the rng state they leave.
+
+    The values are exact and PCG64 is portable, so the digest is the same on
+    every host; the benchmark's input digests rest on these draws.
+    """
+    text = json.dumps(_draws_record(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DRAWS_DIGEST
