@@ -36,7 +36,7 @@ class CircleModel:
         h = self.holonomy
         if not isinstance(h, np.ndarray):
             try:
-                h = lx.to_float(lx.fmat(h))
+                h = lx.to_float(h)
             except TypeError:
                 h = np.array(h, dtype=float)
         self.holonomy = np.array(h, dtype=float)

@@ -3,8 +3,9 @@
 Verbs: validate, chi, homology, subdivide, transport, kt,
 euler {diff,act,loop-modify}, torsion {compute,compare}, analytic circle,
 suite run NAME, corpus {list,get}.  File formats are the JSON schemas of the
-library; exact rationals travel as "p/q" strings; floats print with 17
-significant digits.
+library; exact rationals travel as "p/q" strings; floats print as the
+shortest repr that reads back to the same double.  Unreadable or malformed
+input exits 2 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .complex_core import EdgePath
 from .corpus import corpus_get, corpus_list
 from .errors import TorsionLabError
 from .euler_struct import act, canonical_spray, h1_class_for, loop_modify, spray_difference
-from .flat_bundle import kt_class, kt_evaluate, transport
+from .flat_bundle import kt_class, kt_evaluate
 from .serialization import (
     FormatError,
     bundle_from_jsonable,
@@ -31,8 +32,8 @@ from .serialization import (
     canonical_dumps,
     complex_from_jsonable,
     complex_to_jsonable,
-    jsonable_with_floats,
     load_json,
+    numpy_scalar,
     path_from_jsonable,
     save_json,
     spray_from_jsonable,
@@ -46,8 +47,9 @@ def _load_complex(path):
     return complex_from_jsonable(load_json(path))
 
 
-def _load_bundle(path, exact=None):
-    return bundle_from_jsonable(load_json(path), exact=exact)
+def _load_bundle(args, path):
+    """The bundle file at path; with --exact a float entry is a FormatError."""
+    return bundle_from_jsonable(load_json(path), exact=True if args.exact else None)
 
 
 def _load_spray(path, cx):
@@ -58,7 +60,7 @@ def _emit(args, payload):
     if getattr(args, "json", False):
         print(canonical_dumps(payload))
     else:
-        print(json.dumps(jsonable_with_floats(payload), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=numpy_scalar))
 
 
 def _path_from_arg(text, cx):
@@ -186,7 +188,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (TorsionLabError, FormatError, KeyError, ValueError) as exc:
+    except (TorsionLabError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -213,7 +215,7 @@ def _dispatch(args):
 
     if args.cmd == "subdivide":
         cx = _load_complex(args.complex)
-        bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
+        bundle = _load_bundle(args, args.bundle)
         spray = _spray_for(args, cx)
         sub_cx, sub_b, sub_s, smap = barycentric_subdivide(cx, bundle, spray)
         payload = {
@@ -233,15 +235,14 @@ def _dispatch(args):
 
     if args.cmd == "transport":
         cx = _load_complex(args.complex)
-        bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
-        path = _path_from_arg(args.path, cx)
-        m = transport(bundle, path)
-        _emit(args, {"matrix": (lx.to_float(m) if bundle.exact else m).tolist()})
+        bundle = _load_bundle(args, args.bundle)
+        steps = _path_from_arg(args.path, cx).steps
+        _emit(args, {"matrix": lx.scaled_to_float(*bundle.walk(steps, {})).tolist()})
         return 0
 
     if args.cmd == "kt":
         cx = _load_complex(args.complex)
-        bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
+        bundle = _load_bundle(args, args.bundle)
         if args.loop:
             loop = _path_from_arg(args.loop, cx)
             _emit(args, {"value": kt_evaluate(bundle, loop)})
@@ -273,7 +274,7 @@ def _dispatch(args):
     if args.cmd == "torsion":
         if args.torsion_cmd == "compute":
             cx = _load_complex(args.complex)
-            bundle = _load_bundle(args.bundle, exact=True if args.exact else None)
+            bundle = _load_bundle(args, args.bundle)
             spray = _spray_for(args, cx)
             tcc = assemble(cx, bundle, spray)
             out = ft_torsion_of_tcc(tcc, rank_tol=rank_tol).to_jsonable()
@@ -284,10 +285,10 @@ def _dispatch(args):
             return 0
         if args.torsion_cmd == "compare":
             cx1 = _load_complex(args.complex)
-            b1 = _load_bundle(args.bundle, exact=True if args.exact else None)
+            b1 = _load_bundle(args, args.bundle)
             s1 = _load_spray(args.spray, cx1) if args.spray else canonical_spray(cx1)
             cx2 = _load_complex(args.complex2)
-            b2 = _load_bundle(args.bundle2, exact=True if args.exact else None)
+            b2 = _load_bundle(args, args.bundle2)
             s2 = _load_spray(args.spray2, cx2) if args.spray2 else canonical_spray(cx2)
             r1 = ft_torsion(cx1, b1, s1, rank_tol=rank_tol)
             r2 = ft_torsion(cx2, b2, s2, rank_tol=rank_tol)

@@ -10,6 +10,7 @@ what twisted assembly consumes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -395,32 +396,30 @@ class ComplexDescription:
     # -- spanning tree and H1 machinery --------------------------------------
 
     def spanning_tree(self):
-        """Deterministic spanning tree, lowest-id-first growth from the base."""
+        """Deterministic spanning tree grown from the base vertex: each step adds
+        the lowest-index edge with exactly one endpoint in the tree.
+
+        Candidates wait in a heap of edge indices, pushed as their first
+        endpoint joins; an edge popped with both endpoints in stays out for good.
+        """
         if self._tree is not None:
             return self._tree
         self.require_valid()
-        edges = self.cells_of_dim(1)
-        in_tree_vertices = {self.base_vertex}
-        tree_edges = []
-        parent = {self.base_vertex: None}  # vertex -> (edge, dir) into it
-        changed = True
-        while changed:
-            changed = False
-            for e in edges:
-                t, h = self.edge_endpoints(e.id)
-                if t in in_tree_vertices and h not in in_tree_vertices:
-                    tree_edges.append(e.id)
-                    parent[h] = (e.id, 1, t)
-                    in_tree_vertices.add(h)
-                    changed = True
-                    break
-                if h in in_tree_vertices and t not in in_tree_vertices:
-                    tree_edges.append(e.id)
-                    parent[t] = (e.id, -1, h)
-                    in_tree_vertices.add(t)
-                    changed = True
-                    break
-        self._tree = (set(tree_edges), parent)
+        edges = [(e.id, *self.edge_endpoints(e.id)) for e in self.cells_of_dim(1)]
+        at = {}  # vertex -> indices of its edges
+        for i, (_, t, h) in enumerate(edges):
+            at.setdefault(t, []).append(i)
+            at.setdefault(h, []).append(i)
+        parent = {self.base_vertex: None}  # vertex -> (edge, dir, previous vertex)
+        heap = list(at.get(self.base_vertex, ()))  # ascending, so already a heap
+        while heap:
+            e, t, h = edges[heapq.heappop(heap)]
+            if (t in parent) != (h in parent):
+                v, step = (h, (e, 1, t)) if t in parent else (t, (e, -1, h))
+                parent[v] = step
+                for i in at[v]:
+                    heapq.heappush(heap, i)
+        self._tree = ({step[0] for step in parent.values() if step}, parent)
         return self._tree
 
     def tree_path(self, vertex):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg_exact as lx
 from .complex_core import (
     Cell,
     ComplexDescription,
@@ -190,18 +191,27 @@ def _rand_frac(rng, lo=-3, hi=3, den=(1, 2, 3)):
 def random_invertible(rng, k, max_tries=100):
     for _ in range(max_tries):
         m = [[_rand_frac(rng) for _ in range(k)] for _ in range(k)]
-        from . import linalg_exact as lx
-
-        if lx.det(m) != 0:
+        if lx.scaled_det(lx.scaled(m)) != 0:
             return m
     raise TorsionLabError("could not draw an invertible rational matrix")
 
 
 def _holonomy_family(name, rng, rank):
-    """Edge -> matrix solving the attaching relations of the named complex."""
-    from . import linalg_exact as lx
+    """Edge -> scaled matrix solving the attaching relations of the named complex."""
+    if name.startswith("lens-"):
+        p = int(name.split("-")[1])
+        base = lx.scaled(companion_matrix_cyclotomic(p))
+        m = (np.eye(p - 1, dtype=np.int64), 1)
+        for _ in range(int(rng.integers(1, p))):
+            m = lx.scaled_matmul(m, base)
+        return {"e": m}
+    if name in ("sphere", "tetra-solid"):
+        return None  # simply connected: holonomy is trivial, gauge supplies noise
+    return {e: lx.scaled(m) for e, m in _holonomy_rows(name, rng, rank).items()}
 
-    eye = lx.identity(rank)
+
+def _holonomy_rows(name, rng, rank):
+    """Edge -> Fraction rows solving the attaching relations of a non-lens item."""
     if name in ("circle-1cell",):
         return {"e": random_invertible(rng, rank)}
     if name == "circle-2vertex":
@@ -255,21 +265,9 @@ def _holonomy_family(name, rng, rank):
         invol = [[p, q], [r, -p]]
         if rank == 2:
             return {"a": invol}
-        out = lx.identity(rank)
+        out = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
         out[0][0], out[0][1], out[1][0], out[1][1] = p, q, r, -p
         return {"a": out}
-    if name.startswith("lens-"):
-        _, p, _ = name.split("-")
-        p = int(p)
-        base = companion_matrix_cyclotomic(p)
-        k = p - 1
-        power = int(rng.integers(1, p))
-        m = lx.identity(k)
-        for _ in range(power):
-            m = lx.matmul(m, base)
-        return {"e": m}
-    if name in ("sphere", "tetra-solid"):
-        return None  # simply connected: holonomy is trivial, gauge supplies noise
     raise KeyError(f"no holonomy family for corpus item {name!r}")
 
 
@@ -282,18 +280,16 @@ def random_flat_bundle(name, cx, rng, rank=None):
     fam = _holonomy_family(name, rng, rank or 1)
     if fam is None:
         k = rank or int(rng.choice([1, 2]))
-        fam = {c.id: None for c in cx.cells_of_dim(1)}
+        fam = {}
     else:
-        k = len(fam[next(iter(fam))]) if fam else (rank or 1)
-    from . import linalg_exact as lx
-
-    gauges = {v.id: random_invertible(rng, k) for v in cx.cells_of_dim(0)}
-    gauges[cx.base_vertex] = lx.identity(k)
+        k = len(next(iter(fam.values()))[0]) if fam else (rank or 1)
+    gauges = {v.id: lx.scaled(random_invertible(rng, k)) for v in cx.cells_of_dim(0)}
+    gauges[cx.base_vertex] = (np.eye(k, dtype=np.int64), 1)
     mats = {}
     for e in cx.cells_of_dim(1):
         t, h = cx.edge_endpoints(e.id)
-        core = fam.get(e.id) if fam else None
-        if core is None:
-            core = lx.identity(k)
-        mats[e.id] = lx.matmul(lx.matmul(lx.inverse(gauges[t]), core), gauges[h])
+        m = lx.scaled_inverse(gauges[t])
+        if e.id in fam:
+            m = lx.scaled_matmul(m, fam[e.id])
+        mats[e.id] = lx.scaled_matmul(m, gauges[h])
     return FlatBundle(k, mats)

@@ -33,7 +33,9 @@ def _is_pair(m):
 def _is_exact(m):
     if _is_pair(m):
         return m[0].dtype.kind != "f"
-    return not isinstance(m, np.ndarray) and all(lx.is_exact_entry(x) for row in m for x in row)
+    return not isinstance(m, np.ndarray) and all(
+        isinstance(x, (int, Fraction, str)) and not isinstance(x, bool) for row in m for x in row
+    )
 
 
 def _to_pair(m, exact):
@@ -172,15 +174,12 @@ class FlatnessReport:
 
     @property
     def ok(self):
-        if self.mode == "exact":
-            return all(d == 0 for d in self.deviations.values())
-        return all(d <= EPS_FLAT for d in self.deviations.values())
+        return not self.failing_cells()
 
     def failing_cells(self):
         bound = 0 if self.mode == "exact" else EPS_FLAT
-        return sorted(
-            (c for c, d in self.deviations.items() if d > bound), key=str
-        )
+        # "not <=" so that a nan deviation fails
+        return sorted((c for c, d in self.deviations.items() if not d <= bound), key=str)
 
 
 def transport(bundle, path):

@@ -4,9 +4,11 @@ Exact matrices live in the scaled-integer form (FLINT's ``fmpq_mat``
 layout): an integer ndarray of numerators, possibly a stack of matrices, over
 one positive int denominator.  Float matrices ride the same ``scaled_*``
 calls as (float array, 1); each call picks its kernel by numerator dtype.
-Lists of ``fractions.Fraction`` rows exist only at the edges: serialization,
-views, and the list API (``matmul``, ``det``, ``inverse``, ``vol_sq``), which
-converts through ``scaled`` and ``unscaled``.  Nothing here touches floats
+Lists of ``fractions.Fraction`` rows exist only at the edges: serialization
+and views (``frac``, ``fmat``, ``scaled``, ``unscaled``, ``to_float``).  List
+arithmetic remains only where the benchmark's tracer binds it (``matmul``,
+``inverse``, ``det_prime_psd``, ``product_is_zero``); it converts through
+``scaled`` and ``unscaled``.  Nothing here touches floats
 except the float kernels and the checked conversions; the Smith normal form
 works over Python ints, so there is no overflow anywhere.
 
@@ -44,29 +46,12 @@ def frac(x):
     raise TypeError(f"not an exact rational entry: {x!r}")
 
 
-def is_exact_entry(x):
-    return isinstance(x, (int, Fraction, str)) and not isinstance(x, bool)
-
-
 def fmat(rows):
     return [[frac(x) for x in row] for row in rows]
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def shape(a):
     return (len(a), len(a[0]) if a else 0)
-
-
-def transpose(a):
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
 def _int_array(rows):
@@ -194,23 +179,8 @@ def matmul(a, b):
     (ia, da), (ib, db) = scaled(a), scaled(b)
     pa, pb = _peak(ia), _peak(ib)
     if not (pa and pb):
-        return zeros(ra, cb)
+        return [[Fraction(0)] * cb for _ in range(ra)]
     return unscaled((_int_matmul(ia, pa, ib, pb), da * db))
-
-
-def msub(a, b):
-    r, c = shape(a)
-    return [[a[i][j] - b[i][j] for j in range(c)] for i in range(r)]
-
-
-def meq(a, b):
-    return shape(a) == shape(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
-    )
-
-
-def is_zero(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def to_float(a):
@@ -274,14 +244,6 @@ def scaled_det(a):
     n = len(nums)
     sign, pivot = _bareiss(nums.tolist(), n)
     return Fraction(sign * pivot, den**n)
-
-
-def det(a):
-    """Determinant by fraction-free elimination of the scaled integers."""
-    n, c = shape(a)
-    if n != c:
-        raise ValueError("det of non-square matrix")
-    return scaled_det(scaled(fmat(a)))
 
 
 def scaled_inverse(a):
@@ -348,7 +310,7 @@ def det_prime_psd(a):
     rows, piv = _echelon(a)
     if not piv:
         return Fraction(1)
-    return det(matmul(rows, [[row[j] for j in piv] for row in a]))
+    return scaled_det(scaled(matmul(rows, [[row[j] for j in piv] for row in a])))
 
 
 def _markowitz(rows):
@@ -458,16 +420,10 @@ def sparse_vol_sq(rows, den=1):
     return Fraction(cc * bb) / (a2 * den ** (2 * r))
 
 
-def vol_sq(m):
-    """``sparse_vol_sq`` of a rational matrix given as rows, through ``scaled``."""
-    nums, den = scaled(fmat(m))
-    return sparse_vol_sq([{j: v for j, v in enumerate(row) if v} for row in nums.tolist()], den)
-
-
 def product_is_zero(a, b):
     """Exact test a @ b == 0 for Fraction matrices, via scaled integers.
 
-    Equivalent to is_zero(matmul(a, b)) but builds no Fractions.
+    Builds no Fractions.
     """
     (ia, _), (ib, _) = scaled(a), scaled(b)
     pa, pb = _peak(ia), _peak(ib)

@@ -2,8 +2,8 @@
 
 Complex files carry exact integers only; floats in structural fields are
 rejected on load.  Bundle matrices accept numbers or exact rational strings
-"p/q"; loading with exact=True rejects float entries.  Report floats are
-serialized with 17 significant digits.
+"p/q"; loading with exact=True rejects float entries.  Floats, numpy's included, are
+written as the shortest repr that reads back to the same double.
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ class FormatError(TorsionLabError):
     pass
 
 
-def _require_int(x, where):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise FormatError(f"{where}: expected an exact integer, got {x!r}")
+_KINDS = {dict: "an object", list: "an array", int: "an exact integer", (str, int): "a string or integer id"}
+
+
+def _require(x, kind, where):
+    """x if it is a JSON value of the given kind (a key of _KINDS), else FormatError."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise FormatError(f"{where}: expected {_KINDS[kind]}, got {x!r:.60}")
     return x
 
 
@@ -36,10 +40,11 @@ def path_to_jsonable(path):
 
 def path_from_jsonable(data, src, dst, where="path"):
     steps = []
-    for item in data:
+    for item in _require(data, list, where):
         if not (isinstance(item, dict) and "edge" in item and "dir" in item):
             raise FormatError(f'{where}: a step is an {{"edge", "dir"}} object, got {item!r}')
-        d = _require_int(item["dir"], where)
+        _require(item["edge"], (str, int), where)
+        d = _require(item["dir"], int, where)
         if d not in (1, -1):
             raise FormatError(f"{where}: step direction must be +-1")
         steps.append((item["edge"], d))
@@ -72,55 +77,48 @@ def complex_to_jsonable(cx):
 
 
 def complex_from_jsonable(data):
+    ID = (str, int)
     cells = []
     anchors = {}
-    for c in data["cells"]:
-        dim = _require_int(c["dim"], "cells.dim")
-        cells.append(Cell(c["id"], dim, c["anchor"]))
-        anchors[c["id"]] = c["anchor"]
+    for c in _require(_require(data, dict, "complex")["cells"], list, "cells"):
+        cid = _require(_require(c, dict, "cells")["id"], ID, "cells.id")
+        anchors[cid] = _require(c["anchor"], ID, "cells.anchor")
+        cells.append(Cell(cid, _require(c["dim"], int, "cells.dim"), anchors[cid]))
     incidences = []
-    for r in data["incidences"]:
-        coeff = _require_int(r["coeff"], "incidences.coeff")
-        src = anchors.get(r["coface"])
-        dst = anchors.get(r["face"])
-        incidences.append(
-            Incidence(r["coface"], r["face"], coeff, path_from_jsonable(r["path"], src, dst))
-        )
-    simplex_vertices = {
-        s["cell"]: tuple(s["vertices"]) for s in data.get("simplex_vertices", ())
-    }
-    return ComplexDescription(
-        cells, incidences, data["base_vertex"], data.get("name", ""), simplex_vertices
-    )
+    for r in _require(data["incidences"], list, "incidences"):
+        coface = _require(_require(r, dict, "incidences")["coface"], ID, "incidences.coface")
+        face = _require(r["face"], ID, "incidences.face")
+        coeff = _require(r["coeff"], int, "incidences.coeff")
+        path = path_from_jsonable(r["path"], anchors.get(coface), anchors.get(face))
+        incidences.append(Incidence(coface, face, coeff, path))
+    simplex_vertices = {}
+    for sv in _require(data.get("simplex_vertices", []), list, "simplex_vertices"):
+        cid = _require(_require(sv, dict, "simplex_vertices")["cell"], ID, "simplex_vertices.cell")
+        vertices = _require(sv["vertices"], list, "simplex_vertices.vertices")
+        simplex_vertices[cid] = tuple(_require(v, ID, "simplex_vertices.vertices") for v in vertices)
+    base = _require(data["base_vertex"], ID, "base_vertex")
+    return ComplexDescription(cells, incidences, base, data.get("name", ""), simplex_vertices)
 
 
 def _entry_to_jsonable(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, float)):
-        return x
-    if isinstance(x, np.floating):
+    if isinstance(x, (float, np.floating)):
         return float(x)
+    if isinstance(x, int):
+        return x
     raise FormatError(f"cannot serialize matrix entry {x!r}")
 
 
 def bundle_to_jsonable(bundle):
-    edges = []
     mats = bundle.edge_matrices
-    for e in sorted(mats, key=str):
-        m = mats[e]
-        if bundle.exact:
-            flat = [_entry_to_jsonable(x) for row in m for x in row]
-        else:
-            flat = [float(x) for row in m for x in row]
-        edges.append({"edge": e, "matrix": flat})
+    edges = [
+        {"edge": e, "matrix": [_entry_to_jsonable(x) for row in mats[e] for x in row]}
+        for e in sorted(mats, key=str)
+    ]
     out = {"rank": bundle.rank, "edges": edges}
     if bundle.reference_basis is not None:
-        rb = bundle.reference_basis
-        rows = rb.tolist() if isinstance(rb, np.ndarray) else [
-            [_entry_to_jsonable(x) for x in row] for row in rb
-        ]
-        out["reference_basis"] = rows
+        out["reference_basis"] = [[_entry_to_jsonable(x) for x in row] for row in bundle.reference_basis]
     return out
 
 
@@ -137,29 +135,27 @@ def _entry_from_jsonable(x, where):
 
 
 def bundle_from_jsonable(data, exact=None):
-    rank = _require_int(data["rank"], "rank")
+    rank = _require(_require(data, dict, "bundle")["rank"], int, "rank")
     mats = {}
-    any_float = False
-    for item in data["edges"]:
+    for item in _require(data["edges"], list, "edges"):
+        e = _require(_require(item, dict, "edges")["edge"], (str, int), "edges.edge")
+        where = f"edge {e!r}"
+        if e in mats:
+            raise FormatError(f"{where}: listed twice")
         flat = item["matrix"]
-        where = f"edge {item['edge']!r}"
         if not isinstance(flat, list) or len(flat) != rank * rank:
             raise FormatError(f"{where}: matrix needs a list of {rank * rank} entries")
         entries = [_entry_from_jsonable(x, where) for x in flat]
         floats = [x for x in entries if isinstance(x, float)]
         if floats and exact:
             raise FormatError(f"{where}: float entry {floats[0]!r} rejected in exact mode")
-        any_float = any_float or bool(floats)
-        mats[item["edge"]] = [entries[rank * i : rank * i + rank] for i in range(rank)]
-    want_exact = (not any_float) if exact is None else exact
-    if not want_exact:
-        mats = {e: [[float(x) for x in row] for row in m] for e, m in mats.items()}
+        mats[e] = [entries[rank * i : rank * i + rank] for i in range(rank)]
     rb = data.get("reference_basis")
     if rb is not None:
         if not (isinstance(rb, list) and all(isinstance(row, list) for row in rb)):
             raise FormatError("reference_basis: expected a list of rows")
         rb = [[_entry_from_jsonable(x, "reference_basis") for x in row] for row in rb]
-    return FlatBundle(rank, mats, exact=want_exact, reference_basis=rb)
+    return FlatBundle(rank, mats, exact=exact, reference_basis=rb)
 
 
 def spray_to_jsonable(spray):
@@ -167,6 +163,7 @@ def spray_to_jsonable(spray):
 
 
 def spray_from_jsonable(data, complex_):
+    _require(data, dict, "spray")
     legs = []
     for c in complex_.cells:
         key = str(c.id)
@@ -178,24 +175,21 @@ def spray_from_jsonable(data, complex_):
     return Spray(tuple(legs))
 
 
-def format_float(x):
-    return float(f"{float(x):.17g}")
+def numpy_scalar(x):
+    """``default`` hook of the JSON writers: numpy integers and floats as Python numbers.
 
-
-def jsonable_with_floats(obj):
-    if isinstance(obj, dict):
-        return {k: jsonable_with_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable_with_floats(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+    Python and numpy doubles are written by ``float.__repr__``, the shortest
+    string that reads back to the same double.
+    """
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj):
-    return json.dumps(jsonable_with_floats(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=numpy_scalar)
 
 
 def content_digest(obj):
@@ -209,5 +203,5 @@ def load_json(path):
 
 def save_json(path, obj, indent=2):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable_with_floats(obj), fh, indent=indent, sort_keys=True)
+        json.dump(obj, fh, indent=indent, sort_keys=True, default=numpy_scalar)
         fh.write("\n")

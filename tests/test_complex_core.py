@@ -363,7 +363,47 @@ class TestEdgePaths:
                 bad.edge_endpoints("e1")
 
 
+def scan_spanning_tree(cx):
+    """The earlier spanning tree, kept as the reference: after each vertex it
+    adds, rescan the edges in order for the first with one endpoint in the tree."""
+    edges = cx.cells_of_dim(1)
+    in_tree_vertices = {cx.base_vertex}
+    tree_edges = []
+    parent = {cx.base_vertex: None}
+    changed = True
+    while changed:
+        changed = False
+        for e in edges:
+            t, h = cx.edge_endpoints(e.id)
+            if t in in_tree_vertices and h not in in_tree_vertices:
+                tree_edges.append(e.id)
+                parent[h] = (e.id, 1, t)
+                in_tree_vertices.add(h)
+                changed = True
+                break
+            if h in in_tree_vertices and t not in in_tree_vertices:
+                tree_edges.append(e.id)
+                parent[t] = (e.id, -1, h)
+                in_tree_vertices.add(t)
+                changed = True
+                break
+    return set(tree_edges), parent
+
+
 class TestSpanningTree:
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_equals_the_rescanning_reference_at_rounds_0_to_2(self, name):
+        item = corpus_get(name)
+        cx, bundle, spray = item.complex, item.bundle, item.spray
+        rounds = [cx]
+        while len(rounds) < 3 and not name.startswith("lens-"):  # a lens cell cannot be subdivided
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+            rounds.append(cx)
+        for cx in rounds:
+            tree, parent = cx.spanning_tree()
+            want_tree, want_parent = scan_spanning_tree(cx)
+            assert tree == want_tree and list(parent.items()) == list(want_parent.items())
+
     def test_two_vertex_circle_lowest_id_rule(self):
         # two spanning trees exist ({e1} and {e2}); lowest-id growth picks e1
         cx = corpus_get("circle-2vertex").complex

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -431,6 +432,31 @@ class TestCli:
             assert rc == 2
             assert err.startswith("error:") and words in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "kind, text, words",
+        [
+            ("bundle", "MISSING", "No such file"),
+            ("bundle", "DIRECTORY", "Is a directory"),
+            ("bundle", '{"rank": 1, "edges": 5}', "edges: expected an array"),
+            ("bundle", '{"rank": 1, "edges": [5]}', "edges: expected an object"),
+            ("bundle", "[1, 2]", "bundle: expected an object"),
+            ("complex", '{"cells": 3}', "cells: expected an array"),
+            (
+                "bundle",
+                '{"rank": 1, "edges": [{"edge": "a", "matrix": [2]}, {"edge": "a", "matrix": [3]}]}',
+                "edge 'a': listed twice",
+            ),
+        ],
+    )
+    def test_unreadable_or_malformed_file_exits_2(self, torus_files, tmp_path, capsys, kind, text, words):
+        (tmp_path / "bad.json").write_text(text)
+        paths = {"MISSING": tmp_path / "missing.json", "DIRECTORY": tmp_path}
+        files = dict(torus_files, **{kind: str(paths.get(text, tmp_path / "bad.json"))})
+        rc = self.run("torsion", "compute", "--complex", files["complex"], "--bundle", files["bundle"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith("error:") and words in err and "Traceback" not in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "torsionlab.cli", "--version"],
@@ -439,3 +465,22 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "torsionlab" in proc.stdout
+
+
+def test_json_writers_pin_numpy_scalars_and_extreme_floats(tmp_path, capsys):
+    from torsionlab.cli import _emit
+
+    payload = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "t": (1, (2.5, np.float64(-0.0))), "neg0": -0.0, "tiny": 5e-324, "big": 1e308,
+    }
+    compact = '{"big":1e+308,"f32":0.10000000149011612,"f64":0.1,"i64":-7,"neg0":-0.0,"t":[1,[2.5,-0.0]],"tiny":5e-324}'
+    assert canonical_dumps(payload) == compact
+    indented = json.dumps(json.loads(compact), indent=2, sort_keys=True)
+    save_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_text() == indented + "\n"
+    _emit(Namespace(json=False), payload)
+    _emit(Namespace(json=True), payload)
+    assert capsys.readouterr().out == indented + "\n" + compact + "\n"
+    with pytest.raises(TypeError):
+        canonical_dumps({"x": np.array([1.0])})
