@@ -24,7 +24,8 @@ class FormatError(TorsionLabError):
     pass
 
 
-_KINDS = {dict: "an object", list: "an array", int: "an exact integer", (str, int): "a string or integer id"}
+_ID = (str, int)  # the JSON types of a cell id
+_KINDS = {dict: "an object", list: "an array", int: "an exact integer", _ID: "a string or integer id"}
 
 
 def _require(x, kind, where):
@@ -43,7 +44,7 @@ def path_from_jsonable(data, src, dst, where="path"):
     for item in _require(data, list, where):
         if not (isinstance(item, dict) and "edge" in item and "dir" in item):
             raise FormatError(f'{where}: a step is an {{"edge", "dir"}} object, got {item!r}')
-        _require(item["edge"], (str, int), where)
+        _require(item["edge"], _ID, where)
         d = _require(item["dir"], int, where)
         if d not in (1, -1):
             raise FormatError(f"{where}: step direction must be +-1")
@@ -77,26 +78,25 @@ def complex_to_jsonable(cx):
 
 
 def complex_from_jsonable(data):
-    ID = (str, int)
     cells = []
     anchors = {}
     for c in _require(_require(data, dict, "complex")["cells"], list, "cells"):
-        cid = _require(_require(c, dict, "cells")["id"], ID, "cells.id")
-        anchors[cid] = _require(c["anchor"], ID, "cells.anchor")
+        cid = _require(_require(c, dict, "cells")["id"], _ID, "cells.id")
+        anchors[cid] = _require(c["anchor"], _ID, "cells.anchor")
         cells.append(Cell(cid, _require(c["dim"], int, "cells.dim"), anchors[cid]))
     incidences = []
     for r in _require(data["incidences"], list, "incidences"):
-        coface = _require(_require(r, dict, "incidences")["coface"], ID, "incidences.coface")
-        face = _require(r["face"], ID, "incidences.face")
+        coface = _require(_require(r, dict, "incidences")["coface"], _ID, "incidences.coface")
+        face = _require(r["face"], _ID, "incidences.face")
         coeff = _require(r["coeff"], int, "incidences.coeff")
         path = path_from_jsonable(r["path"], anchors.get(coface), anchors.get(face))
         incidences.append(Incidence(coface, face, coeff, path))
     simplex_vertices = {}
     for sv in _require(data.get("simplex_vertices", []), list, "simplex_vertices"):
-        cid = _require(_require(sv, dict, "simplex_vertices")["cell"], ID, "simplex_vertices.cell")
+        cid = _require(_require(sv, dict, "simplex_vertices")["cell"], _ID, "simplex_vertices.cell")
         vertices = _require(sv["vertices"], list, "simplex_vertices.vertices")
-        simplex_vertices[cid] = tuple(_require(v, ID, "simplex_vertices.vertices") for v in vertices)
-    base = _require(data["base_vertex"], ID, "base_vertex")
+        simplex_vertices[cid] = tuple(_require(v, _ID, "simplex_vertices.vertices") for v in vertices)
+    base = _require(data["base_vertex"], _ID, "base_vertex")
     return ComplexDescription(cells, incidences, base, data.get("name", ""), simplex_vertices)
 
 
@@ -138,7 +138,7 @@ def bundle_from_jsonable(data, exact=None):
     rank = _require(_require(data, dict, "bundle")["rank"], int, "rank")
     mats = {}
     for item in _require(data["edges"], list, "edges"):
-        e = _require(_require(item, dict, "edges")["edge"], (str, int), "edges.edge")
+        e = _require(_require(item, dict, "edges")["edge"], _ID, "edges.edge")
         where = f"edge {e!r}"
         if e in mats:
             raise FormatError(f"{where}: listed twice")
