@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import linalg_exact as lx
 from .complex_core import (
     ComplexDescription,
     EdgePath,
@@ -126,6 +127,14 @@ def barycentric_subdivide(complex_, bundle, spray):
     return out
 
 
+def _shared_transports(bundle, walks):
+    """{steps: transport}, one shared (nums, den) object per distinct walk, each over its own
+    least denominator, as the edge pairs of a bundle are: the new bundle checks each once."""
+    distinct = list(dict.fromkeys(walks))
+    nums, den = bundle.transports(distinct)
+    return {w: lx._reduced(m, den) for w, m in zip(distinct, nums)}
+
+
 def _transfer_spray(smap, spray, internal):
     """Each target cell's leg: its carrier's leg, transferred once per carrier,
     then ``internal(cell, carrier)``, a walk inside the carrier."""
@@ -151,8 +160,8 @@ def _subdivide_walks(cx, bundle, spray):
     new_vertices = vertices + sorted(bary_v.values())
 
     edges = {}
-    mats = {}
-    walks = {}  # prefix products of the attaching walks, as scaled pairs
+    mats = {}  # half edges: the old edge's matrix
+    walks = {}  # other new edges: the attaching-walk prefix whose transport they carry
     step_images = {}
     carriers = {v: v for v in vertices}
     chain = {v: {v: 1} for v in vertices}
@@ -162,7 +171,7 @@ def _subdivide_walks(cx, bundle, spray):
         edges[h0] = (t, bary_v[e.id])
         edges[h1] = (bary_v[e.id], h)
         mats[h0] = bundle.scaled(e.id)
-        mats[h1] = bundle.walk((), walks)
+        walks[h1] = ()
         step_images[e.id] = ((h0, 1), (h1, 1))
         carriers[h0] = carriers[h1] = carriers[bary_v[e.id]] = e.id
         chain[e.id] = {h0: 1, h1: 1}
@@ -182,13 +191,13 @@ def _subdivide_walks(cx, bundle, spray):
             r_id = f"{f.id}:r{i}"
             spokes_r.append(r_id)
             edges[r_id] = (bf, corner_at[i])
-            mats[r_id] = bundle.walk(walk.steps[:i], walks)
+            walks[r_id] = walk.steps[:i]
             carriers[r_id] = f.id
             e, d = walk.steps[i]
             s_id = f"{f.id}:s{i + 1}"
             spokes_s.append(s_id)
             edges[s_id] = (bf, bary_v[e])
-            mats[s_id] = bundle.walk(walk.steps[: i + 1], walks) if d == 1 else mats[r_id]
+            walks[s_id] = walk.steps[: i + 1] if d == 1 else walks[r_id]
             carriers[s_id] = f.id
         face_anchor_spoke[f.id] = spokes_r[0]
         tri_ids = []
@@ -210,6 +219,8 @@ def _subdivide_walks(cx, bundle, spray):
     target = cw_complex_from_words(
         f"{cx.name}-sub", new_vertices, edges, faces, cx.base_vertex
     )
+    shared = _shared_transports(bundle, walks.values())
+    mats = {e: mats[e] if e in mats else shared[walks[e]] for e in edges}
     new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
 
     smap = SubdivisionMap(
@@ -315,11 +326,13 @@ def _subdivide_flags(cx, bundle, spray):
 
     # each new edge: its oriented steps by barycenter pair, and the walk
     # between the anchors of the two cells it joins
-    step, mats, walks = {}, {}, {}
+    step, walks = {}, {}
     for e in target.cells_of_dim(1):
         u, v = target.simplex_vertices[e.id]
         step[u, v], step[v, u] = (e.id, 1), (e.id, -1)
-        mats[e.id] = bundle.walk(old_edge_path(anchor_of[bid_map[u]], anchor_of[bid_map[v]]), walks)
+        walks[e.id] = old_edge_path(anchor_of[bid_map[u]], anchor_of[bid_map[v]])
+    shared = _shared_transports(bundle, walks.values())
+    mats = {e: shared[w] for e, w in walks.items()}
     new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
 
     def edge_step(a, b):

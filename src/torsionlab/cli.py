@@ -237,7 +237,7 @@ def _dispatch(args):
         cx = _load_complex(args.complex)
         bundle = _load_bundle(args, args.bundle)
         steps = _path_from_arg(args.path, cx).steps
-        _emit(args, {"matrix": lx.scaled_to_float(*bundle.walk(steps, {})).tolist()})
+        _emit(args, {"matrix": lx.scaled_to_float(*bundle.transports([steps]))[0].tolist()})
         return 0
 
     if args.cmd == "kt":

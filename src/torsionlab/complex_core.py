@@ -132,6 +132,7 @@ class ComplexDescription:
         self._h1 = None
         self._tree = None
         self._endpoints = {}
+        self._reached = {}  # (steps, start) -> where path_is_valid found the steps lead
         self._divisors = {}
 
     # -- basic structure ----------------------------------------------------
@@ -156,6 +157,8 @@ class ComplexDescription:
         """(tail, head) of a 1-cell, from its signed vertex records; kept once found."""
         if edge_id in self._endpoints:
             return self._endpoints[edge_id]
+        if getattr(self._cell_by_id.get(edge_id), "dim", None) != 1:
+            raise PathComplexMismatchError(f"{edge_id!r} is not a 1-cell")
         tail = head = None
         for rec in self._incident_by_coface.get(edge_id, ()):
             if rec.coeff == 1:
@@ -174,19 +177,17 @@ class ComplexDescription:
         tail, head = self.edge_endpoints(e)
         return (tail, head) if d == 1 else (head, tail)
 
-    def path_is_valid(self, path, src=None, dst=None):
-        at = path.src if src is None else src
-        for step in path.steps:
-            if not self.has_cell(step[0]) or self.cell(step[0]).dim != 1:
-                return False
-            s, t = self.step_endpoints(step)
-            if s != at:
-                return False
-            at = t
-        if path.src is not None and src is not None and path.src != src:
-            return False
-        want = path.dst if dst is None else dst
-        return at == want
+    def path_is_valid(self, path):
+        """Whether path is a walk in the 1-skeleton; False on an invalid complex.  Each step
+        tuple is walked once per start, one lookup a step in validate()'s edge endpoints."""
+        key = (path.steps, path.src)
+        if key not in self._reached:
+            at, ends = path.src, self._endpoints if self.validate().ok else {}
+            for e, d in path.steps:
+                tail, head = ends.get(e, ((), ()))[:: 1 if d == 1 else -1]
+                at = head if tail == at else ()  # () is no vertex: off the skeleton for good
+            self._reached[key] = at
+        return self._reached[key] == path.dst
 
     def path_chain(self, path):
         """Integer 1-chain of a walk, as {edge id: coefficient}."""

@@ -7,13 +7,15 @@ Each edge matrix is stored once, as a scaled pair (see ``linalg_exact``):
 (integer numerators, denominator) for an exact bundle, whose products,
 inverses and determinants stay exact, and (float array, 1) for a float one,
 which is compared with a relative flatness tolerance.  The same dict caches
-each inverse on first use.  Walks run on the pairs, and every product is one
-numpy call (``linalg_exact.scaled_matmul``); ``edge_matrices``, ``matrix``
-and ``transport`` are read-only views as Fraction rows or float arrays.
+each inverse on first use.  ``FlatBundle.transports`` is the one transport
+kernel: it takes many walks at once, one stacked product per depth of their
+prefix trie.  ``edge_matrices``, ``matrix`` and ``transport`` are views as
+Fraction rows or float arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,30 +133,48 @@ class FlatBundle:
             inv[0].flags.writeable = False
         return self._pairs[key]
 
-    def walk(self, steps, walks, inverse=False):
-        """Scaled transport along ``steps``, or its inverse, extending the longest cached prefix.
+    def transports(self, paths, inverse=False):
+        """Scaled transports along step tuples, or their inverses: one stack (nums[n, k, k], den).
 
-        ``walks`` maps step tuples to scaled transports (their inverses if
-        ``inverse``) and gains every prefix computed here; start it empty and
-        keep one dict per direction.  Forward products run left to right from
-        the identity, so a float walk is the same products wherever its
-        prefixes were computed; an inverse takes products only, inv(p.s) =
-        matrix(s reversed) . inv(p), from the cached edge inverses.
+        Row i belongs to paths[i].  The distinct paths form a trie of shared
+        prefixes, and each depth of it is one stacked product, prefix . matrix(s)
+        or, for inverses, matrix(s reversed) . prefix from the cached edge
+        inverses.  These are the products of a walk taken one step at a time
+        from I, so float rows are bit for bit the same.
         """
-        if () not in walks:
-            walks[()] = (np.eye(self.rank, dtype=np.int64 if self.exact else float), 1)
-        n = len(steps)
-        while steps[:n] not in walks:
-            n -= 1
-        m = walks[steps[:n]]
-        for i in range(n, len(steps)):
-            e, d = steps[i]
-            if inverse:
-                m = lx.scaled_matmul(self.scaled(e, -d), m)
-            else:
-                m = lx.scaled_matmul(m, self.scaled(e, d))
-            walks[steps[: i + 1]] = m
-        return m
+        distinct = {}  # path -> its index among the distinct paths
+        of_path = [distinct.setdefault(p, len(distinct)) for p in paths]
+        node, levels, ends = {}, [], []  # levels[t]: parents and steps of the nodes at depth t + 1
+        for steps in distinct:
+            at = 0  # the prefix so far, as an index among the nodes of its depth
+            for depth, step in enumerate(steps):
+                nxt = node.get((depth, at, step))
+                if nxt is None:
+                    if depth == len(levels):
+                        levels.append(([], []))
+                    nxt = node[depth, at, step] = len(levels[depth][1])
+                    levels[depth][0].append(at)
+                    levels[depth][1].append(step)
+                at = nxt
+            ends.append((len(steps), at))
+        prods = [None]  # prods[t]: the stack of the nodes at depth t
+        for parents, taken in levels:
+            mats = [self.scaled(e, -d if inverse else d) for e, d in taken]
+            step = (mats[0][0][None], mats[0][1]) if len(mats) == 1 else lx.scaled_concat(
+                [(m[None], q) for m, q in mats])
+            if len(prods) == 1:  # I . M is M, with a zero's sign cleared as + 0.0 clears it
+                prods.append(step if self.exact else (step[0] + 0.0, 1))
+                continue
+            nums, den = prods[-1]
+            prev = (nums if len(nums) == 1 else nums[parents], den)  # one matrix broadcasts
+            prods.append(lx.scaled_matmul(step, prev) if inverse else lx.scaled_matmul(prev, step))
+        depths = sorted({d for d, _ in ends}) or [0]
+        if not depths[0]:
+            prods[0] = (np.eye(self.rank, dtype=np.int64 if self.exact else float)[None], 1)
+        start = dict(zip(depths, itertools.accumulate((len(prods[d][0]) for d in depths), initial=0)))
+        nums, den = lx.scaled_concat([prods[d] for d in depths])
+        at = [start[d] + i for d, i in ends]
+        return nums[[at[i] for i in of_path]], den
 
     def with_reference_basis(self, r):
         return FlatBundle(self.rank, self._edge_pairs(), self.exact, r)
@@ -184,25 +204,29 @@ class FlatnessReport:
 
 def transport(bundle, path):
     """Ordered product of edge matrices along a walk; empty walk gives I."""
-    return lx.unscaled(bundle.walk(path.steps, {}))
+    nums, den = bundle.transports([path.steps])
+    return lx.unscaled((nums[0], den))
 
 
 def check_flatness(complex_, bundle):
-    """Per-2-cell deviation of the attaching-walk transport from the identity."""
+    """Per-2-cell deviation of the attaching-walk transport from the identity.
+
+    Exact: den times the largest |hol - I| entry, then one division that
+    rounds as float(Fraction).
+    """
     complex_.require_valid()
+    cells = [c.id for c in complex_.cells_of_dim(2)]
     report = FlatnessReport(mode="exact" if bundle.exact else "float")
-    walks = {}
-    for cell in complex_.cells_of_dim(2):
-        hol, den = bundle.walk(complex_.attaching_walk(cell.id).steps, walks)
-        if bundle.exact:
-            # den times the largest |hol - I| entry; the one division rounds as float(Fraction)
-            rows = enumerate(hol.tolist())
-            diff = [abs(v - den * (i == j)) for i, r in rows for j, v in enumerate(r)]
-            dev = max(diff, default=0)
-            dev = dev and dev / den
-        else:
-            dev = float(np.max(np.abs(hol - np.eye(bundle.rank))))
-        report.deviations[cell.id] = dev
+    if not cells:
+        return report
+    hol, den = bundle.transports([complex_.attaching_walk(c).steps for c in cells])
+    if bundle.exact:
+        big = hol.dtype == object or lx._peak(hol) + den >= 2**63
+        dev = np.abs(hol - den * np.eye(bundle.rank, dtype=object if big else np.int64))
+        devs = [d and d / den for d in dev.max(axis=(1, 2), initial=0).tolist()]
+    else:
+        devs = np.abs(hol - np.eye(bundle.rank)).max(axis=(1, 2), initial=0.0).tolist()
+    report.deviations.update(zip(cells, devs))
     return report
 
 
@@ -217,7 +241,8 @@ def kt_evaluate(bundle, loop):
     """log |det transport(loop)| for a closed walk."""
     if not loop.is_closed:
         raise OpenPathError(f"path {loop.src!r} -> {loop.dst!r} is not closed")
-    d = lx.scaled_det(bundle.walk(loop.steps, {}))
+    nums, den = bundle.transports([loop.steps])
+    d = lx.scaled_det((nums[0], den))
     if bundle.exact:
         if d == 0:
             raise ValueError("singular transport")
@@ -256,11 +281,9 @@ def gauge_normalize(complex_, bundle):
     change at vertex v.
     """
     complex_.require_valid()
-    walks = {}
-    gauges = {
-        v.id: bundle.walk(complex_.tree_path(v.id).steps, walks)
-        for v in complex_.cells_of_dim(0)
-    }
+    verts = [v.id for v in complex_.cells_of_dim(0)]
+    nums, den = bundle.transports([complex_.tree_path(v).steps for v in verts])
+    gauges = {v: (g, den) for v, g in zip(verts, nums)}
     new = {}
     for e in complex_.cells_of_dim(1):
         t, h = complex_.edge_endpoints(e.id)

@@ -122,19 +122,17 @@ def scaled_matmul(a, b):
     return _reduced(_int_matmul(na, _peak(na), nb, _peak(nb)), da * db)
 
 
-def scaled_stack(mats):
-    """One (n, k, k) stack over a common denominator from a list of (nums, den)."""
-    dens = [d for _, d in mats]
-    den = math.lcm(*dens)
-    if den == 1:
-        return np.stack([m for m, _ in mats]), 1
-    nums = [m if d == den else m.astype(object) * (den // d) for m, d in mats]
-    stack = np.stack(nums)
-    return stack.astype(np.int64) if _peak(stack) < 2**63 else stack, den
+def scaled_concat(stacks):
+    """One stack over a common denominator from scaled stacks (nums[n_i, ...], den_i), in order."""
+    if len(stacks) == 1:
+        return stacks[0]
+    den = math.lcm(*(d for _, d in stacks))
+    nums = np.concatenate([m if d == den else m.astype(object) * (den // d) for m, d in stacks])
+    return (nums.astype(np.int64) if nums.dtype == object and _peak(nums) < 2**63 else nums), den
 
 
-def scaled_sum(slots, n, coeffs, a):
-    """(sums, den): coeffs[i] * a[i] added into slot slots[i] of n, in stack order.
+def scaled_sum(keys, coeffs, a):
+    """(distinct keys ascending, (sums, den)): coeffs[i] * a[i] added up per keys[i], in stack order.
 
     ``a`` is a scaled stack; integer sums leave int64 for Python ints when
     sum |coeffs| times the peak entry could overflow.
@@ -142,10 +140,15 @@ def scaled_sum(slots, n, coeffs, a):
     nums, den = a
     if nums.dtype == np.int64 and _peak(nums) * int(np.abs(coeffs).sum()) >= 2**63:
         nums = nums.astype(object)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=keys[:1] - 1) != 0  # where each distinct key starts
+    slots = np.empty(len(keys), dtype=np.intp)
+    slots[order] = first.cumsum() - 1
     terms = coeffs[:, None, None] * nums
-    out = np.zeros((n,) + nums.shape[1:], dtype=terms.dtype)
-    np.add.at(out, slots, terms)
-    return _reduced(out, den)
+    out = np.zeros((int(first.sum()),) + nums.shape[1:], dtype=terms.dtype)
+    np.add.at(out, slots, terms)  # unbuffered, in stack order: each float sum folds from 0.0
+    return keys[first], _reduced(out, den)
 
 
 def scaled_to_float(ints, den):

@@ -35,6 +35,13 @@ def _require(x, kind, where):
     return x
 
 
+def _field(obj, key, kind, owner):
+    """obj[key], checked by _require as "owner.key"; FormatError naming owner and key if absent."""
+    if key not in obj:
+        raise FormatError(f"{owner}: missing key {key!r}")
+    return _require(obj[key], kind, f"{owner}.{key}")
+
+
 def path_to_jsonable(path):
     return [{"edge": e, "dir": d} for e, d in path.steps]
 
@@ -80,23 +87,24 @@ def complex_to_jsonable(cx):
 def complex_from_jsonable(data):
     cells = []
     anchors = {}
-    for c in _require(_require(data, dict, "complex")["cells"], list, "cells"):
-        cid = _require(_require(c, dict, "cells")["id"], _ID, "cells.id")
-        anchors[cid] = _require(c["anchor"], _ID, "cells.anchor")
-        cells.append(Cell(cid, _require(c["dim"], int, "cells.dim"), anchors[cid]))
+    for c in _field(_require(data, dict, "complex"), "cells", list, "complex"):
+        cid = _field(_require(c, dict, "cells"), "id", _ID, "cells")
+        anchors[cid] = _field(c, "anchor", _ID, "cells")
+        cells.append(Cell(cid, _field(c, "dim", int, "cells"), anchors[cid]))
     incidences = []
-    for r in _require(data["incidences"], list, "incidences"):
-        coface = _require(_require(r, dict, "incidences")["coface"], _ID, "incidences.coface")
-        face = _require(r["face"], _ID, "incidences.face")
-        coeff = _require(r["coeff"], int, "incidences.coeff")
-        path = path_from_jsonable(r["path"], anchors.get(coface), anchors.get(face))
+    for r in _field(data, "incidences", list, "complex"):
+        coface = _field(_require(r, dict, "incidences"), "coface", _ID, "incidences")
+        face = _field(r, "face", _ID, "incidences")
+        coeff = _field(r, "coeff", int, "incidences")
+        path = _field(r, "path", list, "incidences")
+        path = path_from_jsonable(path, anchors.get(coface), anchors.get(face))
         incidences.append(Incidence(coface, face, coeff, path))
     simplex_vertices = {}
     for sv in _require(data.get("simplex_vertices", []), list, "simplex_vertices"):
-        cid = _require(_require(sv, dict, "simplex_vertices")["cell"], _ID, "simplex_vertices.cell")
-        vertices = _require(sv["vertices"], list, "simplex_vertices.vertices")
+        cid = _field(_require(sv, dict, "simplex_vertices"), "cell", _ID, "simplex_vertices")
+        vertices = _field(sv, "vertices", list, "simplex_vertices")
         simplex_vertices[cid] = tuple(_require(v, _ID, "simplex_vertices.vertices") for v in vertices)
-    base = _require(data["base_vertex"], _ID, "base_vertex")
+    base = _field(data, "base_vertex", _ID, "complex")
     return ComplexDescription(cells, incidences, base, data.get("name", ""), simplex_vertices)
 
 
@@ -135,14 +143,14 @@ def _entry_from_jsonable(x, where):
 
 
 def bundle_from_jsonable(data, exact=None):
-    rank = _require(_require(data, dict, "bundle")["rank"], int, "rank")
+    rank = _field(_require(data, dict, "bundle"), "rank", int, "bundle")
     mats = {}
-    for item in _require(data["edges"], list, "edges"):
-        e = _require(_require(item, dict, "edges")["edge"], _ID, "edges.edge")
+    for item in _field(data, "edges", list, "bundle"):
+        e = _field(_require(item, dict, "edges"), "edge", _ID, "edges")
         where = f"edge {e!r}"
         if e in mats:
             raise FormatError(f"{where}: listed twice")
-        flat = item["matrix"]
+        flat = item.get("matrix")  # absent: the list check below names the key
         if not isinstance(flat, list) or len(flat) != rank * rank:
             raise FormatError(f"{where}: matrix needs a list of {rank * rank} entries")
         entries = [_entry_from_jsonable(x, where) for x in flat]

@@ -191,10 +191,10 @@ class TorsionResult:
 def assemble(complex_, bundle, spray):
     """Twisted chain complex from complex + bundle + spray.
 
-    Every leg, inverse leg and incidence path is one scaled walk through a
-    prefix cache; each degree's blocks leg . path . leg^-1 come from two
-    stacked products, summed per (cell, face) pair in incidence order.  No
-    dense boundary is built here.
+    One ``FlatBundle.transports`` call takes every leg and incidence path,
+    and one more every inverse leg; each degree's blocks leg . path . leg^-1
+    are two stacked products of rows of those stacks, summed per (cell,
+    face) pair in incidence order.  No dense boundary is built here.
 
     The bundle keeps its last result: asked again for the same complex (by
     identity) and an equal spray, it returns that object.  All three inputs
@@ -212,31 +212,24 @@ def assemble(complex_, bundle, spray):
         require_flat(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
-    walks, inverse_walks = {}, {}
-    legs = {cid: bundle.walk(leg.steps, walks) for cid, leg in spray.legs}
-    legs_inv = {
-        cid: bundle.walk(leg.steps, inverse_walks, inverse=True) for cid, leg in spray.legs
-    }
-    blocks = {}
-    for d in range(1, complex_.dim + 1):
+    recs = {d: [] for d in order if d}
+    for r in complex_.incidences:
+        recs[complex_.cell(r.coface).dim].append(r)
+    leg = {cid: i for i, (cid, _) in enumerate(spray.legs)}  # a repeated cell keeps its last leg
+    fwd, fden = bundle.transports(
+        [p.steps for _, p in spray.legs] + [r.path.steps for d in recs for r in recs[d]]
+    )
+    inv = bundle.transports([p.steps for _, p in spray.legs], inverse=True)
+    blocks, at = {}, len(spray.legs)
+    for d, rs in recs.items():
         ri = {c: i for i, c in enumerate(order[d])}
         ci = {c: j for j, c in enumerate(order[d - 1])}
-        recs = [rec for rec in complex_.incidences if rec.coface in ri]
-        if not recs:
-            nums = np.zeros((0, k, k), dtype=np.int64 if bundle.exact else float)
-            blocks[d] = BlockRecord(np.zeros(0, int), np.zeros(0, int), nums, 1)
-            continue
-        prod = lx.scaled_matmul(
-            lx.scaled_matmul(
-                lx.scaled_stack([legs[rec.coface] for rec in recs]),
-                lx.scaled_stack([bundle.walk(rec.path.steps, walks) for rec in recs]),
-            ),
-            lx.scaled_stack([legs_inv[rec.face] for rec in recs]),
-        )
-        keys = np.array([ri[rec.coface] * len(ci) + ci[rec.face] for rec in recs])
-        keys, slots = np.unique(keys, return_inverse=True)
-        coeffs = np.array([rec.coeff for rec in recs])
-        nums, den = lx.scaled_sum(slots, len(keys), coeffs, prod)
+        legs = (fwd[[leg[r.coface] for r in rs]], fden)
+        prod = lx.scaled_matmul(legs, (fwd[at : at + len(rs)], fden))
+        prod = lx.scaled_matmul(prod, (inv[0][[leg[r.face] for r in rs]], inv[1]))
+        at += len(rs)
+        keys = np.array([ri[r.coface] * len(ci) + ci[r.face] for r in rs], dtype=np.int64)
+        keys, (nums, den) = lx.scaled_sum(keys, np.array([r.coeff for r in rs], dtype=np.int64), prod)
         blocks[d] = BlockRecord(keys // len(ci), keys % len(ci), nums, den)
     tcc = TwistedChainComplex(k, order, blocks)
     _check_boundary_squared(tcc)
@@ -256,23 +249,27 @@ def _check_boundary_squared(tcc):
 def _composes_to_zero(up, dn):
     """Whether up . dn vanishes for two block records, composed through shared faces.
 
-    Every (up block, dn block) pair that meets in a face is multiplied in one
-    stacked product, and the products are summed per (row, column) pair.
-    Integer sums must be 0; float sums within 1e-9 of the largest entry
-    product (at least 1).
+    Every (up block, dn block) pair that meets in a face is one product of a
+    stacked matmul, in (row, column) order, summed per pair by one reduceat.
+    Integer sums must be 0 (Python ints past the int64 bound); float sums
+    within 1e-9 of the largest entry product (at least 1).
     """
-    lo = np.searchsorted(dn.rows, up.cols, "left")  # dn.rows ascend
-    count = np.searchsorted(dn.rows, up.cols, "right") - lo
-    p = np.repeat(np.arange(len(up.rows)), count)
-    q = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    prod = lx.scaled_matmul((up.nums[p], 1), (dn.nums[q], 1))
-    keys = up.rows[p] * (dn.cols.max(initial=0) + 1) + dn.cols[q]
-    keys, slots = np.unique(keys, return_inverse=True)
-    sums, _ = lx.scaled_sum(slots, len(keys), np.ones(len(p), dtype=np.int64), prod)
-    if sums.dtype.kind != "f":
-        return not sums.any()
-    scale = max(np.abs(up.nums).max(initial=0.0) * np.abs(dn.nums).max(initial=0.0), 1.0)
-    return np.abs(sums).max(initial=0.0) <= 1e-9 * scale
+    lo = dn.rows.searchsorted(up.cols)  # dn.rows ascend
+    count = dn.rows.searchsorted(up.cols, "right") - lo
+    p = np.arange(len(count)).repeat(count)
+    if not len(p):
+        return True
+    q = (lo - count.cumsum() + count).repeat(count) + np.arange(len(p))
+    keys = up.rows[p] * (int(dn.cols.max()) + 1) + dn.cols[q]
+    order = keys.argsort()
+    keys, a, b = keys[order], up.nums[p[order]], dn.nums[q[order]]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if a.dtype.kind == "f":
+        scale = max(np.abs(up.nums).max() * np.abs(dn.nums).max(), 1.0)
+        return np.abs(np.add.reduceat(a @ b, first)).max() <= 1e-9 * scale
+    if lx._peak(up.nums) * lx._peak(dn.nums) * up.nums.shape[-1] * len(p) >= 2**63:
+        a, b = a.astype(object), b.astype(object)
+    return not np.add.reduceat(a @ b, first).any()
 
 
 def to_frame(tcc, frame):
@@ -577,14 +574,14 @@ def transport_reference_between_sprays(tcc_alpha, complex_, bundle, alpha, beta,
     multiplied on the right by its inverse.  Only the cells of degrees with
     reference rows are walked.
     """
-    k, walks, out = bundle.rank, {}, {}
+    k, out = bundle.rank, {}
     for d, rows in refs.items():
         ids = tcc_alpha.cell_order.get(d, [])
         if rows is None or not len(ids):
             out[d] = rows
             continue
-        mats = [bundle.walk(g.steps, walks) for g in leg_shift_loops(alpha, beta, ids)]
-        inv = np.linalg.inv([lx.scaled_to_float(*m) for m in mats])
+        mats = bundle.transports([g.steps for g in leg_shift_loops(alpha, beta, ids)])
+        inv = np.linalg.inv(lx.scaled_to_float(*mats))
         rows = np.asarray(rows, dtype=float)
         cells = rows.reshape(len(rows), len(ids), 1, k)
         out[d] = np.matmul(cells, inv).reshape(rows.shape)
@@ -623,4 +620,5 @@ def det_of_class(complex_, bundle, u):
     """|det| of the holonomy around a representative loop of u."""
     lat = complex_.h1_lattice()
     loop = lat.representative_loop(u.coords)
-    return abs(float(lx.scaled_det(bundle.walk(loop.steps, {}))))
+    nums, den = bundle.transports([loop.steps])
+    return abs(float(lx.scaled_det((nums[0], den))))

@@ -44,6 +44,69 @@ class TestCanonicalSpray:
             validate_spray(cx, Spray((("v", EdgePath((), "v", "v")),)))
 
 
+def circle_legs(**changes):
+    """circle-2vertex's corpus spray with the named legs replaced by (steps, src, dst)."""
+    legs = dict(corpus_get("circle-2vertex").spray.legs)
+    legs.update({c: EdgePath(steps, src, dst) for c, (steps, src, dst) in changes.items()})
+    return Spray(tuple(legs.items()))
+
+
+class TestValidateSpray:
+    """The SprayError of each kind of bad spray, pinned, and which leg is reported first."""
+
+    E1, E2 = ("e1", 1), ("e2", 1)
+    NOT_A_WALK = "leg of {!r} is not a walk in the 1-skeleton"
+
+    @pytest.mark.parametrize(
+        "spray, message",
+        [
+            (Spray(circle_legs().legs[:-1]), "spray legs do not match cells (missing ['e2'], extra [])"),
+            (Spray(circle_legs().legs + (("x", EdgePath((), "v1", "v1")),)),
+             "spray legs do not match cells (missing [], extra ['x'])"),
+            (circle_legs(v2=((E2,), "v2", "v1")), "leg of 'v2' must run 'v1' -> 'v2'"),
+            (circle_legs(e2=((E1,), "v1", "v1")), "leg of 'e2' must run 'v1' -> 'v2'"),
+            (circle_legs(v2=((("e9", 1),), "v1", "v2")), NOT_A_WALK.format("v2")),  # no such edge
+            (circle_legs(v2=((("v2", 1),), "v1", "v2")), NOT_A_WALK.format("v2")),  # a vertex
+            (circle_legs(v2=((E2,), "v1", "v2")), NOT_A_WALK.format("v2")),  # not from the tail
+            (circle_legs(v2=((E1, E2), "v1", "v2")), NOT_A_WALK.format("v2")),  # ends at v1
+            (circle_legs(v2=((E1, ("e1", -1), E1, ("e2", -1)), "v1", "v2")), NOT_A_WALK.format("v2")),
+            # both legs are bad: the first in spray order is reported, the anchor before the walk
+            (circle_legs(v2=((E2,), "v1", "v2"), e2=((), "v1", "v1")), NOT_A_WALK.format("v2")),
+            (circle_legs(v2=((E2,), "v1", "v1"), e2=((E2,), "v1", "v2")),
+             "leg of 'v2' must run 'v1' -> 'v2'"),
+            (circle_legs(v1=((E1, E2), "v1", "v1")), None),
+            (circle_legs(e2=((E1, E2, E1), "v1", "v2")), None),
+        ],
+    )
+    def test_messages_and_order(self, spray, message):
+        cx = corpus_get("circle-2vertex").complex
+        if message is None:
+            validate_spray(cx, spray)
+            return
+        with pytest.raises(SprayError) as err:
+            validate_spray(cx, spray)
+        assert str(err.value) == message
+
+    def test_a_step_across_a_two_cell_is_no_walk(self):
+        cx = corpus_get("torus").complex
+        with pytest.raises(PathComplexMismatchError, match="'F' is not a 1-cell"):
+            cx.edge_endpoints("F")
+        legs = dict(corpus_get("torus").spray.legs)
+        legs["a"] = EdgePath((("F", 1),), "v", "v")
+        with pytest.raises(SprayError, match="leg of 'a' is not a walk"):
+            validate_spray(cx, Spray(tuple(legs.items())))
+
+    def test_the_steps_of_a_good_leg_under_another_anchor_are_no_walk(self):
+        cx = corpus_get("circle-2vertex").complex
+        good = circle_legs()  # v2 and e2 share the steps (e1,) and the anchor v2
+        validate_spray(cx, good)
+        legs = dict(good.legs)
+        legs["e1"] = EdgePath((("e1", 1),), "v1", "v1")  # after v2's leg: same steps, anchor v1
+        with pytest.raises(SprayError) as err:
+            validate_spray(cx, Spray(tuple(legs.items())))
+        assert str(err.value) == self.NOT_A_WALK.format("e1")
+
+
 class TestSprayDifference:
     def test_equal_sprays_give_zero(self):
         cx = corpus_get("torus").complex

@@ -48,6 +48,84 @@ class TestTransport:
         assert transport(b, p.compose(q)) == lx.matmul(transport(b, p), transport(b, q))
 
 
+def one_at_a_time(bundle, steps, inverse=False):
+    """The reference transport: one product per step from the identity, left to right
+    (for inverses matrix(step reversed) . prefix), in Fractions or floats."""
+    out = np.eye(bundle.rank, dtype=int).tolist() if bundle.exact else np.eye(bundle.rank)
+    mul = lx.matmul if bundle.exact else np.matmul
+    for e, d in steps:
+        out = mul(bundle.matrix(e, -d), out) if inverse else mul(out, bundle.matrix(e, d))
+    return out
+
+
+def assert_rows_are_the_reference(bundle, paths, inverse=False):
+    nums, den = bundle.transports(paths, inverse=inverse)
+    assert nums.shape == (len(paths), bundle.rank, bundle.rank) and type(den) is int
+    for i, steps in enumerate(paths):
+        want = one_at_a_time(bundle, steps, inverse)
+        if bundle.exact:
+            assert lx.unscaled((nums[i], den)) == want
+        else:  # bit for bit, the sign of a zero included
+            assert den == 1 and nums[i].tobytes() == want.tobytes()
+
+
+class TestTransports:
+    A, B, AI, BI = ("a", 1), ("b", 1), ("a", -1), ("b", -1)
+    PATHS = [
+        (A, B, AI, BI), (A, B, AI), (A, B), (), (A, B, AI, BI), (B, B, B), (BI, A), (A,), (),
+        (BI, BI, AI, B),
+    ]
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            {"a": [[-1]], "b": [[2]]},  # klein: b^-1 has denominator 2
+            {"a": [[2, 1], [1, 1]], "b": [[Fraction(1, 3), 0], [0, 3]]},
+            {"a": [[0, Fraction(-2, 3)], [Fraction(2, 3), 0]], "b": [[-3, Fraction(-2, 3)], [1, 4]]},
+        ],
+    )
+    def test_exact_rows_equal_one_at_a_time_products(self, mats, inverse):
+        bundle = FlatBundle(len(mats["a"]), mats)
+        assert bundle.exact
+        assert_rows_are_the_reference(bundle, self.PATHS, inverse)
+        for steps in self.PATHS:  # alone, with no shared prefix
+            assert_rows_are_the_reference(bundle, [steps], inverse)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_float_rows_are_bit_identical(self, inverse):
+        rng = np.random.default_rng(4)
+        mats = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 3))}
+        mats["b"][0, 1] = -0.0  # I . M clears the sign of this zero
+        bundle = FlatBundle(3, mats)
+        assert not bundle.exact
+        assert_rows_are_the_reference(bundle, self.PATHS, inverse)
+        assert_rows_are_the_reference(bundle, [(self.B,)], inverse)
+        nums, _ = bundle.transports([(self.B,)])
+        assert math.copysign(1.0, nums[0, 0, 1]) == 1.0
+
+    def test_empty_request_and_empty_paths(self):
+        for bundle in (FlatBundle(2, {"a": [[1, 2], [0, 1]]}), FlatBundle(2, {"a": np.eye(2)})):
+            nums, den = bundle.transports([])
+            assert nums.shape == (0, 2, 2) and den == 1
+            nums, den = bundle.transports([(), ()], inverse=True)
+            assert np.array_equal(nums, [np.eye(2), np.eye(2)]) and den == 1
+
+    def test_entries_past_int64_stay_exact(self):
+        a, b = [[2**40, 1], [2**40 - 1, 1]], [[1, 0], [Fraction(1, 5), 1]]
+        bundle = FlatBundle(2, {"a": a, "b": b})
+        paths = [(self.A,) * 4, (self.A,) * 2 + (self.B,), (self.A, self.A, self.BI, self.A), ()]
+        for inverse in (False, True):
+            nums, den = bundle.transports(paths, inverse=inverse)
+            assert nums.dtype == object and max(abs(x) for x in nums.ravel()) > 2**63
+            assert_rows_are_the_reference(bundle, paths, inverse)
+
+    def test_missing_edge_matrix(self):
+        bundle = FlatBundle(1, {"a": [[3]]})
+        with pytest.raises(MissingEdgeMatrixError):
+            bundle.transports([(self.A,), (self.A, ("f", 1))])
+
+
 class TestFlatness:
     def test_circle_any_matrix_passes(self):
         cx = corpus_get("circle-1cell").complex

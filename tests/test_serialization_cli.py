@@ -54,6 +54,41 @@ class TestRoundTrips:
         with pytest.raises(FormatError):
             complex_from_jsonable(data)
 
+    @pytest.mark.parametrize(
+        "kind, path, message",
+        [
+            ("complex", [], "complex: missing key 'cells'"),
+            ("complex", ["incidences"], "complex: missing key 'incidences'"),
+            ("complex", ["base_vertex"], "complex: missing key 'base_vertex'"),
+            ("complex", ["cells", 1, "dim"], "cells: missing key 'dim'"),
+            ("complex", ["cells", 0, "anchor"], "cells: missing key 'anchor'"),
+            ("complex", ["incidences", 2, "path"], "incidences: missing key 'path'"),
+            ("complex", ["incidences", 0, "coface"], "incidences: missing key 'coface'"),
+            ("complex", ["simplex_vertices", 0, "vertices"], "simplex_vertices: missing key 'vertices'"),
+            ("bundle", ["rank"], "bundle: missing key 'rank'"),
+            ("bundle", ["edges"], "bundle: missing key 'edges'"),
+            ("bundle", ["edges", 0, "edge"], "edges: missing key 'edge'"),
+            ("bundle", ["edges", 0, "matrix"], "edge 'a': matrix needs a list of 4 entries"),
+        ],
+    )
+    def test_missing_key_names_the_object_and_the_key(self, kind, path, message):
+        item = corpus_get("tetra-solid" if "simplex_vertices" in path else "torus")
+        bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": np.eye(2)})
+        data, load = {
+            "complex": (complex_to_jsonable(item.complex), complex_from_jsonable),
+            "bundle": (bundle_to_jsonable(bundle), bundle_from_jsonable),
+        }[kind]
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        if path:
+            del obj[path[-1]]
+        else:
+            data = {}
+        with pytest.raises(FormatError) as err:
+            load(data)
+        assert str(err.value) == message
+
     def test_spray_round_trip(self):
         item = corpus_get("klein")
         data = spray_to_jsonable(item.spray)
@@ -441,6 +476,8 @@ class TestCli:
             ("bundle", '{"rank": 1, "edges": [5]}', "edges: expected an object"),
             ("bundle", "[1, 2]", "bundle: expected an object"),
             ("complex", '{"cells": 3}', "cells: expected an array"),
+            ("complex", '{"cells": []}', "complex: missing key 'incidences'"),
+            ("bundle", '{"edges": []}', "bundle: missing key 'rank'"),
             (
                 "bundle",
                 '{"rank": 1, "edges": [{"edge": "a", "matrix": [2]}, {"edge": "a", "matrix": [3]}]}',

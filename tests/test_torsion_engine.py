@@ -132,6 +132,114 @@ def per_incidence_boundaries(cx, bundle, spray):
     return out
 
 
+def one_at_a_time(bundle, steps, inverse=False, memo=None):
+    """Transport taken one product per step from the identity, left to right (for
+    inverses matrix(step reversed) . prefix), in Fractions or floats; kept in memo."""
+    key = (steps, inverse)
+    if memo is None or key not in memo:
+        out = np.eye(bundle.rank, dtype=int).tolist() if bundle.exact else np.eye(bundle.rank)
+        mul = lx.matmul if bundle.exact else np.matmul
+        for e, d in steps:
+            out = mul(bundle.matrix(e, -d), out) if inverse else mul(out, bundle.matrix(e, d))
+        if memo is None:
+            return out
+        memo[key] = out
+    return memo[key]
+
+
+def per_record_blocks(cx, bundle, spray):
+    """Each degree's (rows, cols, nums, den) built record by record: leg . path . leg^-1
+    from one-at-a-time transports, summed per (cell, face) pair in record order; exact
+    blocks over the least common denominator, float ones over 1."""
+    k, memo, out = bundle.rank, {}, {}
+    mul = lx.matmul if bundle.exact else np.matmul
+    legs = dict(spray.legs)
+    for d in range(1, cx.dim + 1):
+        ri = {c.id: i for i, c in enumerate(cx.cells_of_dim(d))}
+        ci = {c.id: j for j, c in enumerate(cx.cells_of_dim(d - 1))}
+        sums = {}
+        for rec in cx.incidences:
+            if rec.coface not in ri:
+                continue
+            block = mul(
+                mul(one_at_a_time(bundle, legs[rec.coface].steps, memo=memo),
+                    one_at_a_time(bundle, rec.path.steps, memo=memo)),
+                one_at_a_time(bundle, legs[rec.face].steps, inverse=True, memo=memo),
+            )
+            key = (ri[rec.coface], ci[rec.face])
+            if bundle.exact:
+                acc = sums.setdefault(key, [[Fraction(0)] * k for _ in range(k)])
+                sums[key] = [[x + rec.coeff * y for x, y in zip(r, q)] for r, q in zip(acc, block)]
+            else:
+                sums[key] = sums.get(key, np.zeros((k, k))) + rec.coeff * block
+        keys = sorted(sums)
+        nums, den = [sums[key] for key in keys], 1
+        if bundle.exact:
+            den = math.lcm(*(x.denominator for m in nums for r in m for x in r))
+            nums = [[[x * den for x in r] for r in m] for m in nums]
+        out[d] = ([i for i, _ in keys], [j for _, j in keys], nums, den)
+    return out
+
+
+def corpus_triples(rounds=2, max_cells=1500):
+    """(label, complex, bundle, spray) for every corpus item at ranks 1-3, exact and
+    float, before and after each round of subdivision up to rounds (and max_cells)."""
+    for name in corpus_list():
+        item = corpus_get(name)
+        ranks = {}
+        for rank in (1, 2, 3):
+            b = random_flat_bundle(name, item.complex, np.random.default_rng(rank), rank=rank)
+            ranks.setdefault(b.rank, b)
+        for exact in ranks.values():
+            for bundle in (exact, FlatBundle(exact.rank, exact.edge_matrices, exact=False)):
+                cx, spray = item.complex, item.spray
+                for r in range(rounds + 1):
+                    if r:
+                        too_big = len(cx.cells) * 14 > max_cells  # a round multiplies cells by 6-14
+                        if too_big or (cx.dim == 3 and not cx.simplex_vertices):
+                            break
+                        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                    mode = "exact" if bundle.exact else "float"
+                    yield f"{name}-r{bundle.rank}-{mode}@{r}", cx, bundle, spray
+
+
+class TestBatchedTransports:
+    def test_block_records_equal_the_per_record_reference(self):
+        seen = set()
+        for label, cx, bundle, spray in corpus_triples():
+            tcc = assemble(cx, bundle, spray)
+            want = per_record_blocks(cx, bundle, spray)
+            assert sorted(tcc.blocks) == sorted(want), label
+            for d, (rows, cols, nums, den) in want.items():
+                rec = tcc.blocks[d]
+                assert rec.rows.tolist() == rows and rec.cols.tolist() == cols, label
+                assert rec.den == den and rec.nums.shape == (len(rows), bundle.rank, bundle.rank)
+                want_nums = np.array(nums, dtype=rec.nums.dtype).reshape(rec.nums.shape)
+                assert np.array_equal(rec.nums, want_nums), label
+            seen.add(label.split("-r")[0] + label[-2:])
+        assert {"torus@2", "klein@2", "sphere@2", "tetra-solid@1", "lens-7-2@0", "point@0"} <= seen
+
+    def test_flatness_reports_equal_the_per_cell_reference(self):
+        torus = corpus_get("torus").complex
+        b = [[1, 0], [Fraction(1, 3), 1]]
+        nonflat = (torus, FlatBundle(2, {"a": [[1, 1], [0, 1]], "b": b}))
+        cases = [(cx, bundle) for _, cx, bundle, _ in corpus_triples(rounds=1)] + [
+            nonflat, (torus, nonflat[1].as_float())]
+        for cx, bundle in cases:
+            got = flat_bundle.check_flatness(cx, bundle)
+            want = {}
+            for cell in cx.cells_of_dim(2):
+                hol = one_at_a_time(bundle, cx.attaching_walk(cell.id).steps)
+                if bundle.exact:
+                    dev = max(abs(x - (i == j)) for i, r in enumerate(hol) for j, x in enumerate(r))
+                    want[cell.id] = float(dev) if dev else 0
+                else:
+                    want[cell.id] = float(np.max(np.abs(hol - np.eye(bundle.rank))))
+            assert got.deviations == want and list(got.deviations) == list(want)
+            assert [type(v) for v in got.deviations.values()] == [type(v) for v in want.values()]
+        assert not flat_bundle.check_flatness(*nonflat).ok
+
+
 class TestSharedWalkTransports:
     def test_lens_exact_blocks_equal_per_incidence(self):
         cx = build_lens(7, 1)
@@ -1048,10 +1156,10 @@ class TestAssemblyReuse:
         tcc = assemble(cx, bundle, spray)
         flatness = counting(monkeypatch, flat_bundle, "check_flatness")
         sprays = counting(monkeypatch, torsion_engine, "validate_spray")
-        walks = counting(monkeypatch, FlatBundle, "walk")
+        transports = counting(monkeypatch, FlatBundle, "transports")
         assert assemble(cx, bundle, spray) is tcc
         assert assemble(cx, bundle, canonical_spray(cx)) is tcc  # equal spray, another object
-        assert flatness == sprays == walks == []
+        assert flatness == sprays == transports == []
 
     def test_each_miss_equals_a_cold_assembly(self):
         def wound(cx, spray):
@@ -1186,14 +1294,14 @@ class TestFlatnessThroughTheSlot:
 
 def dense_transport_reference(tcc_alpha, bundle, alpha, beta, refs):
     """The earlier transport, kept as a reference: rows times one dense block-diagonal
-    matrix of inverse float loop transports, walked on a float copy of the bundle."""
-    k, bundle_f, walks, out = bundle.rank, bundle.as_float(), {}, {}
+    matrix of inverse float loop transports, taken on a float copy of the bundle."""
+    k, bundle_f, out = bundle.rank, bundle.as_float(), {}
     for d, rows in refs.items():
         ids = tcc_alpha.cell_order[d]
         w = np.zeros((k * len(ids), k * len(ids)))
         for i, cid in enumerate(ids):
             loop = beta.leg(cid).compose(alpha.leg(cid).reverse())
-            m = np.linalg.inv(bundle_f.walk(loop.steps, walks)[0])
+            m = np.linalg.inv(loop_transport(bundle_f, loop))
             w[k * i : k * i + k, k * i : k * i + k] = m
         out[d] = np.asarray(rows, dtype=float) @ w
     return out
@@ -1232,17 +1340,18 @@ class TestReferenceTransport:
         tcc = assemble(cx, bundle, spray)
         refs = {d: b for d, b in harmonic_data(tcc)[2].items() if b.size}
         beta = act(cx, h1_class_for(cx, (1, 1)), spray)
-        walks = counting(monkeypatch, FlatBundle, "walk")
+        calls = counting(monkeypatch, FlatBundle, "transports")
         transport_reference_between_sprays(tcc, cx, bundle, spray, beta, refs)
         walked = sum(len(tcc.cell_order[d]) for d in refs)
-        assert len(walks) == walked < sum(map(len, tcc.cell_order.values()))
+        assert sum(len(paths) for _, paths in calls) == walked
+        assert walked < sum(map(len, tcc.cell_order.values()))
 
     def test_acyclic_triple_walks_nothing(self, monkeypatch):
         cx, bundle, spray = torus_triple()
         beta = act(cx, h1_class_for(cx, (1, 0)), spray)
         res_a = ft_torsion(cx, bundle, spray)
         assert res_a.acyclic
-        walks = counting(monkeypatch, FlatBundle, "walk")
+        walks = counting(monkeypatch, FlatBundle, "transports")
         transports = counting(monkeypatch, torsion_engine, "transport_reference_between_sprays")
         tcc = assemble(cx, bundle, spray)
         del walks[:]
