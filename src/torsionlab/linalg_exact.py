@@ -127,7 +127,9 @@ def scaled_concat(stacks):
     if len(stacks) == 1:
         return stacks[0]
     den = math.lcm(*(d for _, d in stacks))
-    nums = np.concatenate([m if d == den else m.astype(object) * (den // d) for m, d in stacks])
+    big = any(m.dtype == object or _peak(m) * (den // d) >= 2**63 for m, d in stacks if d != den)
+    nums = [m if d == den else (m.astype(object) if big else m) * (den // d) for m, d in stacks]
+    nums = np.concatenate(nums)
     return (nums.astype(np.int64) if nums.dtype == object and _peak(nums) < 2**63 else nums), den
 
 
