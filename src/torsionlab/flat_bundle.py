@@ -171,7 +171,8 @@ class FlatBundle:
         depths = sorted({d for d, _ in ends}) or [0]
         if not depths[0]:
             prods[0] = (np.eye(self.rank, dtype=np.int64 if self.exact else float)[None], 1)
-        start = dict(zip(depths, itertools.accumulate((len(prods[d][0]) for d in depths), initial=0)))
+        sizes = (len(prods[d][0]) for d in depths)
+        start = dict(zip(depths, itertools.accumulate(sizes, initial=0)))
         nums, den = lx.scaled_concat([prods[d] for d in depths])
         at = [start[d] + i for d, i in ends]
         return nums[[at[i] for i in of_path]], den

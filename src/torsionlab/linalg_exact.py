@@ -134,7 +134,7 @@ def scaled_concat(stacks):
 
 
 def scaled_sum(keys, coeffs, a):
-    """(distinct keys ascending, (sums, den)): coeffs[i] * a[i] added up per keys[i], in stack order.
+    """(distinct keys ascending, (sums, den)): coeffs[i] * a[i] summed per keys[i], in stack order.
 
     ``a`` is a scaled stack; integer sums leave int64 for Python ints when
     sum |coeffs| times the peak entry could overflow.

@@ -229,7 +229,8 @@ def assemble(complex_, bundle, spray):
         prod = lx.scaled_matmul(prod, (inv[0][[leg[r.face] for r in rs]], inv[1]))
         at += len(rs)
         keys = np.array([ri[r.coface] * len(ci) + ci[r.face] for r in rs], dtype=np.int64)
-        keys, (nums, den) = lx.scaled_sum(keys, np.array([r.coeff for r in rs], dtype=np.int64), prod)
+        coeffs = np.array([r.coeff for r in rs], dtype=np.int64)
+        keys, (nums, den) = lx.scaled_sum(keys, coeffs, prod)
         blocks[d] = BlockRecord(keys // len(ci), keys % len(ci), nums, den)
     tcc = TwistedChainComplex(k, order, blocks)
     _check_boundary_squared(tcc)
