@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,7 +8,14 @@ from fractions import Fraction
 from torsionlab import barycentric
 from torsionlab import linalg_exact as lx
 from torsionlab.barycentric import barycentric_subdivide
-from torsionlab.complex_core import EdgePath, point_complex, simplicial_complex
+from torsionlab.complex_core import (
+    Cell,
+    ComplexDescription,
+    EdgePath,
+    Incidence,
+    point_complex,
+    simplicial_complex,
+)
 from torsionlab.corpus import corpus_get, random_flat_bundle
 from torsionlab.errors import UnsupportedDimensionError, UnsupportedStructureError
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, validate_spray
@@ -216,3 +226,81 @@ class TestUnsupported:
         item = corpus_get("lens-5-1")
         with pytest.raises(UnsupportedStructureError):
             barycentric_subdivide(item.complex, item.bundle, item.spray)
+
+
+def _head_anchored(cx, edges):
+    """cx with the named 1-cells anchored at their heads, connectors moved to match."""
+    cells = [Cell(c.id, 1, cx.edge_endpoints(c.id)[1]) if c.id in edges else c for c in cx.cells]
+    recs = []
+    for r in cx.incidences:
+        if r.coface in edges:
+            t, h = cx.edge_endpoints(r.coface)
+            steps = () if r.face == h else ((r.coface, -1),)
+            r = Incidence(r.coface, r.face, r.coeff, EdgePath(steps, h, r.face))
+        recs.append(r)
+    return ComplexDescription(cells, recs, cx.base_vertex, cx.name)
+
+
+def _pair_record(m):
+    nums, den = m
+    values = nums.astype("<f8").tobytes().hex() if nums.dtype.kind == "f" else nums.tolist()
+    return [str(nums.dtype), list(nums.shape), values, den]
+
+
+def _path_record(p):
+    return [[list(s) for s in p.steps], p.src, p.dst]
+
+
+def _subdivision_record(cx, bundle, spray, rounds):
+    """Every output of each round, in order: cells, records with their connectors,
+    edge pairs (float bits included), spray legs and the SubdivisionMap fields."""
+    out = []
+    for _ in range(rounds):
+        cx, bundle, spray, smap = barycentric_subdivide(cx, bundle, spray)
+        out.append([
+            [[c.id, c.dim, c.anchor] for c in cx.cells],
+            [[r.coface, r.face, r.coeff, _path_record(r.path)] for r in cx.incidences],
+            [bundle.rank, bundle.exact, [[e, _pair_record(m)] for e, m in bundle._edge_pairs().items()]],
+            [[c, _path_record(p)] for c, p in spray.legs],
+            [smap.source.name, smap.target.name, list(smap.vertex_images.items()),
+             list(smap.cell_carriers.items()), [[e, [list(s) for s in ss]] for e, ss in smap.step_images.items()],
+             [[c, list(img.items())] for c, img in smap.chain_coefficients.items()]],
+        ])
+    return out
+
+
+# sha256 of _subdivision_record at ranks 1-2, exact and float, per case; rounds 1-2
+# (tetra-solid: 1); every non-lens corpus item, lens items take no subdivision
+PINNED_SUBDIVISIONS = {
+    "point": "64ada36261c68ed72b4dd62abfec915bcccff1b2657b90ed6d3272cb1e268ee6",
+    "circle-1cell": "6bf76364ed8bfb7aaab70f8257a6714a8c4267608f621e4fd1b5ce6750c5d2be",
+    "circle-2vertex": "236c449b880e292439418084218130e9e625d8b9b0f4a488f0143e43526a8e17",
+    "circle-2vertex/e2-at-head": "283b3f89b71ac23ee7a9548eaf6d4eb8134d516a77228070ceea1eb15e6aeedf",
+    "circle-2vertex/both-at-head": "9b9d63388a81e123324470812134e547acb41cedaed8e0e96d004a89e5369107",
+    "torus": "2d8b166fcee87b368eacb097297e5d38e4a6ded960f9285f6fa9a92b24eb5de0",
+    "klein": "d8773b9b5024bb134767279290c983c701d0c7c6e3c27afc9df2090c64fc0524",
+    "rp2": "ce76e41baf3188d752f3eedc9a995aa99c0ef9a3d4e4e5b90234a8645c5482bc",
+    "sphere": "273f20d727934e927d06b164e5d657db43e05efdbef1cd904916e784efa98969",
+    "tetra-solid": "8f1d14b4555424fcf0e4f1a1a1b53a3c3579115858311504bd05370feeb30882",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SUBDIVISIONS)
+def test_subdivision_outputs_are_pinned(name):
+    """Cells, records, edge pairs, legs and maps after each round are those pinned.
+
+    The "at-head" cases anchor edges at their heads, so a leg is carried
+    from the head of its edge, not the tail.
+    """
+    item, _, at_head = name.partition("/")
+    cx = corpus_get(item).complex
+    if at_head:
+        cx = _head_anchored(cx, {"e2"} if at_head == "e2-at-head" else {"e1", "e2"})
+    rounds = 1 if item == "tetra-solid" else 2
+    out = []
+    for rank in (1, 2):
+        bundle = random_flat_bundle(item, cx, np.random.default_rng(rank), rank=rank)
+        for b in (bundle, bundle.as_float()):
+            out.append(_subdivision_record(cx, b, canonical_spray(cx), rounds))
+    text = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SUBDIVISIONS[name]
