@@ -12,6 +12,12 @@ spray, and a SubdivisionMap that also carries the degree-wise chain map used
 to transport homology references.  The induced bundle refines transports: the
 product over the pieces of an old edge equals the old matrix, and all
 cell-interior edges carry prefix transports in the spray-compatible gauge.
+
+Both carry the spray by one rule, ``_transfer_spray``: a new cell's leg is
+the leg of its carrier (the old cell whose interior holds it) pushed forward,
+then at most two new edges, from the image of the carrier's anchor to the
+carrier's barycenter and on to the new cell's anchor.  Each route names
+those edges in a (vertex, vertex) -> step table as it builds them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .complex_core import (
 )
 from .errors import UnsupportedDimensionError, UnsupportedStructureError
 from .euler_struct import Spray, validate_spray
-from .flat_bundle import FlatBundle, require_flat
+from .flat_bundle import FlatBundle, _vouched, require_flat
 
 
 @dataclass
@@ -99,15 +105,15 @@ def barycentric_subdivide(complex_, bundle, spray):
     """One round of barycentric subdivision of (complex, bundle, spray).
 
     The spray and flatness checks are skipped where ``bundle.last_assembly``
-    already holds them, as in ``torsion_engine.assemble``: the spray for the
-    same complex (by identity) and an equal spray, flatness for the same
-    complex.  The subdivided complex is validated once, by its Euler check.
+    already holds them (``flat_bundle._vouched``), as in
+    ``torsion_engine.assemble``.  The subdivided complex is validated once,
+    by its Euler check.
     """
     complex_.require_valid()
-    last = bundle.last_assembly or (None, None)
-    if last[0] is not complex_ or last[1] != spray:
+    spray_ok, flat = _vouched(bundle, complex_, spray)
+    if not spray_ok:
         validate_spray(complex_, spray)
-    if last[0] is not complex_:
+    if not flat:
         require_flat(complex_, bundle)
     if complex_.dim > 3:
         raise UnsupportedDimensionError(
@@ -135,15 +141,27 @@ def _shared_transports(bundle, walks):
     return {w: lx._reduced(m, den) for w, m in zip(distinct, nums)}
 
 
-def _transfer_spray(smap, spray, internal):
-    """Each target cell's leg: its carrier's leg, transferred once per carrier,
-    then ``internal(cell, carrier)``, a walk inside the carrier."""
+def _step(steps, a, b):
+    if (a, b) not in steps:
+        raise UnsupportedStructureError(f"missing subdivision edge {a!r} - {b!r}")
+    return steps[a, b]
+
+
+def _transfer_spray(smap, spray, barycenters, steps):
+    """Each target cell's leg: its carrier's leg, transferred once per carrier, then
+    at most two steps of ``steps``, from the carrier anchor's image to the carrier's
+    barycenter and from there to the cell's anchor; none where those two agree."""
     moved, legs = {}, []
     for c in smap.target.cells:
         carrier = smap.cell_carriers[c.id]
         if carrier not in moved:
             moved[carrier] = smap.path_transfer(spray.leg(carrier))
-        legs.append((c.id, moved[carrier].compose(internal(c, carrier))))
+        leg = moved[carrier]
+        if leg.dst != c.anchor:
+            bc = barycenters[carrier]
+            inside = tuple(_step(steps, a, b) for a, b in ((leg.dst, bc), (bc, c.anchor)) if a != b)
+            leg = EdgePath.of_normal(leg.steps + inside, leg.src, c.anchor)
+        legs.append((c.id, leg))
     return Spray(tuple(legs))
 
 
@@ -163,44 +181,41 @@ def _subdivide_walks(cx, bundle, spray):
     mats = {}  # half edges: the old edge's matrix
     walks = {}  # other new edges: the attaching-walk prefix whose transport they carry
     step_images = {}
+    steps = {}  # (vertex, vertex) -> a step between them, for the spray transfer
     carriers = {v: v for v in vertices}
     chain = {v: {v: 1} for v in vertices}
     for e in cx.cells_of_dim(1):
         t, h = cx.edge_endpoints(e.id)
-        h0, h1 = f"{e.id}:h0", f"{e.id}:h1"
-        edges[h0] = (t, bary_v[e.id])
-        edges[h1] = (bary_v[e.id], h)
+        h0, h1, be = f"{e.id}:h0", f"{e.id}:h1", bary_v[e.id]
+        edges[h0] = (t, be)
+        edges[h1] = (be, h)
+        steps[t, be], steps[be, t] = (h0, 1), (h0, -1)
+        steps.setdefault((h, be), (h1, -1))  # a loop edge keeps (h0, 1) from its one vertex
         mats[h0] = bundle.scaled(e.id)
         walks[h1] = ()
         step_images[e.id] = ((h0, 1), (h1, 1))
-        carriers[h0] = carriers[h1] = carriers[bary_v[e.id]] = e.id
+        carriers[h0] = carriers[h1] = carriers[be] = e.id
         chain[e.id] = {h0: 1, h1: 1}
 
     faces = {}
-    face_anchor_spoke = {}
     for f in cx.cells_of_dim(2):
         walk = cx.attaching_walk(f.id)
         bf = bary_v[f.id]
         carriers[bf] = f.id
         L = len(walk.steps)
-        corner_at = [walk.src]
-        for step in walk.steps:
-            corner_at.append(cx.step_endpoints(step)[1])
-        spokes_r, spokes_s = [], []
-        for i in range(L):
-            r_id = f"{f.id}:r{i}"
-            spokes_r.append(r_id)
+        corner_at = [walk.src] + [cx.step_endpoints(step)[1] for step in walk.steps]
+        spokes_r = [f"{f.id}:r{i}" for i in range(L)]
+        spokes_s = [f"{f.id}:s{i + 1}" for i in range(L)]
+        for i, (r_id, s_id) in enumerate(zip(spokes_r, spokes_s)):
             edges[r_id] = (bf, corner_at[i])
             walks[r_id] = walk.steps[:i]
             carriers[r_id] = f.id
             e, d = walk.steps[i]
-            s_id = f"{f.id}:s{i + 1}"
-            spokes_s.append(s_id)
             edges[s_id] = (bf, bary_v[e])
             walks[s_id] = walk.steps[: i + 1] if d == 1 else walks[r_id]
             carriers[s_id] = f.id
-        face_anchor_spoke[f.id] = spokes_r[0]
-        tri_ids = []
+        steps[walk.src, bf] = (spokes_r[0], -1)
+        chain[f.id] = {}
         for i in range(1, L + 1):
             e, d = walk.steps[i - 1]
             h0, h1 = f"{e}:h0", f"{e}:h1"
@@ -213,8 +228,7 @@ def _subdivide_walks(cx, bundle, spray):
                 faces[ta] = [(r_prev, 1), (h1, -1), (s_i, -1)]
                 faces[tb] = [(s_i, 1), (h0, -1), (r_next, -1)]
             carriers[ta] = carriers[tb] = f.id
-            tri_ids.extend([ta, tb])
-        chain[f.id] = {t: 1 for t in tri_ids}
+            chain[f.id][ta] = chain[f.id][tb] = 1
 
     target = cw_complex_from_words(
         f"{cx.name}-sub", new_vertices, edges, faces, cx.base_vertex
@@ -232,53 +246,7 @@ def _subdivide_walks(cx, bundle, spray):
         chain_coefficients=chain,
     )
 
-    new_spray = _transfer_spray(
-        smap, spray, lambda c, carrier: _internal_path_walks(cx, c, carrier, bary_v, face_anchor_spoke)
-    )
-    return target, new_bundle, new_spray, smap
-
-
-def _internal_path_walks(cx, new_cell, carrier, bary_v, face_anchor_spoke):
-    """Walk from the carrier-anchor image to the new cell's anchor, inside
-    the closed carrier cell."""
-    src = cx.cell(carrier).anchor
-    dst = new_cell.anchor
-    cdim = cx.cell(carrier).dim
-    if cdim == 0:
-        return EdgePath.of_normal((), src, dst)
-    if cdim == 1:
-        # dispatch on the new cell itself: endpoint vertices may coincide
-        # (loop edges), so the destination vertex alone is ambiguous
-        t, h = cx.edge_endpoints(carrier)
-        h0, h1 = f"{carrier}:h0", f"{carrier}:h1"
-        bc = bary_v[carrier]
-        from_tail = src == t
-        if new_cell.id == h0:  # anchored at the tail
-            return (
-                EdgePath.of_normal((), t, t)
-                if from_tail
-                else EdgePath.of_normal(((h1, -1), (h0, -1)), h, t)
-            )
-        if new_cell.id in (h1, bc):  # anchored at the barycenter
-            return (
-                EdgePath.of_normal(((h0, 1),), t, bc)
-                if from_tail
-                else EdgePath.of_normal(((h1, -1),), h, bc)
-            )
-        raise UnsupportedStructureError(
-            f"unexpected edge-carried cell {new_cell.id!r}"
-        )
-    # carrier is a 2-cell: route through the face barycenter via corner spoke 0
-    r0 = face_anchor_spoke[carrier]
-    bf = bary_v[carrier]
-    to_bf = EdgePath.of_normal(((r0, -1),), src, bf)
-    if dst == bf:
-        return to_bf
-    if dst == src:
-        return EdgePath.of_normal((), src, src)
-    raise UnsupportedStructureError(
-        f"no internal route from {src!r} to {dst!r} inside {carrier!r}"
-    )
+    return target, new_bundle, _transfer_spray(smap, spray, bary_v, steps), smap
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +256,8 @@ def _internal_path_walks(cx, new_cell, carrier, bary_v, face_anchor_spoke):
 def _subdivide_flags(cx, bundle, spray):
     simp = cx.simplex_vertices
     ids = list(simp)
+    if set(ids) != {c.id for c in cx.cells}:
+        raise UnsupportedStructureError("simplex_vertices must list the cells of the complex")
 
     def bid(cell_id):
         return f"b.{cell_id}"
@@ -326,24 +296,19 @@ def _subdivide_flags(cx, bundle, spray):
 
     # each new edge: its oriented steps by barycenter pair, and the walk
     # between the anchors of the two cells it joins
-    step, walks = {}, {}
+    steps, walks = {}, {}
     for e in target.cells_of_dim(1):
         u, v = target.simplex_vertices[e.id]
-        step[u, v], step[v, u] = (e.id, 1), (e.id, -1)
+        steps[u, v], steps[v, u] = (e.id, 1), (e.id, -1)
         walks[e.id] = old_edge_path(anchor_of[bid_map[u]], anchor_of[bid_map[v]])
     shared = _shared_transports(bundle, walks.values())
     mats = {e: shared[w] for e, w in walks.items()}
     new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
 
-    def edge_step(a, b):
-        if (a, b) not in step:
-            raise UnsupportedStructureError(f"missing subdivision edge {a!r} - {b!r}")
-        return step[a, b]
-
     step_images = {}
     for e in cx.cells_of_dim(1):
         t, h = cx.edge_endpoints(e.id)
-        step_images[e.id] = (edge_step(bid(t), bid(e.id)), edge_step(bid(e.id), bid(h)))
+        step_images[e.id] = (_step(steps, bid(t), bid(e.id)), _step(steps, bid(e.id), bid(h)))
 
     smap = SubdivisionMap(
         source=cx,
@@ -354,19 +319,7 @@ def _subdivide_flags(cx, bundle, spray):
         chain_coefficients=_cone_chain_map(cx, target, bid),
     )
 
-    def internal(new_cell, carrier):
-        """Walk from the carrier anchor's image to the new cell's anchor through b.carrier."""
-        src, dst, bc = bid(anchor_of[carrier]), new_cell.anchor, bid(carrier)
-        if src == dst:
-            return EdgePath.of_normal((), src, src)
-        steps = []
-        if src != bc:
-            steps.append(edge_step(src, bc))
-        if dst != bc:
-            steps.append(edge_step(bc, dst))
-        return EdgePath.of_normal(tuple(steps), src, dst)
-
-    return target, new_bundle, _transfer_spray(smap, spray, internal), smap
+    return target, new_bundle, _transfer_spray(smap, spray, {c: bid(c) for c in ids}, steps), smap
 
 
 def _cone_chain_map(cx, target, bid):

@@ -188,7 +188,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (TorsionLabError, KeyError, ValueError, OSError) as exc:
+    except (TorsionLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

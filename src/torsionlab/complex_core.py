@@ -221,8 +221,8 @@ class ComplexDescription:
         ends, bad_edges = {}, []
         for c in self._by_dim.get(1, ()):
             recs = self._incident_by_coface.get(c.id, ())
-            heads = [r.face for r in recs if r.coeff == 1]
-            tails = [r.face for r in recs if r.coeff == -1]
+            heads = [r.face for r in recs if r.coeff == 1 and dim.get(r.face) == 0]
+            tails = [r.face for r in recs if r.coeff == -1 and dim.get(r.face) == 0]
             if len(heads) != 1 or len(tails) != 1 or len(recs) != 2:
                 bad_edges.append(c.id)
             else:

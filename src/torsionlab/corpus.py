@@ -24,7 +24,7 @@ from .complex_core import (
     point_complex,
     simplicial_complex,
 )
-from .errors import TorsionLabError
+from .errors import TorsionLabError, UnknownNameError
 from .euler_struct import canonical_spray
 from .flat_bundle import FlatBundle
 
@@ -173,7 +173,7 @@ def corpus_list():
 
 def corpus_get(name):
     if name not in _BUILDERS:
-        raise KeyError(f"unknown corpus item {name!r}; known: {', '.join(corpus_list())}")
+        raise UnknownNameError(f"unknown corpus item {name!r}; known: {', '.join(corpus_list())}")
     cx = _BUILDERS[name]()
     cx.require_valid()
     bundle = _default_bundle(name, cx)
@@ -268,7 +268,7 @@ def _holonomy_rows(name, rng, rank):
         out = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
         out[0][0], out[0][1], out[1][0], out[1][1] = p, q, r, -p
         return {"a": out}
-    raise KeyError(f"no holonomy family for corpus item {name!r}")
+    raise UnknownNameError(f"no holonomy family for corpus item {name!r}")
 
 
 def random_flat_bundle(name, cx, rng, rank=None):

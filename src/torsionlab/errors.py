@@ -47,6 +47,12 @@ class SprayError(TorsionLabError):
     pass
 
 
+class UnknownNameError(TorsionLabError, KeyError):
+    """No corpus item, suite or holonomy family has this name."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
+
+
 class FloatRangeError(TorsionLabError, OverflowError):
     """An exact rational value lies outside the range of a double."""
 

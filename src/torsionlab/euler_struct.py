@@ -9,6 +9,7 @@ prepending a based loop gamma to every leg shifts the class by chi * [gamma].
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import OpenPathError, PathComplexMismatchError, SprayError
@@ -99,6 +100,9 @@ def validate_spray(complex_, spray):
             f"spray legs do not match cells (missing {sorted(want - have, key=str)}, "
             f"extra {sorted(have - want, key=str)})"
         )
+    if len(have) != len(spray.legs):
+        twice = next(c for c, n in Counter(c for c, _ in spray.legs).items() if n > 1)
+        raise SprayError(f"spray lists cell {twice!r} twice")
     for cid, path in spray.legs:
         anchor = complex_.cell(cid).anchor
         if path.src != complex_.base_vertex or path.dst != anchor:

@@ -238,6 +238,17 @@ def require_flat(complex_, bundle):
     return rep
 
 
+def _vouched(bundle, complex_, spray):
+    """(spray is valid, bundle is flat) as far as ``bundle.last_assembly`` vouches for them.
+
+    An assembly of the same complex (by identity) vouches for flatness, and
+    for the spray too if its spray is equal.  All three are immutable.
+    """
+    last = bundle.last_assembly
+    flat = last is not None and last[0] is complex_
+    return flat and last[1] == spray, flat
+
+
 def kt_evaluate(bundle, loop):
     """log |det transport(loop)| for a closed walk."""
     if not loop.is_closed:

@@ -26,7 +26,7 @@ from .corpus import (
     random_flat_bundle,
     random_invertible,
 )
-from .errors import TorsionLabError
+from .errors import TorsionLabError, UnknownNameError
 from .euler_struct import (
     act,
     canonical_spray,
@@ -797,7 +797,7 @@ INVARIANT_COVERAGE = {
 def run_suite(name):
     """Execute one named suite and return its deterministic report."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+        raise UnknownNameError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name]()
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg_exact as lx
 from .errors import DenseSizeError, FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
-from .flat_bundle import require_flat
+from .flat_bundle import _vouched, require_flat
 
 RANK_TOL = 1e-10
 GUARD_LOW, GUARD_HIGH = 0.1, 10.0
@@ -204,18 +204,18 @@ def assemble(complex_, bundle, spray):
     the spray.
     """
     complex_.require_valid()
-    last = bundle.last_assembly
-    if last is not None and last[0] is complex_ and last[1] == spray:
-        return last[2]
+    spray_ok, flat = _vouched(bundle, complex_, spray)
+    if spray_ok:
+        return bundle.last_assembly[2]
     validate_spray(complex_, spray)
-    if last is None or last[0] is not complex_:
+    if not flat:
         require_flat(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
     recs = {d: [] for d in order if d}
     for r in complex_.incidences:
         recs[complex_.cell(r.coface).dim].append(r)
-    leg = {cid: i for i, (cid, _) in enumerate(spray.legs)}  # a repeated cell keeps its last leg
+    leg = {cid: i for i, (cid, _) in enumerate(spray.legs)}
     fwd, fden = bundle.transports(
         [p.steps for _, p in spray.legs] + [r.path.steps for d in recs for r in recs[d]]
     )
@@ -323,6 +323,8 @@ def _symmetric(m, what):
 
 def _nonzero(w, lam_max, rank_tol):
     """Ascending values of w above the cutoff rank_tol * lam_max, with a guard band on it."""
+    if not 0.0 < rank_tol < 1.0:  # false for nan too
+        raise ValueError(f"rank tolerance must be a finite number in (0, 1), got {rank_tol!r}")
     if lam_max <= 0.0:
         return w[:0]
     cutoff = rank_tol * lam_max

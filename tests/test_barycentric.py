@@ -227,6 +227,23 @@ class TestUnsupported:
         with pytest.raises(UnsupportedStructureError):
             barycentric_subdivide(item.complex, item.bundle, item.spray)
 
+    def test_simplex_vertices_of_other_cells_rejected(self):
+        item = corpus_get("tetra-solid")
+        cx = item.complex
+        simp = dict(cx.simplex_vertices)
+        simp["nope"] = simp.pop(cx.cells[-1].id)
+        bad = ComplexDescription(cx.cells, cx.incidences, cx.base_vertex, cx.name, simp)
+        with pytest.raises(UnsupportedStructureError, match="simplex_vertices"):
+            barycentric_subdivide(bad, item.bundle, item.spray)
+
+    @pytest.mark.parametrize("name", ["torus", "tetra-solid"])
+    def test_a_missing_step_of_the_transfer_is_a_typed_error(self, name):
+        item = corpus_get(name)
+        smap = barycentric_subdivide(item.complex, item.bundle, item.spray)[3]
+        barycenters = {c: smap.target.cells[0].id for c in smap.cell_carriers.values()}
+        with pytest.raises(UnsupportedStructureError, match="missing subdivision edge"):
+            barycentric._transfer_spray(smap, item.spray, barycenters, {})
+
 
 def _head_anchored(cx, edges):
     """cx with the named 1-cells anchored at their heads, connectors moved to match."""

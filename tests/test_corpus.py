@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torsionlab.corpus import corpus_get, corpus_list, random_flat_bundle, random_invertible
+from torsionlab.errors import TorsionLabError, UnknownNameError
 from torsionlab.flat_bundle import check_flatness
 from torsionlab.serialization import (
     bundle_to_jsonable,
@@ -81,6 +82,10 @@ def test_item_topology(name):
 def test_unknown_name_rejected():
     with pytest.raises(KeyError):
         corpus_get("mystery-manifold")
+    with pytest.raises(UnknownNameError) as err:
+        corpus_get("mystery-manifold")
+    assert isinstance(err.value, TorsionLabError)
+    assert str(err.value) == f"unknown corpus item 'mystery-manifold'; known: {', '.join(corpus_list())}"
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIGESTS))

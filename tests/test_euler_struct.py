@@ -74,6 +74,9 @@ class TestValidateSpray:
             (circle_legs(v2=((E2,), "v1", "v2"), e2=((), "v1", "v1")), NOT_A_WALK.format("v2")),
             (circle_legs(v2=((E2,), "v1", "v1"), e2=((E2,), "v1", "v2")),
              "leg of 'v2' must run 'v1' -> 'v2'"),
+            # a second good leg for e2: Spray.leg, assemble and spray_difference would disagree
+            (Spray(circle_legs().legs + (("e2", EdgePath((("e2", -1),), "v1", "v2")),)),
+             "spray lists cell 'e2' twice"),
             (circle_legs(v1=((E1, E2), "v1", "v1")), None),
             (circle_legs(e2=((E1, E2, E1), "v1", "v2")), None),
         ],

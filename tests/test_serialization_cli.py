@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from argparse import Namespace
 
 import numpy as np
@@ -315,6 +316,38 @@ class TestCli:
         data["base_vertex"] = "nope"
         save_json(tmp_path / "bad.json", data)
         assert self.run("validate", str(tmp_path / "bad.json")) == 1
+
+    @pytest.mark.parametrize("face", ["nope", "F"])
+    def test_an_edge_record_off_the_vertices_is_reported(self, tmp_path, capsys, face):
+        # the vertex record of edge a names an unknown cell, or the 2-cell
+        data = complex_to_jsonable(corpus_get("torus").complex)
+        rec = next(r for r in data["incidences"] if r["coface"] == "a" and r["coeff"] == 1)
+        rec["face"] = face
+        save_json(tmp_path / "bad.json", data)
+        assert self.run("--json", "validate", str(tmp_path / "bad.json")) == 1
+        codes = {code for code, _ in json.loads(capsys.readouterr().out)["violations"]}
+        assert "edge-endpoints" in codes and "connectivity" not in codes
+        assert self.run("chi", str(tmp_path / "bad.json")) == 2
+        assert capsys.readouterr().err.startswith("error: invalid complex:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_rank_tolerance_outside_zero_one_exits_2(self, tmp_path, capsys, tol):
+        assert self.run("corpus", "get", "klein", "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        files = ["--complex", str(tmp_path / "klein.complex.json"),
+                 "--bundle", str(tmp_path / "klein.bundle.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # --tol -1 raised a numpy RuntimeWarning first
+            assert self.run("--tol", tol, "torsion", "compute", *files) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: rank tolerance must be a finite number in (0, 1), got {float(tol)!r}"
+        ]
+
+    def test_unknown_corpus_item_exits_2_with_a_plain_message(self, capsys):
+        assert self.run("corpus", "get", "nosuch") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown corpus item 'nosuch'; known: {', '.join(corpus_list())}"
+        ]
 
     def test_loop_modify_verb(self, torus_files, capsys):
         loop_arg = json.dumps({"src": "v", "steps": [{"edge": "a", "dir": 1}]})

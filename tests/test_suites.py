@@ -1,5 +1,6 @@
 import pytest
 
+from torsionlab.errors import TorsionLabError, UnknownNameError
 from torsionlab.suites import INVARIANT_COVERAGE, SUITES, run_all, run_suite
 
 
@@ -22,6 +23,10 @@ def test_reports_are_byte_identical(all_reports):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope")
+    with pytest.raises(UnknownNameError) as err:
+        run_suite("nope")
+    assert isinstance(err.value, TorsionLabError)
+    assert str(err.value) == f"unknown suite 'nope'; known: {', '.join(sorted(SUITES))}"
 
 
 def test_every_property_appears_once(all_reports):

@@ -410,6 +410,16 @@ class TestDetPrime:
         with pytest.raises(IllConditionedError):
             det_prime(m)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0])
+    def test_rank_tolerance_outside_zero_one_rejected(self, tol):
+        # nan and inf used to read every eigenvalue as zero: klein gave betti {1, 2, 1}
+        cx, bundle, spray = triple("klein")
+        tcc = assemble(cx, bundle, spray)
+        for cutoff in (lambda: det_prime(np.zeros((2, 2)), tol), lambda: harmonic_data(tcc, tol),
+                       lambda: t_comb(tcc, "eig", tol)):
+            with pytest.raises(ValueError, match=r"rank tolerance must be a finite number in \(0, 1\)"):
+                cutoff()
+
 
 class TestTComb:
     def test_circle_three_equals_det_oracle(self):
