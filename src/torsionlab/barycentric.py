@@ -150,7 +150,8 @@ def _step(steps, a, b):
 def _transfer_spray(smap, spray, barycenters, steps):
     """Each target cell's leg: its carrier's leg, transferred once per carrier, then
     at most two steps of ``steps``, from the carrier anchor's image to the carrier's
-    barycenter and from there to the cell's anchor; none where those two agree."""
+    barycenter and from there to the cell's anchor; none if the cell is anchored at
+    the carrier anchor's image."""
     moved, legs = {}, []
     for c in smap.target.cells:
         carrier = smap.cell_carriers[c.id]
