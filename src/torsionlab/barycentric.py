@@ -36,7 +36,7 @@ from .complex_core import (
 )
 from .errors import UnsupportedDimensionError, UnsupportedStructureError
 from .euler_struct import Spray, validate_spray
-from .flat_bundle import FlatBundle, _vouched, require_flat
+from .flat_bundle import EPS_FLAT, FlatBundle, _vouched, require_flat
 
 
 @dataclass
@@ -115,6 +115,7 @@ def barycentric_subdivide(complex_, bundle, spray):
         validate_spray(complex_, spray)
     if not flat:
         require_flat(complex_, bundle)
+    _require_far_anchors_consistent(complex_, bundle)
     if complex_.dim > 3:
         raise UnsupportedDimensionError(
             f"subdivision supports dimension <= 3, got {complex_.dim}"
@@ -133,12 +134,56 @@ def barycentric_subdivide(complex_, bundle, spray):
     return out
 
 
+def _require_far_anchors_consistent(cx, bundle):
+    """A 1-cell anchored off its endpoints enters the twisted boundary only through its two
+    connectors; its subdivision follows the tail connector and then the edge itself.  Both
+    give the same complex only if the head connector's transport is the tail connector's
+    times the edge's, so a 1-cell that breaks this is refused."""
+    far = [e.id for e in cx.cells_of_dim(1) if e.anchor not in cx.edge_endpoints(e.id)]
+    if not far:
+        return
+    conn = [{r.coeff: r.path.steps for r in cx.records_of(e)} for e in far]
+    nums, _ = bundle.transports([w for e, c in zip(far, conn) for w in (c[-1] + ((e, 1),), c[1])])
+    for e, via_tail, head in zip(far, nums[::2], nums[1::2]):
+        # one denominator for the whole stack: exact matrices are equal if their numerators are
+        same = np.array_equal(via_tail, head) if bundle.exact else np.allclose(
+            via_tail, head, rtol=0.0, atol=EPS_FLAT * max(np.abs(head).max(), 1.0))
+        if not same:
+            raise UnsupportedStructureError(
+                f"1-cell {e!r} is anchored off its endpoints, and its head connector's transport "
+                "is not its tail connector's times the edge's"
+            )
+
+
 def _shared_transports(bundle, walks):
-    """{steps: transport}, one shared (nums, den) object per distinct walk, each over its own
-    least denominator, as the edge pairs of a bundle are: the new bundle checks each once."""
+    """{steps: (transport, its inverse)}, one shared pair of (nums, den) objects per distinct
+    walk, each over its own least denominator, int64 where it fits and read-only, as the edge
+    pairs of a bundle are: the new bundle checks each once and inverts none."""
     distinct = list(dict.fromkeys(walks))
-    nums, den = bundle.transports(distinct)
-    return {w: lx._reduced(m, den) for w, m in zip(distinct, nums)}
+    fwd, inv = (_own_denominators(bundle.transports(distinct, inverse=i)) for i in (False, True))
+    return dict(zip(distinct, zip(fwd, inv)))
+
+
+def _own_denominators(stack):
+    """The rows of a scaled stack as read-only pairs, each over its own least denominator
+    and int64 where it fits."""
+    nums, den = stack
+    if nums.dtype == object and lx._peak(nums) < 2**63:
+        nums = nums.astype(np.int64)
+    if nums.dtype == object or den >= 2**63:  # past int64: row by row
+        rows = []
+        for m in nums:
+            m, d = lx._reduced(m, den)
+            m = m.astype(np.int64) if lx._peak(m) < 2**63 else m
+            m.flags.writeable = False
+            rows.append((m, d))
+        return rows
+    dens = [den] * len(nums)
+    if den > 1:
+        g = np.gcd(np.gcd.reduce(nums, axis=(1, 2)), den)
+        nums, dens = nums // g[:, None, None], (den // g).tolist()
+    nums.flags.writeable = False
+    return list(zip(nums, dens))
 
 
 def _step(steps, a, b):
@@ -151,12 +196,19 @@ def _transfer_spray(smap, spray, barycenters, steps):
     """Each target cell's leg: its carrier's leg, transferred once per carrier, then
     at most two steps of ``steps``, from the carrier anchor's image to the carrier's
     barycenter and from there to the cell's anchor; none if the cell is anchored at
-    the carrier anchor's image."""
+    the carrier anchor's image.  A 1-cell anchored off its endpoints has no edge
+    from its anchor's image to its barycenter: its leg first goes on along its
+    transferred tail connector, so the first step leaves from the tail."""
+    src = smap.source
+    far = {e.id: next(r.path for r in src.records_of(e.id) if r.coeff == -1)
+           for e in src.cells_of_dim(1) if e.anchor not in src.edge_endpoints(e.id)}
     moved, legs = {}, []
     for c in smap.target.cells:
         carrier = smap.cell_carriers[c.id]
         if carrier not in moved:
             moved[carrier] = smap.path_transfer(spray.leg(carrier))
+            if carrier in far:
+                moved[carrier] = moved[carrier].compose(smap.path_transfer(far[carrier]))
         leg = moved[carrier]
         if leg.dst != c.anchor:
             bc = barycenters[carrier]
@@ -179,7 +231,7 @@ def _subdivide_walks(cx, bundle, spray):
     new_vertices = vertices + sorted(bary_v.values())
 
     edges = {}
-    mats = {}  # half edges: the old edge's matrix
+    mats = {}  # half edges: the old edge's matrix and its inverse
     walks = {}  # other new edges: the attaching-walk prefix whose transport they carry
     step_images = {}
     steps = {}  # (vertex, vertex) -> a step between them, for the spray transfer
@@ -192,7 +244,7 @@ def _subdivide_walks(cx, bundle, spray):
         edges[h1] = (be, h)
         steps[t, be], steps[be, t] = (h0, 1), (h0, -1)
         steps.setdefault((h, be), (h1, -1))  # a loop edge keeps (h0, 1) from its one vertex
-        mats[h0] = bundle.scaled(e.id)
+        mats[h0] = (bundle.scaled(e.id), bundle.scaled(e.id, -1))
         walks[h1] = ()
         step_images[e.id] = ((h0, 1), (h1, 1))
         carriers[h0] = carriers[h1] = carriers[be] = e.id
@@ -235,8 +287,10 @@ def _subdivide_walks(cx, bundle, spray):
         f"{cx.name}-sub", new_vertices, edges, faces, cx.base_vertex
     )
     shared = _shared_transports(bundle, walks.values())
-    mats = {e: mats[e] if e in mats else shared[walks[e]] for e in edges}
-    new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
+    pairs = {e: mats[e] if e in mats else shared[walks[e]] for e in edges}
+    new_bundle = FlatBundle(bundle.rank, {e: m for e, (m, _) in pairs.items()}, bundle.exact,
+                            bundle.reference_basis)
+    new_bundle._seed_inverses({e: inv for e, (_, inv) in pairs.items()})
 
     smap = SubdivisionMap(
         source=cx,
@@ -303,8 +357,9 @@ def _subdivide_flags(cx, bundle, spray):
         steps[u, v], steps[v, u] = (e.id, 1), (e.id, -1)
         walks[e.id] = old_edge_path(anchor_of[bid_map[u]], anchor_of[bid_map[v]])
     shared = _shared_transports(bundle, walks.values())
-    mats = {e: shared[w] for e, w in walks.items()}
-    new_bundle = FlatBundle(bundle.rank, mats, bundle.exact, bundle.reference_basis)
+    new_bundle = FlatBundle(bundle.rank, {e: shared[w][0] for e, w in walks.items()},
+                            bundle.exact, bundle.reference_basis)
+    new_bundle._seed_inverses({e: shared[w][1] for e, w in walks.items()})
 
     step_images = {}
     for e in cx.cells_of_dim(1):

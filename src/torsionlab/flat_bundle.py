@@ -133,6 +133,11 @@ class FlatBundle:
             inv[0].flags.writeable = False
         return self._pairs[key]
 
+    def _seed_inverses(self, inverses):
+        """Cache {edge: scaled inverse} known to the caller, so ``scaled`` need not eliminate;
+        each must be the read-only exact (or float) inverse of the edge's matrix."""
+        self._pairs.update(((e, -1), m) for e, m in inverses.items())
+
     def transports(self, paths, inverse=False):
         """Scaled transports along step tuples, or their inverses: one stack (nums[n, k, k], den).
 

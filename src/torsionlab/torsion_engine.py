@@ -43,9 +43,13 @@ EULER_ACTION_EXPONENT = -2
 
 GRADING_CONVENTION = "chain_even_straight"
 
-# Largest dense boundary or Laplacian, in bytes at 8 per entry, that is laid
-# out; beyond it DenseSizeError is raised before allocating.
+# Largest dense boundary, Gram matrix or Laplacian, in bytes at 8 per entry,
+# that is built; beyond it DenseSizeError is raised before allocating.
 DENSE_BUDGET_BYTES = 2**31
+
+# Up to this many dense entries of D_d, a Gram matrix is one dense product of
+# a transient layout: composing blocks costs more numpy calls than it saves.
+_GRAM_DENSE_ENTRIES = 27_000
 
 
 def _require_dense_fits(rows, cols, what):
@@ -63,7 +67,8 @@ class BlockRecord:
     Block (rows[n], cols[n]) is nums[n] / den; the (row, column) pairs are
     distinct and ascending.  nums is an (n_blocks, k, k) ndarray: integers (int64 or Python
     ints in object dtype) over a positive int den for an exact bundle, floats
-    over den 1 for a float one.  The arrays are read-only.
+    over den 1 for a float one.  The arrays are read-only, and so is the
+    float view ``floats``, converted once on first read.
     """
 
     rows: np.ndarray
@@ -74,6 +79,13 @@ class BlockRecord:
     def __post_init__(self):
         for a in (self.rows, self.cols, self.nums):
             a.flags.writeable = False
+
+    @functools.cached_property
+    def floats(self):
+        """The blocks as floats, each entry rounded as float(Fraction) is; read-only."""
+        out = lx.scaled_to_float(self.nums, self.den)
+        out.flags.writeable = False
+        return out
 
     def sparse_rows(self):
         """The nonzero numerators as one {column: numerator} map per nonzero row."""
@@ -92,11 +104,15 @@ class BlockRecord:
 class TwistedChainComplex:
     """Twisted boundaries of one (complex, bundle, spray) triple, stored as blocks.
 
-    ``blocks`` is the only stored form; ``boundary(d)`` lays out the dense
-    float D_d on first read and keeps it.  ``assemble`` hands the same object
-    to every caller of the same triple, so all arrays are read-only; build a
-    changed complex with ``dataclasses.replace``, as ``to_frame`` does.  Such
-    a copy starts with no dense boundary and an empty ``harmonic_data`` memo.
+    ``blocks`` is the only stored form, with each record's float view once
+    read.  The spectral route composes its Gram matrices and Laplacians
+    from the blocks (``_gram``) and never reads a dense boundary;
+    ``boundary(d)`` lays out the dense float D_d on first read and keeps it,
+    for the det route, the suites and inspection only.
+    ``assemble`` hands the same object to every caller of the same triple,
+    so all arrays are read-only; build a changed complex with
+    ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with
+    no dense boundary and an empty ``harmonic_data`` memo.
     """
 
     rank: int
@@ -148,8 +164,7 @@ class TwistedChainComplex:
         _require_dense_fits(*shape, f"degree-{d} boundary")
         out = np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
         if rec is not None:
-            convert = np.frompyfunc(Fraction, 2, 1) if exact else lx.scaled_to_float
-            vals = convert(rec.nums, rec.den)
+            vals = np.frompyfunc(Fraction, 2, 1)(rec.nums, rec.den) if exact else rec.floats
             out.reshape(shape[0] // k, k, shape[1] // k, k)[rec.rows, :, rec.cols, :] = vals
         return out
 
@@ -247,24 +262,37 @@ def _check_boundary_squared(tcc):
             raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
 
 
-def _composes_to_zero(up, dn):
-    """Whether up . dn vanishes for two block records, composed through shared faces.
+def _meeting_pairs(up, dn):
+    """The (up block, dn block) pairs of two block records that meet in a shared cell.
 
-    Every (up block, dn block) pair that meets in a face is one product of a
-    stacked matmul, in (row, column) order, summed per pair by one reduceat.
-    Integer sums must be 0 (Python ints past the int64 bound); float sums
-    within 1e-9 of the largest entry product (at least 1).
+    Returns index arrays (p, q), the distinct (up row, dn column) keys as
+    row * width + column, width and where each key's run starts; pairs are
+    sorted stably by key, so each key's terms keep up's record order.
     """
     lo = dn.rows.searchsorted(up.cols)  # dn.rows ascend
     count = dn.rows.searchsorted(up.cols, "right") - lo
     p = np.arange(len(count)).repeat(count)
+    q = (lo - count.cumsum() + count).repeat(count) + np.arange(len(p))
+    width = int(dn.cols.max(initial=0)) + 1
+    keys = up.rows[p] * width + dn.cols[q]
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return p[order], q[order], keys[first], width, first
+
+
+def _composes_to_zero(up, dn):
+    """Whether up . dn vanishes for two block records, composed through shared faces.
+
+    Every pair that meets in a face (``_meeting_pairs``) is one product of a
+    stacked matmul, summed per (row, column) by one reduceat.  Integer sums
+    must be 0 (Python ints past the int64 bound); float sums within 1e-9 of
+    the largest entry product (at least 1).
+    """
+    p, q, _, _, first = _meeting_pairs(up, dn)
     if not len(p):
         return True
-    q = (lo - count.cumsum() + count).repeat(count) + np.arange(len(p))
-    keys = up.rows[p] * (int(dn.cols.max()) + 1) + dn.cols[q]
-    order = keys.argsort()
-    keys, a, b = keys[order], up.nums[p[order]], dn.nums[q[order]]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    a, b = up.nums[p], dn.nums[q]
     if a.dtype.kind == "f":
         scale = max(np.abs(up.nums).max() * np.abs(dn.nums).max(), 1.0)
         return np.abs(np.add.reduceat(a @ b, first)).max() <= 1e-9 * scale
@@ -288,7 +316,7 @@ def to_frame(tcc, frame):
     inv_t = lx.scaled_inverse(f_t)
     blocks = {}
     for d, rec in tcc.blocks.items():
-        b = (rec.nums, rec.den) if exact else (lx.scaled_to_float(rec.nums, rec.den), 1)
+        b = (rec.nums, rec.den) if exact else (rec.floats, 1)
         nums, den = lx.scaled_matmul(lx.scaled_matmul(f_t, b), inv_t)
         blocks[d] = BlockRecord(rec.rows, rec.cols, nums, den)
     return replace(tcc, blocks=blocks, frame=lx.scaled_to_float(*f))
@@ -304,14 +332,48 @@ def frame_coords(tcc, z_rows):
 
 def laplacians(tcc):
     """Degree-wise combinatorial Laplacians D_d D_d^T + D_{d+1}^T D_{d+1}."""
-    return {d: _laplacian(tcc, d) for d in range(tcc.top_dim + 1)}
+    layouts = {}
+    return {d: _laplacian(tcc, d, layouts) for d in range(tcc.top_dim + 1)}
 
 
-def _laplacian(tcc, d):
+def _laplacian(tcc, d, layouts):
     n = tcc.dims.get(d, 0)
     _require_dense_fits(n, n, f"degree-{d} Laplacian")
-    dn, up = tcc.boundary(d), tcc.boundary(d + 1)  # empty past either end
-    return dn @ dn.T + up.T @ up
+    lap = _gram(tcc, d, d, layouts)
+    lap += _gram(tcc, d + 1, d, layouts)
+    return lap
+
+
+def _gram(tcc, d, on, layouts):
+    """D_d D_d^T (on == d) or D_d^T D_d (on == d - 1), dense and exactly symmetric.
+
+    D_d and D_d^T are composed from ``tcc.blocks[d]`` as the D.D check
+    composes two degrees (``_meeting_pairs``): one stacked product per pair
+    of blocks that meet in a shared cell, summed per result block in record
+    order and scattered.  Block (j, i) sums the transposes of the terms of
+    (i, j) in the same order, hence the exact symmetry.  A record of at most
+    ``_GRAM_DENSE_ENTRIES`` dense entries is multiplied from a transient
+    dense layout instead, kept in the caller's ``layouts`` dict for the rest
+    of its pass and never on tcc.  Past either end D_d is empty and its Gram
+    zero.
+    """
+    n, k, rec = tcc.dims.get(on, 0), tcc.rank, tcc.blocks.get(d)
+    if rec is None or not len(rec.rows):
+        return np.zeros((n, n))
+    if tcc.dims[d] * tcc.dims[d - 1] <= _GRAM_DENSE_ENTRIES:
+        if d not in layouts:
+            layouts[d] = tcc._layout(d)
+        b = layouts[d]
+        return b @ b.T if on == d else b.T @ b
+    x = rec.floats
+    t = np.lexsort((rec.rows, rec.cols))  # the blocks of D_d^T in (row, column) order
+    fwd = BlockRecord(rec.rows, rec.cols, x, 1)
+    bwd = BlockRecord(rec.cols[t], rec.rows[t], x[t].transpose(0, 2, 1), 1)
+    up, dn = (fwd, bwd) if on == d else (bwd, fwd)
+    p, q, keys, width, first = _meeting_pairs(up, dn)
+    g = np.zeros((n // k, k, n // k, k))
+    g[keys // width, :, keys % width, :] = np.add.reduceat(up.nums[p] @ dn.nums[q], first)
+    return g.reshape(n, n)
 
 
 def _symmetric(m, what):
@@ -336,21 +398,20 @@ def _nonzero(w, lam_max, rank_tol):
     return np.sort(w[w > cutoff])
 
 
-def _spectra(tcc, rank_tol):
+def _spectra(tcc, rank_tol, layouts):
     """Laplacian spectra (b_d zeros, then ascending), Betti numbers and lambda_max per degree.
 
     D_{d+1} D_d = 0, so the nonzero spectrum of Delta_d is that of D_d D_d^T
     together with that of D_{d+1}^T D_{d+1}: one values-only eigensolve per
     boundary, on the smaller of its two Gram matrices, serves both degrees.
-    Every dense boundary is checked against the budget before any is laid out.
+    Each Gram is composed from the degree's block record (``_gram``); the
+    dense budget counts these n x n Grams, and every one is checked before
+    any is built.  No dense boundary is read.
     """
-    for d in tcc.blocks:
-        _require_dense_fits(tcc.dims[d], tcc.dims[d - 1], f"degree-{d} boundary")
-    grams = {}
-    for d in range(1, tcc.top_dim + 1):
-        b = tcc.boundary(d)
-        g = b.T @ b if b.shape[1] < b.shape[0] else b @ b.T
-        grams[d] = np.linalg.eigvalsh(_symmetric(g, "Gram matrix"))
+    side = {d: d - 1 if tcc.dims[d - 1] < tcc.dims[d] else d for d in tcc.blocks}
+    for d, on in side.items():
+        _require_dense_fits(tcc.dims[on], tcc.dims[on], f"degree-{d} Gram matrix")
+    grams = {d: np.linalg.eigvalsh(_gram(tcc, d, on, layouts)) for d, on in side.items()}
     spectra, betti, lam_max = {}, {}, {}
     for d in range(tcc.top_dim + 1):
         w = np.concatenate([grams.get(d, []), grams.get(d + 1, [])])
@@ -401,10 +462,13 @@ def harmonic_data(tcc, rank_tol=RANK_TOL):
     """Spectra, Betti numbers, and deterministic orthonormal kernel bases.
 
     spectra[d] holds b_d exact zeros, then the Gram eigenvalues above the
-    cutoff.  Only degrees with b_d > 0 build Delta_d and run eigh; its kernel
-    basis is canonicalized through the orthogonal projector, so it does not
-    depend on the eigensolver's internal basis choice: greedy pivot on the
-    largest remaining projector column, orthonormalizing in order.
+    cutoff (``_spectra``).  Only degrees with b_d > 0 build Delta_d and run
+    eigh; Delta_d = D_d D_d^T + D_{d+1}^T D_{d+1} is composed from the block
+    records and checked against the dense budget as one n_d x n_d array, and
+    no dense boundary is read.  The kernel basis is canonicalized through the
+    orthogonal projector, so it does not depend on the eigensolver's internal
+    basis choice: greedy pivot on the largest remaining projector column,
+    orthonormalizing in order.
 
     The result is kept on tcc per rank_tol, so a repeat call runs no
     eigensolver; every call returns fresh dicts, and the bases are read-only.
@@ -415,7 +479,8 @@ def harmonic_data(tcc, rank_tol=RANK_TOL):
 
 
 def _harmonic_data(tcc, rank_tol):
-    spectra, betti, lam_max = _spectra(tcc, rank_tol)
+    layouts = {}  # transient layouts of small records, shared by this pass's Grams
+    spectra, betti, lam_max = _spectra(tcc, rank_tol, layouts)
     bases = {}
     for d, kdim in betti.items():
         n = len(spectra[d])
@@ -423,7 +488,7 @@ def _harmonic_data(tcc, rank_tol):
         if kdim == 0:
             bases[d] = np.zeros((0, n))
             continue
-        w, v = np.linalg.eigh(_symmetric(_laplacian(tcc, d), "Laplacian"))
+        w, v = np.linalg.eigh(_laplacian(tcc, d, layouts))
         if n - len(_nonzero(w, lam_max[d], rank_tol)) != kdim:
             raise IllConditionedError(f"degree {d}: Laplacian kernel disagrees with Gram spectra")
         kernel = v[:, :kdim]
@@ -455,7 +520,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     """
     if method == "eig":
         memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
-        return _spectral_torsion(*(memo or _spectra(tcc, rank_tol))[:2])[0]
+        return _spectral_torsion(*(memo or _spectra(tcc, rank_tol, {}))[:2])[0]
     if method == "det":
         bs = {d: b for d in tcc.blocks if (b := tcc.boundary(d)).size}
         scale = max([1.0] + [float(np.abs(b).max()) for b in bs.values()])
@@ -519,11 +584,8 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
                 f"degree {d} needs {b_d} reference cycles, got {0 if z is None else len(z)}"
             )
         z = frame_coords(tcc, z)
-        bd = tcc.boundary(d)
-        if bd.size:
-            resid = np.abs(z @ bd).max()
-            if resid > 1e-6 * max(np.abs(z).max(), 1.0) * max(np.abs(bd).max(), 1.0):
-                raise TorsionLabError(f"reference rows in degree {d} are not cycles")
+        if d in tcc.blocks and not _are_cycles(z, tcc.blocks[d], tcc.dims[d - 1]):
+            raise TorsionLabError(f"reference rows in degree {d} are not cycles")
         # rows scaled to max-abs 1, so the Gram determinant neither under- nor overflows
         scale = np.abs(z).max(axis=1)
         kernel = bases[d]  # orthonormal rows
@@ -536,6 +598,17 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
     value = lx.exp_float(log_value, "harmonic value")
     metric = DetLineMetric(value=value, reference="transported reference cycles")
     return metric, spectra, betti, bases
+
+
+def _are_cycles(z, rec, n_faces):
+    """Whether z . D_d vanishes, within 1e-6 of the entry scale, taken block by block."""
+    if not len(rec.rows):
+        return True
+    k, x = rec.nums.shape[1], rec.floats
+    terms = z.reshape(len(z), -1, k)[:, rec.rows].transpose(1, 0, 2) @ x  # (block, row of z, k)
+    zd = np.zeros((n_faces // k,) + terms.shape[1:])
+    np.add.at(zd, rec.cols, terms)
+    return np.abs(zd).max() <= 1e-6 * max(np.abs(z).max(), 1.0) * max(np.abs(x).max(), 1.0)
 
 
 def ft_torsion(complex_, bundle, spray, reference_cycles=None, rank_tol=RANK_TOL):

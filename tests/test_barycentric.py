@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ class TestBundleRefinement:
         assert {id(m) for m in inverted} == {id(bundle.scaled("a")), id(bundle.scaled("b"))}
 
 
+    @pytest.mark.parametrize("name", ["torus", "klein", "tetra-solid"])
+    def test_subdivided_bundles_are_born_with_their_inverses(self, name, monkeypatch):
+        item = corpus_get(name)
+        big = FlatBundle(2, {"a": [[2**40, 1], [2**40 - 1, 1]], "b": [[1, 0], [0, 1]]})
+        bundles = [random_flat_bundle(name, item.complex, np.random.default_rng(7), rank=2)]
+        bundles += [big] if name == "torus" else []
+        for bundle in bundles:
+            cx, spray = item.complex, item.spray
+            for _ in range(1 if name == "tetra-solid" else 2):
+                cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                for e in cx.cells_of_dim(1):
+                    nums, den = bundle._pairs[e.id, -1]
+                    assert not nums.flags.writeable
+                    assert math.gcd(den, int(np.gcd.reduce(nums, axis=None, initial=0))) == 1
+                    assert nums.dtype == np.int64 or lx._peak(nums) >= 2**63
+                    want = lx.scaled_inverse(bundle.scaled(e.id))
+                    assert lx.unscaled((nums, den)) == lx.unscaled(want)
+            inverted = []
+            with monkeypatch.context() as m:
+                m.setattr(lx, "scaled_inverse", inverted.append)
+                ft_torsion(cx, bundle, spray)
+            assert inverted == []
+
+
 class TestCheckReuse:
     def test_verdicts_of_the_last_assembly_are_not_checked_again(self, monkeypatch):
         item = corpus_get("torus")
@@ -212,6 +237,54 @@ class TestTorsionInvariance:
         cx2, b2, s2, smap = barycentric_subdivide(item.complex, bundle, spray)
         res2 = ft_torsion(cx2, b2, s2, reference_cycles=smap.transport_reference(refs, 2))
         assert abs(res2.ft_metric.value - res.ft_metric.value) <= 1e-8 * res.ft_metric.value
+
+
+def far_anchored_triangle():
+    """Triangle a -> b -> c -> a, edge bc anchored at a with connectors ab and ca^-1."""
+    cells = [Cell(v, 0, v) for v in "abc"] + [Cell("ab", 1, "a"), Cell("bc", 1, "a"), Cell("ca", 1, "c")]
+    inc = [
+        Incidence("ab", "b", 1, EdgePath((("ab", 1),), "a", "b")),
+        Incidence("ab", "a", -1, EdgePath((), "a", "a")),
+        Incidence("bc", "c", 1, EdgePath((("ca", -1),), "a", "c")),
+        Incidence("bc", "b", -1, EdgePath((("ab", 1),), "a", "b")),
+        Incidence("ca", "a", 1, EdgePath((("ca", 1),), "c", "a")),
+        Incidence("ca", "c", -1, EdgePath((), "c", "c")),
+    ]
+    cx = ComplexDescription(cells, inc, "a", "far-triangle")
+    cx.require_valid()
+    return cx
+
+
+class TestFarAnchoredEdges:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_two_rounds_keep_betti_numbers_and_the_value(self, exact):
+        # rho(ab) rho(bc) = rho(ca)^-1, so the connectors agree with the edge's own transport
+        cx = far_anchored_triangle()
+        ab, ca = [[2, 1], [1, 1]], [[1, 1], [0, 1]]
+        bundles = [
+            FlatBundle(1, {"ab": [[2]], "bc": [[Fraction(1, 10)]], "ca": [[5]]}),
+            FlatBundle(2, {"ab": ab, "bc": lx.matmul(lx.inverse(ab), lx.inverse(ca)), "ca": ca}),
+        ]
+        for bundle in bundles if exact else [b.as_float() for b in bundles]:
+            spray = canonical_spray(cx)
+            res = ft_torsion(cx, bundle, spray)
+            assert res.betti == {0: bundle.rank, 1: bundle.rank}
+            refs = {d: b for d, b in res.harmonic_bases.items() if b.size}
+            c, b, s = cx, bundle, spray
+            for _ in range(2):
+                c, b, s, smap = barycentric_subdivide(c, b, s)
+                refs = smap.transport_reference(refs, bundle.rank)
+                got = ft_torsion(c, b, s, reference_cycles=refs)
+                assert got.betti == res.betti
+                assert abs(got.ft_metric.value - res.ft_metric.value) <= 1e-9 * res.ft_metric.value
+
+    def test_connectors_that_disagree_with_the_edge_are_refused(self):
+        # the boundary of bc reads rho(ab) and rho(ca) only; its halves would carry rho(bc) = 3
+        cx = far_anchored_triangle()
+        bundle = FlatBundle(1, {"ab": [[2]], "bc": [[3]], "ca": [[5]]})
+        assert ft_torsion(cx, bundle, canonical_spray(cx)).betti == {0: 1, 1: 1}
+        with pytest.raises(UnsupportedStructureError, match="'bc' is anchored off its endpoints"):
+            barycentric_subdivide(cx, bundle, canonical_spray(cx))
 
 
 class TestUnsupported:

@@ -34,6 +34,8 @@ from torsionlab import flat_bundle, torsion_engine
 from torsionlab.suites import _det_minus_identity
 from torsionlab.torsion_engine import (
     EULER_ACTION_EXPONENT,
+    _gram,
+    _laplacian,
     assemble,
     det_of_class,
     det_prime,
@@ -606,13 +608,84 @@ def counting(monkeypatch, owner, name):
 
 
 def eigh_reference(tcc, rank_tol=1e-10):
-    """d -> (Betti number, nonzero spectrum, kernel projector) from eigh of every Delta_d."""
+    """d -> (Betti number, nonzero spectrum, kernel projector) from eigh of every Delta_d.
+
+    Delta_d is formed from dense products of the laid-out boundaries, so it
+    shares no code with the composed Laplacians of ``laplacians``.
+    """
     out = {}
-    for d, lap in laplacians(tcc).items():
-        w, v = np.linalg.eigh(lap)
+    for d in range(tcc.top_dim + 1):
+        dn, up = tcc.boundary(d), tcc.boundary(d + 1)  # empty past either end
+        w, v = np.linalg.eigh(dn @ dn.T + up.T @ up)
         kdim = int(np.sum(w <= rank_tol * w[-1])) if len(w) and w[-1] > 0 else len(w)
         out[d] = (kdim, w[kdim:], v[:, :kdim] @ v[:, :kdim].T)
     return out
+
+
+def corpus_bundles(name, seed, ranks):
+    """Seeded exact bundles at the given ranks and their float copies; lens rotations for lens items."""
+    item = corpus_get(name)
+    rng = np.random.default_rng(seed)
+    if not item.bundle.exact:
+        p, q = (int(x) for x in name.split("-")[1:])
+        return [item.bundle] + [lens_rotation_bundle(p, q, turns=t) for t in (1, 2)]
+    bundles = [random_flat_bundle(name, item.complex, rng, rank=k) for k in ranks]
+    return bundles + [b.as_float() for b in bundles]
+
+
+class TestComposedGrams:
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_grams_and_laplacians_equal_dense_products(self, name):
+        # ranks 1-3 after 0-2 rounds hold records on both sides of the size dispatch;
+        # tetra-solid@2 (2745 cells) runs at rank 1 only, since at rank 2 its dense
+        # references take ~400 MB and at rank 3 ~1 GB
+        def check(g, ref):
+            assert np.array_equal(g, g.T)
+            assert np.abs(g - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+        item = corpus_get(name)
+        for bundle in corpus_bundles(name, 47, (1, 2, 3)):
+            cx, spray = item.complex, item.spray
+            for rounds in range(3):
+                if bundle.rank * len(cx.cells) > 3000:
+                    break
+                tcc = assemble(cx, bundle, spray)
+                for d in range(tcc.top_dim + 1):
+                    dn, up = tcc.boundary(d), tcc.boundary(d + 1)
+                    lower = dn @ dn.T
+                    check(_gram(tcc, d, d, {}), lower)
+                    upper = up.T @ up
+                    check(_gram(tcc, d + 1, d, {}), upper)
+                    lower += upper
+                    check(_laplacian(tcc, d, {}), lower)
+                if rounds == 2:
+                    break
+                try:
+                    cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                except UnsupportedStructureError:
+                    break
+
+    def test_dispatch_crosses_inside_the_corpus_ladder(self):
+        # tetra-solid@1 rank 2 (D_2 is 120 x 100) is laid out, rp2@3 rank 1 (144 x 216) composed
+        sizes = []
+        for name, rank, rounds in (("tetra-solid", 2, 1), ("rp2", 1, 3)):
+            cx, _, spray = triple(name)
+            bundle = random_flat_bundle(name, cx, np.random.default_rng(3), rank=rank)
+            for _ in range(rounds):
+                cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+            tcc = assemble(cx, bundle, spray)
+            sizes.append(tcc.dims[2] * tcc.dims[1])
+        assert sizes[0] <= torsion_engine._GRAM_DENSE_ENTRIES < sizes[1]
+
+    def test_ft_route_lays_out_no_dense_boundary(self):
+        cx, bundle, spray = torus_triple()
+        for _ in range(3):
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        res = ft_torsion(cx, bundle, spray)
+        tcc = assemble(cx, bundle, spray)  # the bundle's kept assembly
+        assert len(tcc.cell_order[2]) == 288 and len(res.spectra[2]) == 576
+        assert tcc._dense == {} and "boundaries_exact" not in vars(tcc)
+        assert abs(res.t_comb - 1.0) <= 1e-9
 
 
 class TestOneSpectralPass:
@@ -940,7 +1013,7 @@ class TestReferenceValidation:
         assert res.betti[1] == 1
         refs = {d: b.copy() for d, b in res.harmonic_bases.items() if b.size}
         refs[1] = np.array([[1.0, 0.0]])  # d(e1) != 0: not a cycle
-        with pytest.raises(TorsionLabError):
+        with pytest.raises(TorsionLabError, match="not cycles"):
             ft_torsion(cx, bundle, spray, reference_cycles=refs)
 
     def test_reference_in_acyclic_degree_rejected(self):
@@ -1099,7 +1172,8 @@ class TestSparseExactVolumes:
 
 class TestDenseBudget:
     def test_over_budget_is_typed_error_before_allocating(self, monkeypatch):
-        # the budget bites at the dense view: assemble and the exact route read blocks only
+        # the budget bites at the dense arrays: assemble and the exact route read blocks only,
+        # and the ft route builds Gram matrices, never the boundaries
         def torus_at_2():
             cx, bundle, spray = triple("torus")
             for _ in range(2):
@@ -1110,7 +1184,9 @@ class TestDenseBudget:
         want = t_comb_squared_exact(tcc)
         big = max(tcc.blocks, key=lambda d: tcc.dims[d] * tcc.dims[d - 1])
         biggest = 8 * tcc.dims[big] * tcc.dims[big - 1]
-        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest - 1)
+        gram = 8 * max(min(tcc.dims[d], tcc.dims[d - 1]) ** 2 for d in tcc.blocks)
+        assert gram < biggest
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", gram - 1)
         tcc = assemble(*torus_at_2())
         got = t_comb_squared_exact(tcc)
         assert got == want and type(got) is Fraction
@@ -1134,10 +1210,13 @@ class TestDenseBudget:
         assert tcc.boundary(1).shape == (2, 1) and tcc.boundary(2).shape == (1, 2)
         zeros = counting(monkeypatch, np, "zeros")
         reads = counting(monkeypatch, type(tcc), "boundary")
+        grams = counting(monkeypatch, torsion_engine, "_gram")
         with pytest.raises(DenseSizeError, match="degree-1 Laplacian is 2 x 2"):
             laplacians(tcc)
-        # only Delta_0 was formed: its empty D_0 is the one array laid out
-        assert zeros == [((1, 0),)] and [d for _, d in reads] == [0, 1]
+        # only Delta_0 was composed: the zero Gram of the empty D_0, then D_1^T D_1 of a
+        # transient 2 x 1 layout; no boundary is read
+        assert [args[1:3] for args in grams] == [(0, 0), (1, 0)]
+        assert zeros == [((1, 1),), ((2, 1),)] and reads == []
         with pytest.raises(DenseSizeError, match="degree-1 Laplacian"):
             harmonic_data(tcc)  # b_1 = 2, so degree 1 needs eigh of Delta_1
 
