@@ -36,7 +36,7 @@ from .complex_core import (
 )
 from .errors import UnsupportedDimensionError, UnsupportedStructureError
 from .euler_struct import Spray, validate_spray
-from .flat_bundle import EPS_FLAT, FlatBundle, _vouched, require_flat
+from .flat_bundle import FlatBundle, _require_far_anchors_consistent, _vouched, require_flat
 
 
 @dataclass
@@ -104,8 +104,8 @@ class SubdivisionMap:
 def barycentric_subdivide(complex_, bundle, spray):
     """One round of barycentric subdivision of (complex, bundle, spray).
 
-    The spray and flatness checks are skipped where ``bundle.last_assembly``
-    already holds them (``flat_bundle._vouched``), as in
+    The spray, flatness and far-anchor checks are skipped where
+    ``bundle.last_assembly`` already holds them (``flat_bundle._vouched``), as in
     ``torsion_engine.assemble``.  The subdivided complex is validated once,
     by its Euler check.
     """
@@ -115,7 +115,7 @@ def barycentric_subdivide(complex_, bundle, spray):
         validate_spray(complex_, spray)
     if not flat:
         require_flat(complex_, bundle)
-    _require_far_anchors_consistent(complex_, bundle)
+        _require_far_anchors_consistent(complex_, bundle)
     if complex_.dim > 3:
         raise UnsupportedDimensionError(
             f"subdivision supports dimension <= 3, got {complex_.dim}"
@@ -132,27 +132,6 @@ def barycentric_subdivide(complex_, bundle, spray):
     if out[0].euler_characteristic() != complex_.euler_characteristic():
         raise UnsupportedStructureError("subdivision changed the Euler characteristic")
     return out
-
-
-def _require_far_anchors_consistent(cx, bundle):
-    """A 1-cell anchored off its endpoints enters the twisted boundary only through its two
-    connectors; its subdivision follows the tail connector and then the edge itself.  Both
-    give the same complex only if the head connector's transport is the tail connector's
-    times the edge's, so a 1-cell that breaks this is refused."""
-    far = [e.id for e in cx.cells_of_dim(1) if e.anchor not in cx.edge_endpoints(e.id)]
-    if not far:
-        return
-    conn = [{r.coeff: r.path.steps for r in cx.records_of(e)} for e in far]
-    nums, _ = bundle.transports([w for e, c in zip(far, conn) for w in (c[-1] + ((e, 1),), c[1])])
-    for e, via_tail, head in zip(far, nums[::2], nums[1::2]):
-        # one denominator for the whole stack: exact matrices are equal if their numerators are
-        same = np.array_equal(via_tail, head) if bundle.exact else np.allclose(
-            via_tail, head, rtol=0.0, atol=EPS_FLAT * max(np.abs(head).max(), 1.0))
-        if not same:
-            raise UnsupportedStructureError(
-                f"1-cell {e!r} is anchored off its endpoints, and its head connector's transport "
-                "is not its tail connector's times the edge's"
-            )
 
 
 def _shared_transports(bundle, walks):

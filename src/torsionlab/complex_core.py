@@ -132,6 +132,7 @@ class ComplexDescription:
         self._h1 = None
         self._tree = None
         self._endpoints = {}
+        self._far_anchored = ()  # 1-cells anchored off their endpoints, found by validate
         self._reached = {}  # (steps, start) -> where path_is_valid found the steps lead
         self._divisors = {}
 
@@ -265,6 +266,7 @@ class ComplexDescription:
             for msg in connectors:
                 rep.add("connector", msg)
             self._endpoints.update(ends)
+            self._far_anchored = tuple(e for e, ab in ends.items() if anchor[e] not in ab)
             if not self._skeleton_connected():
                 rep.add("connectivity", "1-skeleton is not connected")
         # integer boundary-of-boundary, composed through the sparse columns;
@@ -289,6 +291,11 @@ class ComplexDescription:
         rep = self.validate()
         if not rep.ok:
             raise InvalidComplexError(rep)
+
+    def far_anchored_edges(self):
+        """Ids of the 1-cells anchored off their endpoints, as ``validate`` found them."""
+        self.require_valid()
+        return self._far_anchored
 
     def _skeleton_connected(self):
         verts = {c.id for c in self.cells_of_dim(0)}

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as lx
-from .errors import MissingEdgeMatrixError, NotFlatError, OpenPathError
+from .errors import MissingEdgeMatrixError, NotFlatError, OpenPathError, UnsupportedStructureError
 
 EPS_FLAT = 1e-9  # relative flatness / comparison tolerance in float mode
 
@@ -252,6 +252,27 @@ def _vouched(bundle, complex_, spray):
     last = bundle.last_assembly
     flat = last is not None and last[0] is complex_
     return flat and last[1] == spray, flat
+
+
+def _require_far_anchors_consistent(complex_, bundle):
+    """A 1-cell anchored off its endpoints enters the twisted boundary only through its two
+    connectors; its subdivision follows the tail connector and then the edge itself.  Both
+    read the same bundle only if the head connector's transport is the tail connector's
+    times the edge's, so a 1-cell that breaks this is refused (``validate`` lists them)."""
+    far = complex_.far_anchored_edges()
+    if not far:
+        return
+    conn = [{r.coeff: r.path.steps for r in complex_.records_of(e)} for e in far]
+    nums, _ = bundle.transports([w for e, c in zip(far, conn) for w in (c[-1] + ((e, 1),), c[1])])
+    for e, via_tail, head in zip(far, nums[::2], nums[1::2]):
+        # one denominator for the whole stack: exact matrices are equal if their numerators are
+        same = np.array_equal(via_tail, head) if bundle.exact else np.allclose(
+            via_tail, head, rtol=0.0, atol=EPS_FLAT * max(np.abs(head).max(), 1.0))
+        if not same:
+            raise UnsupportedStructureError(
+                f"1-cell {e!r} is anchored off its endpoints, and its head connector's transport "
+                "is not its tail connector's times the edge's"
+            )
 
 
 def kt_evaluate(bundle, loop):

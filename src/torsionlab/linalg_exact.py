@@ -14,8 +14,11 @@ works over Python ints, so there is no overflow anywhere.
 
 Every exact product goes through one kernel, ``_int_matmul``: numpy int64
 when a magnitude bound proves no partial sum can overflow, Python ints in
-object arrays otherwise.  Exact volumes come from one sparse eliminator,
-``_markowitz``, over {column: int} row maps (``sparse_vol_sq``).
+object arrays otherwise.  Sparse matrices, {row: {column: int}} maps, have
+one eliminator, ``_markowitz``: it gives pivot rows and columns and +-det of
+the pivot block, and keeps the pivot rows, from which ``_kernel`` reads
+kernel vectors by back-substitution.  The exact torsion is built from these
+(``torsion_engine.t_comb_squared_exact``).
 """
 
 from __future__ import annotations
@@ -326,8 +329,9 @@ def _markowitz(rows):
     clears that column from the other rows, so only nonzeros are touched.
     Rows stay integral: where the pivot does not divide the entry it clears,
     the row is scaled up first and divided by its content after, and the
-    scale is kept.  Returns (pivot rows P, pivot columns Q, pivot product),
-    the product being +-det m[P, Q] as a Fraction.
+    scale is kept.  Returns (pivots, +-det m[P, Q] as a Fraction) for P, Q the
+    pivot rows and columns; each pivot (i, j, map) keeps the map row i held
+    when chosen, so the maps are a triangular system for ``_kernel``.
     """
     cols = {}
     for i, row in rows.items():
@@ -336,7 +340,7 @@ def _markowitz(rows):
     heap = [(len(live), j) for j, live in cols.items()]
     heapq.heapify(heap)
     scale = {}  # row -> s where the stored row is s times the eliminated one
-    prows, pcols, product, divisor = [], [], 1, 1
+    pivots, product, divisor = [], 1, 1
     while heap:
         n, j = heapq.heappop(heap)
         live = cols.get(j)
@@ -376,53 +380,39 @@ def _markowitz(rows):
                 scale[t] = Fraction(scale[t], g)
         for c in top:
             heapq.heappush(heap, (len(cols[c]), c))
-        prows.append(i)
-        pcols.append(j)
+        top[j] = p
+        pivots.append((i, j, top))
         product *= p
         if i in scale:
             divisor *= scale.pop(i)
-    return prows, pcols, Fraction(product) / divisor
+    return pivots, Fraction(product) / divisor if divisor != 1 else Fraction(product)
 
 
-def _gram_det(groups):
-    """det of sum_g outer(g, g) over sparse vectors g = [(index, value), ...]."""
-    g = {}
-    for grp in groups:
-        for a, x in grp:
-            ga = g.setdefault(a, {})
-            for b, y in grp:
-                ga[b] = ga.get(b, 0) + x * y
-    return abs(_markowitz({a: {b: v for b, v in ga.items() if v} for a, ga in g.items()})[2])
+def _kernel(pivots, free):
+    """Right-kernel vectors of a matrix eliminated by ``_markowitz``, by back-substitution.
 
-
-def sparse_vol_sq(rows, den=1):
-    """Squared product of the nonzero singular values of a sparse rational matrix.
-
-    ``rows`` holds one {column: integer numerator} map per row, and every
-    entry is over ``den``.  With P, Q the pivot rows and columns of
-    ``_markowitz``, A = m[P, Q], B = m[P, :] and C = m[:, Q], the rank
-    factorization m = C A^-1 B gives vol(m)^2 = det(C^T C) det(B B^T) /
-    det(A)^2 at every rank r; a Gram factor is det(A)^2 itself when r is its
-    side's count of nonzero rows or columns.  The numerators are eliminated,
-    and vol(N / den)^2 = vol(N)^2 / den^(2r).  A zero matrix gives 1.
+    One (x, s) per non-pivot column f in ``free``: an integer {column: int}
+    map x that is s at f and 0 at the other free columns, each pivot column
+    solved from its kept row, last pivot first, scaling x up where a pivot
+    does not divide, and divided by its content at the end.
     """
-    m = {i: row for i, row in enumerate(rows) if row}
-    prows, pcols, det_a = _markowitz({i: dict(row) for i, row in m.items()})
-    r = len(prows)
-    if not r:
-        return Fraction(1)
-    a2 = det_a * det_a
-    cc = bb = a2
-    if r < len(m):
-        q = {j: n for n, j in enumerate(pcols)}
-        cc = _gram_det([[(q[j], v) for j, v in row.items() if j in q] for row in m.values()])
-    if r < len({j for row in m.values() for j in row}):
-        by_col = {}
-        for n, i in enumerate(prows):
-            for j, v in m[i].items():
-                by_col.setdefault(j, []).append((n, v))
-        bb = _gram_det(by_col.values())
-    return Fraction(cc * bb) / (a2 * den ** (2 * r))
+    out = []
+    for f in free:
+        x = {f: 1}
+        for _, j, row in reversed(pivots):
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                p = row[j]
+                g = math.gcd(s, p)
+                if (a := p // g) != 1:
+                    for c in x:
+                        x[c] *= a
+                x[j] = -s // g
+        g = math.gcd(*x.values())
+        if g > 1:
+            x = {c: v // g for c, v in x.items()}
+        out.append((x, x[f]))
+    return out
 
 
 def product_is_zero(a, b):

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg_exact as lx
 from .errors import DenseSizeError, FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
-from .flat_bundle import _vouched, require_flat
+from .flat_bundle import _require_far_anchors_consistent, _vouched, require_flat
 
 RANK_TOL = 1e-10
 GUARD_LOW, GUARD_HIGH = 0.1, 10.0
@@ -87,8 +87,9 @@ class BlockRecord:
         out.flags.writeable = False
         return out
 
-    def sparse_rows(self):
-        """The nonzero numerators as one {column: numerator} map per nonzero row."""
+    def sparse_columns(self):
+        """The nonzero numerators as one {row: numerator} map per nonzero column, keyed by
+        column index; rows and columns are indices of the fiber-expanded boundary."""
         k = self.nums.shape[1]
         n, a, b = np.nonzero(self.nums)
         out = {}
@@ -96,8 +97,8 @@ class BlockRecord:
             (k * self.rows[n] + a).tolist(), (k * self.cols[n] + b).tolist(),
             self.nums[n, a, b].tolist(),
         ):
-            out.setdefault(i, {})[j] = v
-        return list(out.values())
+            out.setdefault(j, {})[i] = v
+        return out
 
 
 @dataclass
@@ -213,10 +214,11 @@ def assemble(complex_, bundle, spray):
 
     The bundle keeps its last result: asked again for the same complex (by
     identity) and an equal spray, it returns that object.  All three inputs
-    are immutable, so the spray, flatness and D.D checks are not repeated;
-    validity is checked on every call.  A result for the same complex and
-    another spray skips only the flatness check, which does not depend on
-    the spray.
+    are immutable, so the spray, flatness, far-anchor and D.D checks are not
+    repeated; validity is checked on every call.  A result for the same
+    complex and another spray skips only the flatness and far-anchor checks
+    (``flat_bundle._require_far_anchors_consistent``), which do not depend
+    on the spray.
     """
     complex_.require_valid()
     spray_ok, flat = _vouched(bundle, complex_, spray)
@@ -225,6 +227,7 @@ def assemble(complex_, bundle, spray):
     validate_spray(complex_, spray)
     if not flat:
         require_flat(complex_, bundle)
+        _require_far_anchors_consistent(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
     recs = {d: [] for d in order if d}
@@ -515,8 +518,9 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
 
     'eig' uses log t = 1/2 sum_d (-1)^{d+1} d log det' Delta_d; 'det' is the
     eigensolver-free route prod_d vol(D_d)^{(-1)^{d+1}} via Gaussian
-    elimination; 'exact' evaluates the same product over the rationals.  A
-    result outside the double range raises FloatRangeError.
+    elimination; 'exact' takes the same torsion over the rationals, by a
+    tau-chain (``t_comb_squared_exact``).  A result outside the double range
+    raises FloatRangeError.
     """
     if method == "eig":
         memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
@@ -545,14 +549,67 @@ def _sqrt_float(x):
 
 
 def t_comb_squared_exact(tcc):
-    """Exact rational square of the torsion: one sparse elimination per degree's blocks."""
+    """Exact rational square of the torsion, by a tau-chain (``_tau_chain``)."""
+    return _tau_chain(tcc)[0]
+
+
+def _tau_chain(tcc):
+    """(t_comb^2 as a Fraction, exact Betti numbers) from one sparse elimination per degree.
+
+    Top-down over d, ``lx._markowitz`` eliminates the transpose of D_d[E_d, :],
+    E_d the d-rows that are not pivot columns Q_{d+1} of D_{d+1}: pivot rows
+    P_d, columns Q_d, +-det A_d = D_d[P_d, Q_d], and b_d rows L_d of E_d left
+    over.  Adjacent pivots are complementary (a tau-chain: Milnor 1966;
+    Turaev 2001, ch. I), so t^2 = prod_d (det A_d / den_d^r_d)^(2 (-1)^(d+1))
+    for homology bases Z_d, the cycles that are 1 on L_d and 0 on Q_{d+1}
+    (``lx._kernel``).  Where b_d > 0, (det(Z H^T)^2 / det(H H^T))^((-1)^(d+1))
+    moves them to orthonormal harmonic bases; H, the harmonic d-chains, is the
+    kernel of D_d[:, Q_d]^T stacked on D_{d+1}[P_{d+1}, :], or Z where D_{d+1} = 0.
+    """
     if not tcc.exact:
         raise TorsionLabError("exact torsion needs a rational bundle")
-    out = Fraction(1)
-    for d, rec in tcc.blocks.items():
-        v = lx.sparse_vol_sq(rec.sparse_rows(), rec.den)
-        out = out * v if d % 2 else out / v
-    return out
+    parts, betti = [], {}  # t^2 = prod x^e over the (x, e) in parts
+    hit, cols_up, rows_up = set(), {}, set()  # Q_{d+1}, D_{d+1} by columns, P_{d+1}
+    for d in range(tcc.top_dim, -1, -1):
+        rec, sign = tcc.blocks.get(d), 1 if d % 2 else -1
+        cols = rec.sparse_columns() if rec else {}
+        # pivots of the transpose: (column q of D_d, row p of D_d, kept map)
+        pivots, det_a = lx._markowitz(
+            {q: {p: v for p, v in col.items() if p not in hit} for q, col in cols.items()}
+        )
+        if pivots:
+            parts += [(det_a, 2 * sign), (rec.den, -2 * sign * len(pivots))]
+        rows = {p for _, p, _ in pivots}
+        left = [p for p in range(tcc.dims[d]) if p not in hit and p not in rows]
+        betti[d] = len(left)
+        if left and (pivots or rows_up):  # with neither, Z = H are unit rows
+            z = lx._kernel(pivots, left)
+            scale = math.prod(s for _, s in z)
+            z = [x for x, _ in z]
+            if not rows_up:  # D_{d+1} = 0, so H = Z
+                parts += [(_dot_det(z, z), sign), (scale, -2 * sign)]
+            else:
+                stacked = {q: dict(cols[q]) for q, _, _ in pivots}
+                for p, col in cols_up.items():
+                    for i, v in col.items():
+                        if i in rows_up:
+                            stacked.setdefault(~i, {})[p] = v
+                piv = lx._markowitz(stacked)[0]
+                fixed = {p for _, p, _ in piv}
+                free = [p for p in range(tcc.dims[d]) if p not in fixed]
+                h = [x for x, _ in lx._kernel(piv, free)]
+                parts += [(_dot_det(z, h), 2 * sign), (_dot_det(h, h), -sign), (scale, -2 * sign)]
+        hit, cols_up, rows_up = {q for q, _, _ in pivots}, cols, rows
+    num = math.prod(x.numerator**e if e > 0 else x.denominator**-e for x, e in parts)
+    den = math.prod(x.denominator**e if e > 0 else x.numerator**-e for x, e in parts)
+    return Fraction(num, den), betti
+
+
+def _dot_det(a, b):
+    """det of the integer matrix a[r] . b[c] of two lists of sparse {index: int} vectors."""
+    m = [[sum(v * y.get(c, 0) for c, v in x.items()) for y in b] for x in a]
+    sign, pivot = lx._bareiss(m, len(m))
+    return sign * pivot
 
 
 def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):

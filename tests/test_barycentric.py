@@ -21,7 +21,7 @@ from torsionlab.corpus import corpus_get, random_flat_bundle
 from torsionlab.errors import UnsupportedDimensionError, UnsupportedStructureError
 from torsionlab.euler_struct import act, canonical_spray, h1_class_for, validate_spray
 from torsionlab.flat_bundle import FlatBundle, check_flatness, transport
-from torsionlab.torsion_engine import assemble, ft_torsion
+from torsionlab.torsion_engine import assemble, ft_torsion, t_comb
 
 
 def subdivide_corpus(name, bundle=None, rank=1, seed=41):
@@ -278,12 +278,24 @@ class TestFarAnchoredEdges:
                 assert got.betti == res.betti
                 assert abs(got.ft_metric.value - res.ft_metric.value) <= 1e-9 * res.ft_metric.value
 
+    def test_validate_lists_the_far_anchored_edges(self):
+        assert far_anchored_triangle().far_anchored_edges() == ("bc",)
+        for name in ("torus", "tetra-solid"):
+            cx = corpus_get(name).complex
+            assert cx.far_anchored_edges() == ()
+            assert barycentric_subdivide(cx, corpus_get(name).bundle, canonical_spray(cx))[
+                0].far_anchored_edges() == ()
+
     def test_connectors_that_disagree_with_the_edge_are_refused(self):
         # the boundary of bc reads rho(ab) and rho(ca) only; its halves would carry rho(bc) = 3
         cx = far_anchored_triangle()
         bundle = FlatBundle(1, {"ab": [[2]], "bc": [[3]], "ca": [[5]]})
-        assert ft_torsion(cx, bundle, canonical_spray(cx)).betti == {0: 1, 1: 1}
-        with pytest.raises(UnsupportedStructureError, match="'bc' is anchored off its endpoints"):
+        refused = "'bc' is anchored off its endpoints"
+        with pytest.raises(UnsupportedStructureError, match=refused):
+            ft_torsion(cx, bundle, canonical_spray(cx))
+        with pytest.raises(UnsupportedStructureError, match=refused):
+            t_comb(assemble(cx, bundle, canonical_spray(cx)), "exact")
+        with pytest.raises(UnsupportedStructureError, match=refused):
             barycentric_subdivide(cx, bundle, canonical_spray(cx))
 
 

@@ -84,11 +84,11 @@ def test_vol_sq_matches_singular_values():
         r, c = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         ints = random_int_matrix(rng, r, c, -3, 3)
         m = lx.fmat(ints)
-        exact = float(lx.sparse_vol_sq([{j: v for j, v in enumerate(row) if v} for row in ints]))
+        pivots, _ = lx._markowitz({i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(ints)})
         s = np.linalg.svd(lx.to_float(m), compute_uv=False)
         nz = s[s > 1e-9 * max(s.max(initial=0.0), 1.0)]
+        assert len(pivots) == len(nz)
         approx = float(np.prod(nz * nz)) if len(nz) else 1.0
-        assert abs(exact - approx) <= 1e-8 * max(approx, 1.0)
         assert abs(lx.vol_float(lx.to_float(m)) - np.sqrt(approx)) <= 1e-8 * max(approx, 1.0)
 
 
@@ -172,16 +172,8 @@ def test_echelon_float_updates_only_rows_in_the_pivot_column():
         assert piv == want_piv and np.array_equal(rows, want_rows)
 
 
-def echelon_vol_sq(m):
-    """The dense Gauss-Jordan volume, det(C^T C) det(R R^T), as a reference."""
-    rows, piv = lx._echelon(lx.fmat(m))
-    if not piv:
-        return Fraction(1)
-    cols = [[row[j] for j in piv] for row in lx.fmat(m)]
-    return det(lx.matmul(transpose(cols), cols)) * det(lx.matmul(rows, transpose(rows)))
-
-
-def test_sparse_vol_sq_matches_dense_echelon_at_every_rank():
+def test_markowitz_kernel_and_pivot_block_at_every_rank():
+    # the pivot rows kept by the eliminator give the kernel by back-substitution
     rng = np.random.default_rng(23)
     ranks = set()
     for _ in range(60):
@@ -189,19 +181,30 @@ def test_sparse_vol_sq_matches_dense_echelon_at_every_rank():
         k = int(rng.integers(1, min(r, c) + 1))
         ints = rng.integers(-3, 4, (r, k)) @ rng.integers(-3, 4, (k, c))
         ints *= rng.random((r, c)) < 0.7  # sparsity may lower the rank further
-        den = int(rng.integers(1, 6))
-        m = [[Fraction(int(v), den) for v in row] for row in ints]
-        rows = [{j: int(v) for j, v in enumerate(row) if v} for row in ints]
-        got = lx.sparse_vol_sq(rows, den)
-        assert got == echelon_vol_sq(m) and type(got) is Fraction
-        ranks.add((len(lx._echelon(m)[1]), r, c))
+        m = ints.tolist()
+        pivots, det_a = lx._markowitz({i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)})
+        prows, pcols = [i for i, _, _ in pivots], [j for _, j, _ in pivots]
+        rank = len(pivots)
+        assert rank == len(lx._echelon(lx.fmat(m))[1])
+        if rank:
+            block = lx.scaled(lx.fmat([[m[i][j] for j in pcols] for i in prows]))
+            assert type(det_a) is Fraction and abs(det_a) == abs(lx.scaled_det(block)) != 0
+        free = [j for j in range(c) if j not in pcols]
+        kernel = lx._kernel(pivots, free)
+        assert len(kernel) == c - rank
+        for f, (x, s) in zip(free, kernel):
+            assert x[f] == s != 0 and all(x.get(g, 0) == 0 for g in free if g != f)
+            assert all(type(v) is int for v in x.values())
+            assert all(sum(row[j] * x.get(j, 0) for j in range(c)) == 0 for row in m)
+        ranks.add((rank, r, c))
     assert any(k < min(r, c) for k, r, c in ranks) and any(0 < k == r < c for k, r, c in ranks)
     assert any(0 < k == c < r for k, r, c in ranks)
 
 
-def test_sparse_vol_sq_of_zero_or_empty_is_one():
-    assert lx.sparse_vol_sq([]) == 1
-    assert lx.sparse_vol_sq([{}, {}], 7) == 1
+def test_markowitz_of_zero_or_empty_has_no_pivots():
+    assert lx._markowitz({}) == ([], 1)
+    assert lx._markowitz({0: {}, 1: {}}) == ([], 1)
+    assert lx._kernel([], [0, 2]) == [({0: 1}, 1), ({2: 1}, 1)]
 
 
 def test_vol_float_log_domain():

@@ -1055,10 +1055,62 @@ def det(m):
     return lx.scaled_det(lx.scaled(m))
 
 
+def gram_det(groups):
+    """det of sum_g outer(g, g) over sparse vectors g = [(index, value), ...]."""
+    g = {}
+    for grp in groups:
+        for a, x in grp:
+            ga = g.setdefault(a, {})
+            for b, y in grp:
+                ga[b] = ga.get(b, 0) + x * y
+    return abs(lx._markowitz({a: {b: v for b, v in ga.items() if v} for a, ga in g.items()})[1])
+
+
+def sparse_vol_sq(rows, den=1):
+    """Squared product of the nonzero singular values of a sparse rational matrix.
+
+    The Gram route that the exact torsion took before its tau-chain, kept as a
+    reference: with P, Q the pivot rows and columns of the eliminator, A =
+    m[P, Q], B = m[P, :] and C = m[:, Q], vol(m)^2 = det(C^T C) det(B B^T) /
+    det(A)^2 at every rank, then divided by den^(2r).  A zero matrix gives 1.
+    """
+    m = {i: row for i, row in enumerate(rows) if row}
+    pivots, det_a = lx._markowitz({i: dict(row) for i, row in m.items()})
+    prows, pcols = [i for i, _, _ in pivots], [j for _, j, _ in pivots]
+    r = len(prows)
+    if not r:
+        return Fraction(1)
+    a2 = det_a * det_a
+    cc = bb = a2
+    if r < len(m):
+        q = {j: n for n, j in enumerate(pcols)}
+        cc = gram_det([[(q[j], v) for j, v in row.items() if j in q] for row in m.values()])
+    if r < len({j for row in m.values() for j in row}):
+        by_col = {}
+        for n, i in enumerate(prows):
+            for j, v in m[i].items():
+                by_col.setdefault(j, []).append((n, v))
+        bb = gram_det(by_col.values())
+    return Fraction(cc * bb) / (a2 * den ** (2 * r))
+
+
 def vol_sq(m):
-    """lx.sparse_vol_sq of Fraction or int rows, through the scaled form."""
+    """sparse_vol_sq of Fraction or int rows, through the scaled form."""
     nums, den = lx.scaled(m)
-    return lx.sparse_vol_sq([{j: v for j, v in enumerate(row) if v} for row in nums.tolist()], den)
+    return sparse_vol_sq([{j: v for j, v in enumerate(row) if v} for row in nums.tolist()], den)
+
+
+def gram_t_comb_squared(tcc):
+    """t_comb^2 = prod_d vol(D_d)^(2 (-1)^(d+1)) from each degree's block record, by sparse_vol_sq."""
+    out = Fraction(1)
+    for d, rec in tcc.blocks.items():
+        rows = {}
+        for j, col in rec.sparse_columns().items():
+            for i, v in col.items():
+                rows.setdefault(i, {})[j] = v
+        v = sparse_vol_sq(list(rows.values()), rec.den)
+        out = out * v if d % 2 else out / v
+    return out
 
 
 def kernel_trick_vol_sq(m):
@@ -1127,6 +1179,14 @@ class TestRankFactorizationVolumes:
                     break
 
 
+def tau_chain_triples(cx, bundle, spray, rounds=3):
+    """(round, tcc) of a triple at rounds 0 .. rounds - 1 of barycentric subdivision."""
+    for r in range(rounds):
+        yield r, assemble(cx, bundle, spray)
+        if r < rounds - 1:
+            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+
+
 class TestSparseExactVolumes:
     def test_exact_route_builds_no_dense_exact_boundary(self):
         cx, _, spray = triple("torus")
@@ -1145,10 +1205,9 @@ class TestSparseExactVolumes:
         # simply connected, so the bundle is trivial and t^2 = n0^k
         cx, _, spray = triple("tetra-solid")
         bundle = random_flat_bundle("tetra-solid", cx, np.random.default_rng(3), rank=2)
-        for want in (16, 225):
-            got = t_comb_squared_exact(assemble(cx, bundle, spray))
-            assert got == want == len(cx.cells_of_dim(0)) ** 2 and type(got) is Fraction
-            cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        for (r, tcc), want in zip(tau_chain_triples(cx, bundle, spray), (16, 225, 149**2)):
+            got = t_comb_squared_exact(tcc)
+            assert got == want == (tcc.dims[0] // 2) ** 2 and type(got) is Fraction
 
     def test_object_dtype_blocks_match_dense_volumes(self):
         cx, _, spray = triple("torus")
@@ -1168,6 +1227,44 @@ class TestSparseExactVolumes:
         tcc = assemble(cx, FlatBundle(2, {"e": [[1, 0], [0, 1]]}), spray)
         assert not tcc.blocks[1].nums.any()
         assert t_comb_squared_exact(tcc) == 1
+
+
+class TestTauChain:
+    """The tau-chain against the Gram route (``sparse_vol_sq`` above) and the spectral Betti numbers."""
+
+    def assert_matches_references(self, tcc, label):
+        got, betti = torsion_engine._tau_chain(tcc)
+        assert type(got) is Fraction and got == gram_t_comb_squared(tcc), label
+        assert got == t_comb_squared_exact(tcc)
+        assert betti == harmonic_data(tcc)[1], label
+
+    def test_seeded_bundles_on_every_exact_corpus_item(self):
+        # tetra-solid@2 runs at rank 1 only: the Gram reference takes seconds there at rank 2
+        seen = set()
+        for name in corpus_list():
+            item = corpus_get(name)
+            if not item.bundle.exact:
+                continue
+            for rank in (1, 2, 3):
+                bundle = random_flat_bundle(name, item.complex, np.random.default_rng(rank), rank=rank)
+                rounds = 3 if rank == 1 or name != "tetra-solid" else 2
+                for r, tcc in tau_chain_triples(item.complex, bundle, item.spray, rounds):
+                    self.assert_matches_references(tcc, f"{name} rank {rank} @{r}")
+                    seen.add((name, r))
+        assert {("tetra-solid", 2), ("sphere", 2), ("rp2", 2), ("torus", 2)} <= seen
+
+    def test_trivial_bundles_with_classes_in_a_middle_degree(self):
+        # the trivial rank-1 bundle has b_1 = 2 on the torus and 1 on the Klein bottle
+        want = {"torus": {0: 1, 1: 2, 2: 1}, "klein": {0: 1, 1: 1, 2: 0},
+                "sphere": {0: 1, 1: 0, 2: 1}, "circle-1cell": {0: 1, 1: 1}}
+        for name, betti in want.items():
+            cx, _, spray = triple(name)
+            bundle = FlatBundle(1, {c.id: [[1]] for c in cx.cells_of_dim(1)})
+            for r, tcc in tau_chain_triples(cx, bundle, spray):
+                self.assert_matches_references(tcc, f"{name} @{r}")
+                assert torsion_engine._tau_chain(tcc)[1] == betti
+        cx, _, spray = triple("circle-1cell")
+        self.assert_matches_references(assemble(cx, FlatBundle(2, {"e": [[1, 0], [0, 1]]}), spray), "")
 
 
 class TestDenseBudget:
