@@ -113,7 +113,7 @@ class TwistedChainComplex:
     ``assemble`` hands the same object to every caller of the same triple,
     so all arrays are read-only; build a changed complex with
     ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with
-    no dense boundary and an empty ``harmonic_data`` memo.
+    no dense boundary, no tau-chain and an empty ``harmonic_data`` memo.
     """
 
     rank: int
@@ -146,6 +146,24 @@ class TwistedChainComplex:
     @property
     def top_dim(self):
         return max(self.cell_order) if self.cell_order else 0
+
+    @functools.cached_property
+    def _tau(self):
+        """``_tau_chain`` of this complex, run once: every exact route reads it."""
+        return _tau_chain(self)
+
+    @functools.cached_property
+    def _exact_bases(self):
+        """d -> canonical orthonormal rows (read-only) spanning the tau-chain's harmonic basis."""
+        out = {}
+        for d, h in self._tau[2].items():
+            a = np.zeros((len(h), self.dims[d]))
+            for row, x in zip(a, h):  # over its largest entry, by exact int / int: no overflow
+                top = max(map(abs, x.values()))
+                row[list(x)] = [v / top for v in x.values()]
+            out[d] = _canonical_basis(np.linalg.qr(a.T)[0].T) if h else a
+            out[d].flags.writeable = False
+        return out
 
     def boundary(self, d):
         """Dense float D_d (empty past either end), laid out on first read, read-only."""
@@ -181,13 +199,27 @@ class DetLineMetric:
 
 @dataclass
 class TorsionResult:
+    """ft_torsion of tcc.  t_comb, betti and harmonic_bases come from the tau-chain of a
+    rational tcc and from ``harmonic_data`` of a float one; ``spectra`` waits for a read."""
+
     t_comb: float
     harmonic_metric: DetLineMetric
     ft_metric: DetLineMetric
     acyclic: bool
-    spectra: dict
+    tcc: TwistedChainComplex = field(repr=False, compare=False)
+    rank_tol: float = field(repr=False, compare=False)
     betti: dict = field(default_factory=dict)
     harmonic_bases: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def spectra(self):
+        """``harmonic_data``'s spectra of tcc, computed on first read under the dense budget;
+        IllConditionedError if their zero counts disagree with betti (exact on rational data)."""
+        tcc, tol = self.tcc, self.rank_tol
+        spectra, betti = (tcc._harmonic.get(tol) or _spectra(tcc, tol, {}))[:2]
+        if betti != self.betti:
+            raise IllConditionedError(f"the spectra give Betti numbers {betti}, not {self.betti}")
+        return {d: tuple(float(x) for x in w) for d, w in spectra.items()}
 
     def to_jsonable(self):
         return {
@@ -386,10 +418,14 @@ def _symmetric(m, what):
     return m
 
 
-def _nonzero(w, lam_max, rank_tol):
-    """Ascending values of w above the cutoff rank_tol * lam_max, with a guard band on it."""
+def _require_rank_tol(rank_tol):
     if not 0.0 < rank_tol < 1.0:  # false for nan too
         raise ValueError(f"rank tolerance must be a finite number in (0, 1), got {rank_tol!r}")
+
+
+def _nonzero(w, lam_max, rank_tol):
+    """Ascending values of w above the cutoff rank_tol * lam_max, with a guard band on it."""
+    _require_rank_tol(rank_tol)
     if lam_max <= 0.0:
         return w[:0]
     cutoff = rank_tol * lam_max
@@ -427,21 +463,12 @@ def _spectra(tcc, rank_tol, layouts):
     return spectra, betti, lam_max
 
 
-def _log_det_prime(w, kdim):
-    """log det' from an ascending spectrum whose first kdim values are the kernel."""
-    return float(np.sum(np.log(w[kdim:])))
-
-
-def _spectral_torsion(spectra, betti, harmonic_value=1.0):
-    """(t_comb, t_comb^2 * harmonic_value) from the Laplacian spectra, summed in logs.
-
-    log t_comb = 1/2 sum_{d>=1} (-1)^{d+1} d log det' Delta_d.
-    """
-    log_t = 0.5 * sum(
-        (-1) ** (d + 1) * d * _log_det_prime(w, betti[d]) for d, w in spectra.items() if d
+def _spectral_log_t(spectra, betti):
+    """log t_comb = 1/2 sum_{d>=1} (-1)^{d+1} d log det' Delta_d, from ascending spectra whose
+    first betti[d] values are the kernel."""
+    return 0.5 * sum(
+        (-1) ** (d + 1) * d * float(np.sum(np.log(w[betti[d]:]))) for d, w in spectra.items() if d
     )
-    log_h = math.log(harmonic_value) if harmonic_value > 0.0 else -math.inf
-    return lx.exp_float(log_t, "t_comb"), lx.exp_float(2.0 * log_t + log_h, "torsion value")
 
 
 def det_prime(mat, rank_tol=RANK_TOL):
@@ -462,16 +489,15 @@ def det_prime(mat, rank_tol=RANK_TOL):
 
 
 def harmonic_data(tcc, rank_tol=RANK_TOL):
-    """Spectra, Betti numbers, and deterministic orthonormal kernel bases.
+    """Spectra, Betti numbers, and deterministic orthonormal kernel bases, by eigensolvers.
 
-    spectra[d] holds b_d exact zeros, then the Gram eigenvalues above the
-    cutoff (``_spectra``).  Only degrees with b_d > 0 build Delta_d and run
-    eigh; Delta_d = D_d D_d^T + D_{d+1}^T D_{d+1} is composed from the block
-    records and checked against the dense budget as one n_d x n_d array, and
-    no dense boundary is read.  The kernel basis is canonicalized through the
-    orthogonal projector, so it does not depend on the eigensolver's internal
-    basis choice: greedy pivot on the largest remaining projector column,
-    orthonormalizing in order.
+    The ft route of float complexes; for rational ones the tau-chain's oracle,
+    whose spectra are ``TorsionResult.spectra``.  spectra[d] holds b_d exact
+    zeros, then the Gram eigenvalues above the cutoff (``_spectra``).  Only
+    degrees with b_d > 0 build Delta_d and run eigh; Delta_d = D_d D_d^T +
+    D_{d+1}^T D_{d+1} is composed from the block records and checked against
+    the dense budget as one n_d x n_d array, and no dense boundary is read.
+    ``_canonical_basis`` makes the kernel basis independent of the eigensolver.
 
     The result is kept on tcc per rank_tol, so a repeat call runs no
     eigensolver; every call returns fresh dicts, and the bases are read-only.
@@ -494,23 +520,29 @@ def _harmonic_data(tcc, rank_tol):
         w, v = np.linalg.eigh(_laplacian(tcc, d, layouts))
         if n - len(_nonzero(w, lam_max[d], rank_tol)) != kdim:
             raise IllConditionedError(f"degree {d}: Laplacian kernel disagrees with Gram spectra")
-        kernel = v[:, :kdim]
-        proj = kernel @ kernel.T
-        remaining = proj.copy()
-        rows = []
-        for _ in range(kdim):
-            norms = np.linalg.norm(remaining, axis=0)
-            j = int(np.argmax(norms))
-            vec = remaining[:, j] / norms[j]
-            pivot = int(np.argmax(np.abs(vec)))
-            if vec[pivot] < 0:
-                vec = -vec
-            rows.append(vec)
-            remaining = remaining - np.outer(vec, vec @ remaining)
-        bases[d] = np.array(rows)
+        bases[d] = _canonical_basis(v[:, :kdim].T)
     for b in bases.values():
         b.flags.writeable = False
     return spectra, betti, bases
+
+
+def _canonical_basis(q):
+    """The deterministic orthonormal basis of the span of orthonormal rows q (b x n).
+
+    Greedy on P = q^T q: normalize its largest column (the lowest index among norms within
+    1e-9 of the largest), deflate, repeat.  ||P[:, j]|| = ||q[:, j]||, so it all runs on
+    b-vectors u, P deflated being q^T (I - sum u u^T) q; each row is positive at its pivot.
+    """
+    us, rows = np.zeros((len(q), len(q))), np.zeros(q.shape)
+    norms = np.einsum("ij,ij->j", q, q)  # squared
+    for k, row in enumerate(rows):
+        j = int(np.argmax(norms >= (1.0 - 2e-9) * norms.max()))
+        u = us[k]
+        u[:] = q[:, j] - rows[:k, j] @ us[:k]  # (I - sum u u^T) q_j, as rows[i, j] = u_i . q_j
+        u /= math.sqrt(u @ u)
+        row[:] = u @ q
+        norms -= row * row
+    return rows
 
 
 def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
@@ -524,7 +556,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     """
     if method == "eig":
         memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
-        return _spectral_torsion(*(memo or _spectra(tcc, rank_tol, {}))[:2])[0]
+        return lx.exp_float(_spectral_log_t(*(memo or _spectra(tcc, rank_tol, {}))[:2]), "t_comb")
     if method == "det":
         bs = {d: b for d in tcc.blocks if (b := tcc.boundary(d)).size}
         scale = max([1.0] + [float(np.abs(b).max()) for b in bs.values()])
@@ -549,12 +581,13 @@ def _sqrt_float(x):
 
 
 def t_comb_squared_exact(tcc):
-    """Exact rational square of the torsion, by a tau-chain (``_tau_chain``)."""
-    return _tau_chain(tcc)[0]
+    """Exact rational square of the torsion, by a tau-chain (``_tau_chain``, once per tcc)."""
+    return tcc._tau[0]
 
 
 def _tau_chain(tcc):
-    """(t_comb^2 as a Fraction, exact Betti numbers) from one sparse elimination per degree.
+    """(t_comb^2 as a Fraction, exact Betti numbers, integer harmonic bases) from one sparse
+    elimination per degree; ``tcc._tau`` keeps the result, and every exact route reads that.
 
     Top-down over d, ``lx._markowitz`` eliminates the transpose of D_d[E_d, :],
     E_d the d-rows that are not pivot columns Q_{d+1} of D_{d+1}: pivot rows
@@ -564,11 +597,12 @@ def _tau_chain(tcc):
     for homology bases Z_d, the cycles that are 1 on L_d and 0 on Q_{d+1}
     (``lx._kernel``).  Where b_d > 0, (det(Z H^T)^2 / det(H H^T))^((-1)^(d+1))
     moves them to orthonormal harmonic bases; H, the harmonic d-chains, is the
-    kernel of D_d[:, Q_d]^T stacked on D_{d+1}[P_{d+1}, :], or Z where D_{d+1} = 0.
+    kernel of D_d[:, Q_d]^T stacked on D_{d+1}[P_{d+1}, :], or Z where D_{d+1} = 0 (unit
+    rows on L_d where D_d = 0 too); bases[d] is H as sparse {index: int} rows.
     """
     if not tcc.exact:
         raise TorsionLabError("exact torsion needs a rational bundle")
-    parts, betti = [], {}  # t^2 = prod x^e over the (x, e) in parts
+    parts, betti, bases = [], {}, {}  # t^2 = prod x^e over the (x, e) in parts
     hit, cols_up, rows_up = set(), {}, set()  # Q_{d+1}, D_{d+1} by columns, P_{d+1}
     for d in range(tcc.top_dim, -1, -1):
         rec, sign = tcc.blocks.get(d), 1 if d % 2 else -1
@@ -581,11 +615,11 @@ def _tau_chain(tcc):
             parts += [(det_a, 2 * sign), (rec.den, -2 * sign * len(pivots))]
         rows = {p for _, p, _ in pivots}
         left = [p for p in range(tcc.dims[d]) if p not in hit and p not in rows]
-        betti[d] = len(left)
+        betti[d], bases[d] = len(left), [{p: 1} for p in left]
         if left and (pivots or rows_up):  # with neither, Z = H are unit rows
             z = lx._kernel(pivots, left)
             scale = math.prod(s for _, s in z)
-            z = [x for x, _ in z]
+            z = bases[d] = [x for x, _ in z]
             if not rows_up:  # D_{d+1} = 0, so H = Z
                 parts += [(_dot_det(z, z), sign), (scale, -2 * sign)]
             else:
@@ -597,12 +631,12 @@ def _tau_chain(tcc):
                 piv = lx._markowitz(stacked)[0]
                 fixed = {p for _, p, _ in piv}
                 free = [p for p in range(tcc.dims[d]) if p not in fixed]
-                h = [x for x, _ in lx._kernel(piv, free)]
+                h = bases[d] = [x for x, _ in lx._kernel(piv, free)]
                 parts += [(_dot_det(z, h), 2 * sign), (_dot_det(h, h), -sign), (scale, -2 * sign)]
         hit, cols_up, rows_up = {q for q, _, _ in pivots}, cols, rows
     num = math.prod(x.numerator**e if e > 0 else x.denominator**-e for x, e in parts)
     den = math.prod(x.denominator**e if e > 0 else x.numerator**-e for x, e in parts)
-    return Fraction(num, den), betti
+    return Fraction(num, den), dict(sorted(betti.items())), dict(sorted(bases.items()))
 
 
 def _dot_det(a, b):
@@ -613,21 +647,31 @@ def _dot_det(a, b):
 
 
 def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
-    """Scalar product on the homology determinant line, against a reference.
+    """(metric, betti, bases): the scalar product on the homology determinant line.
 
-    With no reference the deterministic orthonormal kernel basis is the
-    reference and the value is 1.  With reference cycles (rows per degree, in
-    default chain coordinates) the value is prod_d det(Gram_d)^{(-1)^d} of
-    their harmonic projections; a basis change by S in degree d moves the
-    value by |det S|^{2 (-1)^d}.
+    betti and the deterministic orthonormal harmonic bases come from the
+    tau-chain of a rational complex and ``harmonic_data`` of a float one.
+    With no reference those bases are the reference and the value is 1.
+    With reference cycles (rows per degree, in default chain coordinates) the
+    value is prod_d det(Gram_d)^{(-1)^d} of their harmonic projections; a
+    basis change by S in degree d moves the value by |det S|^{2 (-1)^d}.
     """
-    spectra, betti, bases = harmonic_data(tcc, rank_tol)
+    return _harmonic_metric(tcc, reference_cycles, rank_tol)[1:]
+
+
+def _harmonic_metric(tcc, reference_cycles, rank_tol):
+    """(log t_comb, metric, betti, bases): a rational complex reads its tau-chain (``tcc._tau``,
+    ``tcc._exact_bases``) and runs no eigensolver, a float one reads ``harmonic_data``."""
+    if tcc.exact:
+        _require_rank_tol(rank_tol)
+        (t2, betti, _), bases = tcc._tau, dict(tcc._exact_bases)
+        betti, log_t = dict(betti), 0.5 * (math.log(t2.numerator) - math.log(t2.denominator))
+    else:
+        spectra, betti, bases = harmonic_data(tcc, rank_tol)
+        log_t = _spectral_log_t(spectra, betti)
     if reference_cycles is None:
-        metric = DetLineMetric(
-            value=1.0,
-            reference="deterministic orthonormal kernel basis; fiber frame at base",
-        )
-        return metric, spectra, betti, bases
+        ref = "deterministic orthonormal kernel basis; fiber frame at base"
+        return log_t, DetLineMetric(value=1.0, reference=ref), betti, bases
     log_value = 0.0
     for d in sorted(betti):
         b_d = betti[d]
@@ -653,8 +697,7 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
         log_g += 2.0 * float(np.sum(np.log(scale)))
         log_value += log_g if d % 2 == 0 else -log_g
     value = lx.exp_float(log_value, "harmonic value")
-    metric = DetLineMetric(value=value, reference="transported reference cycles")
-    return metric, spectra, betti, bases
+    return log_t, DetLineMetric(value, reference="transported reference cycles"), betti, bases
 
 
 def _are_cycles(z, rec, n_faces):
@@ -675,27 +718,23 @@ def ft_torsion(complex_, bundle, spray, reference_cycles=None, rank_tol=RANK_TOL
     t_comb^2 times the harmonic determinant-line value.  The fiber factor is
     carried by the (orthonormal-by-declaration) reference frame, which is why
     a frame change S at the base vertex moves the value by |det S|^(-2 chi).
+
+    t_comb, betti and the harmonic bases come from the tau-chain (once per complex, with no
+    eigensolver) for a rational bundle, from ``harmonic_data`` for a float one.
     """
     tcc = assemble(complex_, bundle, spray)
     return ft_torsion_of_tcc(tcc, reference_cycles, rank_tol)
 
 
 def ft_torsion_of_tcc(tcc, reference_cycles=None, rank_tol=RANK_TOL):
-    harm, spectra, betti, bases = harmonic_metric(tcc, reference_cycles, rank_tol)
-    t, ft_value = _spectral_torsion(spectra, betti, harm.value)
-    acyclic = all(b == 0 for b in betti.values())
-    ft = DetLineMetric(
-        value=ft_value,
-        reference=harm.reference + "; fiber volume from the declared frame",
-    )
+    log_t, harm, betti, bases = _harmonic_metric(tcc, reference_cycles, rank_tol)
+    log_h = math.log(harm.value) if harm.value > 0.0 else -math.inf  # summed in logs
+    t, ft_value = lx.exp_float(log_t, "t_comb"), lx.exp_float(2 * log_t + log_h, "torsion value")
+    ref = harm.reference + "; fiber volume from the declared frame"
+    ft = DetLineMetric(ft_value, reference=ref)
     return TorsionResult(
-        t_comb=t,
-        harmonic_metric=harm,
-        ft_metric=ft,
-        acyclic=acyclic,
-        spectra=spectra,
-        betti=betti,
-        harmonic_bases=bases,
+        t_comb=t, harmonic_metric=harm, ft_metric=ft, acyclic=all(b == 0 for b in betti.values()),
+        tcc=tcc, rank_tol=rank_tol, betti=betti, harmonic_bases=bases,
     )
 
 

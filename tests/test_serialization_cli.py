@@ -456,7 +456,8 @@ class TestCli:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error:") and "too small" in err and "Traceback" not in err
+        # the exact route keeps the entry: t_comb = 10**-400 itself is past the float range
+        assert err.startswith("error:") and "t_comb is about e**-921.0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, value, words",
