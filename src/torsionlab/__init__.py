@@ -47,7 +47,6 @@ from .torsion_engine import (
     TorsionResult,
     TwistedChainComplex,
     assemble,
-    det_prime,
     euler_action_on_torsion,
     ft_torsion,
     harmonic_metric,

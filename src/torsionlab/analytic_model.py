@@ -69,10 +69,11 @@ class CircleModel:
         return unit, off, at_one
 
     def zero_mode_dimension(self):
-        """Geometric multiplicity of eigenvalue 1 (twisted harmonic rank)."""
-        k = self.rank
-        _, piv = lx.echelon_float(self.holonomy - np.eye(k), rtol=1e-10, scale=max(1.0, float(np.abs(self.holonomy).max())))
-        return k - len(piv)
+        """Geometric multiplicity of eigenvalue 1 (twisted harmonic rank): k less the rank of
+        H - I at the cutoff 1e-10 * max(1, max |H|), by ``lx._markowitz``."""
+        k, h = self.rank, self.holonomy
+        cutoff = 1e-10 * max(1.0, float(np.abs(h).max()))
+        return k - len(lx._float_pivots(h - np.eye(k), cutoff)[0])
 
 
 def eigenvalue_factor_closed(nu):

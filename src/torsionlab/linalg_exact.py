@@ -9,16 +9,18 @@ and views (``frac``, ``fmat``, ``scaled``, ``unscaled``, ``to_float``).  List
 arithmetic remains only where the benchmark's tracer binds it (``matmul``,
 ``inverse``, ``det_prime_psd``, ``product_is_zero``); it converts through
 ``scaled`` and ``unscaled``.  Nothing here touches floats
-except the float kernels and the checked conversions; the Smith normal form
-works over Python ints, so there is no overflow anywhere.
+except the float kernels, the float mode of the eliminator and the checked
+conversions; the Smith normal form works over Python ints, so there is no
+overflow anywhere.
 
 Every exact product goes through one kernel, ``_int_matmul``: numpy int64
 when a magnitude bound proves no partial sum can overflow, Python ints in
-object arrays otherwise.  Sparse matrices, {row: {column: int}} maps, have
-one eliminator, ``_markowitz``: it gives pivot rows and columns and +-det of
-the pivot block, and keeps the pivot rows, from which ``_kernel`` reads
-kernel vectors by back-substitution.  The exact torsion is built from these
-(``torsion_engine.t_comb_squared_exact``).
+object arrays otherwise.  Sparse matrices, {row: {column: value}} maps, have
+one eliminator, ``_markowitz``, over ints or, given a rank cutoff, over
+floats: it gives pivot rows and columns and +-det of the pivot block (its
+log over floats), and keeps the pivot rows, from which ``_kernel`` reads
+kernel vectors by back-substitution.  Both torsion tau-chains are built from
+these (``torsion_engine._tau_chain``), and so is ``vol_float``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FloatRangeError
+from .errors import FloatRangeError, IllConditionedError
+
+# The rank guard band: a value within (_GUARD_LOW, _GUARD_HIGH) times a rank cutoff is
+# too close to it to call zero or nonzero.
+_GUARD_LOW, _GUARD_HIGH = 0.1, 10.0
 
 
 class SingularMatrixError(ValueError):
@@ -321,18 +327,30 @@ def det_prime_psd(a):
     return scaled_det(scaled(matmul(rows, [[row[j] for j in piv] for row in a])))
 
 
-def _markowitz(rows):
-    """Sparse Gaussian elimination of {row: {column: nonzero int}} maps, consuming them.
+def _markowitz(rows, cutoff=None):
+    """Sparse Gaussian elimination of {row: {column: nonzero}} maps, consuming them.
 
     Each step takes the column with the fewest nonzeros, then the shortest
     row through it, then a +-1 entry (H. Markowitz, Management Sci. 1957), and
     clears that column from the other rows, so only nonzeros are touched.
-    Rows stay integral: where the pivot does not divide the entry it clears,
-    the row is scaled up first and divided by its content after, and the
-    scale is kept.  Returns (pivots, +-det m[P, Q] as a Fraction) for P, Q the
-    pivot rows and columns; each pivot (i, j, map) keeps the map row i held
-    when chosen, so the maps are a triangular system for ``_kernel``.
+    Returns (pivots, d): each pivot (i, j, map) keeps the map row i held when
+    chosen, so the maps are a triangular system for ``_kernel``.
+
+    Without a cutoff the entries are ints, and d is +-det m[P, Q] as a
+    Fraction for P, Q the pivot rows and columns.  Rows stay integral: where
+    the pivot does not divide the entry it clears, the row is scaled up first
+    and divided by its content after, and the scale is kept.
+
+    With a float cutoff the entries are floats, and d is log |det m[P, Q]|.
+    Entries of at most _GUARD_LOW * cutoff are dropped, on input and after
+    every update; a column whose largest entry is below _GUARD_HIGH * cutoff
+    raises IllConditionedError; and the pivot is taken only among entries of
+    at least 0.1 times the column's largest (threshold pivoting: Duff,
+    Erisman and Reid, *Direct Methods for Sparse Matrices*).
     """
+    drop = 0 if cutoff is None else _GUARD_LOW * cutoff
+    if drop:
+        rows = {i: {j: v for j, v in row.items() if abs(v) > drop} for i, row in rows.items()}
     cols = {}
     for i, row in rows.items():
         for j in row:
@@ -340,7 +358,7 @@ def _markowitz(rows):
     heap = [(len(live), j) for j, live in cols.items()]
     heapq.heapify(heap)
     scale = {}  # row -> s where the stored row is s times the eliminated one
-    pivots, product, divisor = [], 1, 1
+    pivots, divisor = [], 1
     while heap:
         n, j = heapq.heappop(heap)
         live = cols.get(j)
@@ -349,7 +367,15 @@ def _markowitz(rows):
         del cols[j]
         if not n:
             continue
-        i = min(live, key=lambda i: (len(rows[i]), abs(rows[i][j]) != 1, i))
+        among = live
+        if cutoff is not None:
+            big = max(abs(rows[i][j]) for i in live)
+            if big < _GUARD_HIGH * cutoff:
+                raise IllConditionedError(
+                    f"pivot {big:.3e} falls in the rank guard band around {cutoff:.3e}"
+                )
+            among = [i for i in live if abs(rows[i][j]) >= 0.1 * big]
+        i = min(among, key=lambda i: (len(rows[i]), abs(rows[i][j]) != 1, i))
         live.discard(i)
         top = rows.pop(i)
         p = top.pop(j)
@@ -358,7 +384,7 @@ def _markowitz(rows):
         for t in live:
             row = rows[t]
             f = row.pop(j)
-            q, rem = divmod(f, p)
+            q, rem = divmod(f, p) if cutoff is None else (f / p, 0)
             if rem:  # row := (p/g) row - (f/g) top
                 g = math.gcd(f, p)
                 a, q = p // g, f // g
@@ -367,7 +393,7 @@ def _markowitz(rows):
                 scale[t] = scale.get(t, 1) * a
             for c, v in top.items():
                 x = row.get(c, 0) - q * v
-                if x:
+                if x > drop or x < -drop:
                     if c not in row:
                         cols[c].add(t)
                     row[c] = x
@@ -382,34 +408,42 @@ def _markowitz(rows):
             heapq.heappush(heap, (len(cols[c]), c))
         top[j] = p
         pivots.append((i, j, top))
-        product *= p
         if i in scale:
             divisor *= scale.pop(i)
-    return pivots, Fraction(product) / divisor if divisor != 1 else Fraction(product)
+    if cutoff is not None:
+        return pivots, math.fsum(math.log(abs(r[j])) for _, j, r in pivots)
+    return pivots, Fraction(math.prod(r[j] for _, j, r in pivots), divisor)
+
+
+def _float_pivots(m, cutoff):
+    """``_markowitz`` of the rows of a dense float matrix at a float cutoff."""
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m.tolist())}
+    return _markowitz(rows, cutoff)
 
 
 def _kernel(pivots, free):
     """Right-kernel vectors of a matrix eliminated by ``_markowitz``, by back-substitution.
 
-    One (x, s) per non-pivot column f in ``free``: an integer {column: int}
-    map x that is s at f and 0 at the other free columns, each pivot column
-    solved from its kept row, last pivot first, scaling x up where a pivot
-    does not divide, and divided by its content at the end.
+    One (x, s) per non-pivot column f in ``free``: a {column: value} map x
+    that is s at f and 0 at the other free columns, each pivot column solved
+    from its kept row, last pivot first.  Over the integers x is scaled up
+    where a pivot does not divide and divided by its content at the end; over
+    floats s is 1.
     """
     out = []
     for f in free:
         x = {f: 1}
         for _, j, row in reversed(pivots):
             s = sum(v * x[c] for c, v in row.items() if c in x)
-            if s:
-                p = row[j]
+            if s and isinstance(p := row[j], float):
+                x[j] = -s / p
+            elif s:
                 g = math.gcd(s, p)
                 if (a := p // g) != 1:
                     for c in x:
                         x[c] *= a
                 x[j] = -s // g
-        g = math.gcd(*x.values())
-        if g > 1:
+        if x[f] != 1 and (g := math.gcd(*x.values())) > 1:  # x[f] == 1 makes the content 1
             x = {c: v // g for c, v in x.items()}
         out.append((x, x[f]))
     return out
@@ -519,63 +553,22 @@ def smith_normal_form(a):
 
 
 # ---------------------------------------------------------------------------
-# float Gaussian elimination (eigensolver-free routes)
-
-
-def echelon_float(m, rtol=1e-10, scale=None):
-    """(reduced echelon rows, pivot columns) via partial-pivoted elimination.
-
-    Independent of LAPACK eigen/SVD drivers on purpose: this backs the
-    determinant-route torsion oracle.  `scale` anchors the rank tolerance
-    when the matrix may be a numerically-zero residue of a larger problem.
-    """
-    m = np.asarray(m, dtype=float)
-    r, c = m.shape
-    none = (np.zeros((0, c)), [])
-    if r == 0 or c == 0:
-        return none
-    a = m.copy()
-    own = np.max(np.abs(a))
-    scale = max(own, scale or 0.0)
-    if scale == 0.0:
-        return none
-    tol = rtol * scale
-    if own <= tol:
-        return none
-    pivots = []
-    row = 0
-    for col in range(c):
-        if row >= r:
-            break
-        i = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[i, col]) <= tol:
-            continue
-        a[[row, i]] = a[[i, row]]
-        a[row] = a[row] / a[row, col]
-        # rows with a zero in the pivot column would only take x - 0 * y = x
-        hit = np.flatnonzero(a[:, col])
-        hit = hit[hit != row]
-        a[hit] -= np.outer(a[hit, col], a[row])
-        pivots.append(col)
-        row += 1
-    return a[:row], pivots
-
-
-def log_vol_float(m, rtol=1e-10, scale=None):
-    """log of the product of nonzero singular values, by LU log-dets.
-
-    With C the pivot columns of m and R its reduced echelon rows, m = C R and
-    vol(m)^2 = det(C^T C) det(R R^T).
-    """
-    m = np.asarray(m, dtype=float)
-    rows, piv = echelon_float(m, rtol, scale)
-    if not piv:
-        return 0.0
-    cols = m[:, piv]
-    log_val = np.linalg.slogdet(cols.T @ cols)[1] + np.linalg.slogdet(rows @ rows.T)[1]
-    return 0.5 * float(log_val)
+# float volumes (eigensolver-free)
 
 
 def vol_float(m, rtol=1e-10, scale=None):
-    """Product of nonzero singular values; FloatRangeError outside the double range."""
-    return exp_float(log_vol_float(m, rtol, scale), "volume")
+    """Product of nonzero singular values; FloatRangeError outside the double range.
+
+    ``_markowitz`` at the cutoff rtol * max(largest |entry|, scale) gives
+    pivot rows P and columns Q, so m = C A^-1 B for C = m[:, Q], A = m[P, Q]
+    and B = m[P, :], and vol(m) = |det R_C| |det R_B| / |det A|, in logs, for
+    R_C and R_B the triangular factors of QRs of C and B^T.
+    """
+    m = np.asarray(m, dtype=float)
+    cutoff = rtol * max(float(np.abs(m).max(initial=0.0)), scale or 0.0)
+    pivots, log_a = _float_pivots(m, cutoff)
+    if not pivots:
+        return 1.0
+    c, b = m[:, [j for _, j, _ in pivots]], m[[i for i, _, _ in pivots]]
+    log_vol = sum(np.linalg.slogdet(np.linalg.qr(x, mode="r"))[1] for x in (c, b.T)) - log_a
+    return exp_float(float(log_vol), "volume")

@@ -490,8 +490,7 @@ def _lens_gaussian_oracle(p, q, turns=1):
     d2 = sum(np.linalg.matrix_power(r, j) for j in range(p))
     d3 = np.linalg.matrix_power(r, qp) - np.eye(2)
     scale = max(np.abs(d1).max(), np.abs(d2).max(), np.abs(d3).max(), 1.0)
-    log_t = sum((-1) ** (d + 1) * lx.log_vol_float(m, scale=scale) for d, m in ((1, d1), (2, d2), (3, d3)))
-    return lx.exp_float(log_t, "lens torsion")
+    return lx.vol_float(d1, scale=scale) / lx.vol_float(d2, scale=scale) * lx.vol_float(d3, scale=scale)
 
 
 def _spray_rechoice_worst():

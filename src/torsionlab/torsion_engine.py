@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from .euler_struct import act, leg_shift_loops, validate_spray
 from .flat_bundle import _require_far_anchors_consistent, _vouched, require_flat
 
 RANK_TOL = 1e-10
-GUARD_LOW, GUARD_HIGH = 0.1, 10.0
+GUARD_LOW, GUARD_HIGH = lx._GUARD_LOW, lx._GUARD_HIGH  # the eliminator's band too
 
 # Pinned sign exponent for the Euler-structure action on the torsion value:
 # ratio = |det rho(u)|^EULER_ACTION_EXPONENT.  Fixed once by the one-cell
@@ -106,21 +105,20 @@ class TwistedChainComplex:
     """Twisted boundaries of one (complex, bundle, spray) triple, stored as blocks.
 
     ``blocks`` is the only stored form, with each record's float view once
-    read.  The spectral route composes its Gram matrices and Laplacians
-    from the blocks (``_gram``) and never reads a dense boundary;
-    ``boundary(d)`` lays out the dense float D_d on first read and keeps it,
-    for the det route, the suites and inspection only.
+    read.  The tau-chains eliminate the blocks' sparse columns, and the
+    spectral route composes its Gram matrices and Laplacians from the blocks
+    (``_gram``); no route reads a dense boundary.  ``boundary(d)`` lays out
+    a fresh dense float D_d for inspection, the tests and the suites.
     ``assemble`` hands the same object to every caller of the same triple,
     so all arrays are read-only; build a changed complex with
     ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with
-    no dense boundary, no tau-chain and an empty ``harmonic_data`` memo.
+    no tau-chain and an empty ``harmonic_data`` memo.
     """
 
     rank: int
     cell_order: dict  # d -> list of cell ids
     blocks: dict  # d >= 1 -> BlockRecord of D_d
     frame: np.ndarray | None = None  # fiber frame applied at every cell
-    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # rank_tol -> (spectra, betti, bases) of harmonic_data
     _harmonic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -149,7 +147,7 @@ class TwistedChainComplex:
 
     @functools.cached_property
     def _tau(self):
-        """``_tau_chain`` of this complex, run once: every exact route reads it."""
+        """The exact ``_tau_chain`` of this complex, run once: every exact route reads it."""
         return _tau_chain(self)
 
     @functools.cached_property
@@ -166,11 +164,10 @@ class TwistedChainComplex:
         return out
 
     def boundary(self, d):
-        """Dense float D_d (empty past either end), laid out on first read, read-only."""
-        if d not in self._dense:
-            m = self._dense[d] = self._layout(d)
-            m.flags.writeable = False
-        return self._dense[d]
+        """Dense float D_d (empty past either end), laid out afresh on each call, read-only."""
+        m = self._layout(d)
+        m.flags.writeable = False
+        return m
 
     def _layout(self, d, exact=False):
         """Dense D_d from its blocks: floats rounded as float(Fraction), or Fractions if exact.
@@ -411,13 +408,6 @@ def _gram(tcc, d, on, layouts):
     return g.reshape(n, n)
 
 
-def _symmetric(m, what):
-    """m itself, once checked symmetric for the eigensolver."""
-    if m.size and np.abs(m - m.T).max() > 1e-9 * max(np.abs(m).max(), 1.0):
-        raise TorsionLabError(f"{what} is not symmetric")
-    return m
-
-
 def _require_rank_tol(rank_tol):
     if not 0.0 < rank_tol < 1.0:  # false for nan too
         raise ValueError(f"rank tolerance must be a finite number in (0, 1), got {rank_tol!r}")
@@ -469,23 +459,6 @@ def _spectral_log_t(spectra, betti):
     return 0.5 * sum(
         (-1) ** (d + 1) * d * float(np.sum(np.log(w[betti[d]:]))) for d, w in spectra.items() if d
     )
-
-
-def det_prime(mat, rank_tol=RANK_TOL):
-    """Product of the eigenvalues above the rank cutoff; 1 for the zero matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise TorsionLabError("det_prime expects a square matrix")
-    w = np.linalg.eigvalsh(_symmetric(mat, "det_prime input"))
-    # a frexp mantissa and an integer exponent: one rounding per factor, no overflow midway
-    mant, exp = 1.0, 0
-    for x in _nonzero(w, float(w.max(initial=0.0)), rank_tol).tolist():
-        m, e = math.frexp(x)
-        mant, shift = math.frexp(mant * m)
-        exp += e + shift
-    if not sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
-        raise FloatRangeError(f"det' is about 2**{exp}, outside the float range")
-    return math.ldexp(mant, exp)
 
 
 def harmonic_data(tcc, rank_tol=RANK_TOL):
@@ -549,19 +522,16 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     """Torsion of the twisted complex, as a positive real.
 
     'eig' uses log t = 1/2 sum_d (-1)^{d+1} d log det' Delta_d; 'det' is the
-    eigensolver-free route prod_d vol(D_d)^{(-1)^{d+1}} via Gaussian
-    elimination; 'exact' takes the same torsion over the rationals, by a
-    tau-chain (``t_comb_squared_exact``).  A result outside the double range
-    raises FloatRangeError.
+    eigensolver-free float tau-chain of every record's floats, run afresh on
+    each call, with the cutoff rank_tol * max(1, largest |entry|); 'exact'
+    is the tau-chain over the rationals (``t_comb_squared_exact``).  A result
+    outside the double range raises FloatRangeError.
     """
     if method == "eig":
         memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
         return lx.exp_float(_spectral_log_t(*(memo or _spectra(tcc, rank_tol, {}))[:2]), "t_comb")
     if method == "det":
-        bs = {d: b for d in tcc.blocks if (b := tcc.boundary(d)).size}
-        scale = max([1.0] + [float(np.abs(b).max()) for b in bs.values()])
-        log_t = sum((-1) ** (d + 1) * lx.log_vol_float(b, scale=scale) for d, b in bs.items())
-        return lx.exp_float(log_t, "t_comb")
+        return lx.exp_float(_tau_chain(tcc, rank_tol)[0], "t_comb")
     if method == "exact":
         return _sqrt_float(t_comb_squared_exact(tcc))
     raise ValueError(f"unknown t_comb method {method!r}")
@@ -585,7 +555,7 @@ def t_comb_squared_exact(tcc):
     return tcc._tau[0]
 
 
-def _tau_chain(tcc):
+def _tau_chain(tcc, rank_tol=None):
     """(t_comb^2 as a Fraction, exact Betti numbers, integer harmonic bases) from one sparse
     elimination per degree; ``tcc._tau`` keeps the result, and every exact route reads that.
 
@@ -598,20 +568,35 @@ def _tau_chain(tcc):
     (``lx._kernel``).  Where b_d > 0, (det(Z H^T)^2 / det(H H^T))^((-1)^(d+1))
     moves them to orthonormal harmonic bases; H, the harmonic d-chains, is the
     kernel of D_d[:, Q_d]^T stacked on D_{d+1}[P_{d+1}, :], or Z where D_{d+1} = 0 (unit
-    rows on L_d where D_d = 0 too); bases[d] is H as sparse {index: int} rows.
+    rows on L_d where D_d = 0 too); bases[d] is H as sparse {index: value} rows.
+
+    Given rank_tol, the same elimination runs afresh over every record's
+    floats, rational ones too, so it stays independent of the exact route.
+    The cutoff is rank_tol * max(1, largest |entry|) (threshold pivoting and
+    a guard band, ``lx._markowitz``), and the result is (log t_comb, Betti
+    numbers, float bases H) with log t = sum_d (-1)^(d+1) (log |det A_d| +
+    log |det(Z Q^T)|), Q the orthonormal rows of a QR of H.
     """
-    if not tcc.exact:
+    exact, cutoff, blocks = rank_tol is None, None, tcc.blocks
+    if exact and not tcc.exact:
         raise TorsionLabError("exact torsion needs a rational bundle")
-    parts, betti, bases = [], {}, {}  # t^2 = prod x^e over the (x, e) in parts
+    if not exact:
+        _require_rank_tol(rank_tol)
+        blocks = {d: BlockRecord(r.rows, r.cols, r.floats, 1) for d, r in blocks.items()}
+        top = [float(np.abs(r.nums).max()) for r in blocks.values() if r.nums.size]
+        cutoff = rank_tol * max([1.0] + top)
+    parts, log_t, betti, bases = [], 0.0, {}, {}  # t^2 = prod x^e over the (x, e) in parts
     hit, cols_up, rows_up = set(), {}, set()  # Q_{d+1}, D_{d+1} by columns, P_{d+1}
     for d in range(tcc.top_dim, -1, -1):
-        rec, sign = tcc.blocks.get(d), 1 if d % 2 else -1
+        rec, sign = blocks.get(d), 1 if d % 2 else -1
         cols = rec.sparse_columns() if rec else {}
         # pivots of the transpose: (column q of D_d, row p of D_d, kept map)
         pivots, det_a = lx._markowitz(
-            {q: {p: v for p, v in col.items() if p not in hit} for q, col in cols.items()}
+            {q: {p: v for p, v in col.items() if p not in hit} for q, col in cols.items()}, cutoff
         )
-        if pivots:
+        if not exact:
+            log_t += sign * det_a
+        elif pivots:
             parts += [(det_a, 2 * sign), (rec.den, -2 * sign * len(pivots))]
         rows = {p for _, p, _ in pivots}
         left = [p for p in range(tcc.dims[d]) if p not in hit and p not in rows]
@@ -619,24 +604,30 @@ def _tau_chain(tcc):
         if left and (pivots or rows_up):  # with neither, Z = H are unit rows
             z = lx._kernel(pivots, left)
             scale = math.prod(s for _, s in z)
-            z = bases[d] = [x for x, _ in z]
-            if not rows_up:  # D_{d+1} = 0, so H = Z
-                parts += [(_dot_det(z, z), sign), (scale, -2 * sign)]
-            else:
+            h = z = bases[d] = [x for x, _ in z]
+            if rows_up:  # else D_{d+1} = 0, so H = Z
                 stacked = {q: dict(cols[q]) for q, _, _ in pivots}
                 for p, col in cols_up.items():
                     for i, v in col.items():
                         if i in rows_up:
                             stacked.setdefault(~i, {})[p] = v
-                piv = lx._markowitz(stacked)[0]
+                piv = lx._markowitz(stacked, cutoff)[0]
                 fixed = {p for _, p, _ in piv}
                 free = [p for p in range(tcc.dims[d]) if p not in fixed]
                 h = bases[d] = [x for x, _ in lx._kernel(piv, free)]
-                parts += [(_dot_det(z, h), 2 * sign), (_dot_det(h, h), -sign), (scale, -2 * sign)]
+            if exact:
+                zh = _dot_det(z, h)
+                hh = zh if h is z else _dot_det(h, h)
+                parts += [(zh, 2 * sign), (hh, -sign), (scale, -2 * sign)]
+            else:
+                log_t += sign * _log_det_onto(z, h, tcc.dims[d])
         hit, cols_up, rows_up = {q for q, _, _ in pivots}, cols, rows
+    betti, bases = dict(sorted(betti.items())), dict(sorted(bases.items()))
+    if not exact:
+        return log_t, betti, bases
     num = math.prod(x.numerator**e if e > 0 else x.denominator**-e for x, e in parts)
     den = math.prod(x.denominator**e if e > 0 else x.numerator**-e for x, e in parts)
-    return Fraction(num, den), dict(sorted(betti.items())), dict(sorted(bases.items()))
+    return Fraction(num, den), betti, bases
 
 
 def _dot_det(a, b):
@@ -644,6 +635,19 @@ def _dot_det(a, b):
     m = [[sum(v * y.get(c, 0) for c, v in x.items()) for y in b] for x in a]
     sign, pivot = lx._bareiss(m, len(m))
     return sign * pivot
+
+
+def _log_det_onto(z, h, n):
+    """log |det(Z Q^T)| for two lists of sparse {index: float} rows over n indices, Q the
+    orthonormal rows of a QR of H; IllConditionedError if Z is singular on span(H)."""
+    a, b = np.zeros((len(z), n)), np.zeros((len(h), n))
+    for m, xs in ((a, z), (b, h)):
+        for row, x in zip(m, xs):
+            row[list(x)] = list(x.values())
+    sign, log_det = np.linalg.slogdet(a @ np.linalg.qr(b.T)[0])
+    if not sign:
+        raise IllConditionedError("homology cycles are singular on the harmonic chains")
+    return float(log_det)
 
 
 def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):

@@ -96,6 +96,14 @@ class TestAnalyticTorsion:
         assert not res.acyclic
         assert res.harmonic_dims == {0: 2, 1: 2}
 
+    @pytest.mark.parametrize("h, want", [
+        ([[2.0, 0.0], [0.0, 3.0]], 0), ([[1.0, 0.0], [0.0, 2.0]], 1),
+        ([[1.0, 0.0], [0.0, 1.0]], 2), ([[1.0, 1.0], [0.0, 1.0]], 1),
+    ])
+    def test_zero_mode_dimension(self, h, want):
+        # the Jordan block has eigenvalue 1 twice but one eigenvector
+        assert CircleModel(h).zero_mode_dimension() == want
+
     def test_scale_invariance_acyclic(self):
         vals = [
             analytic_torsion_circle(CircleModel([[2.0]], circumference=c)).value

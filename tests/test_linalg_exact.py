@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from torsionlab import linalg_exact as lx
-from torsionlab.errors import FloatRangeError
+from torsionlab.errors import FloatRangeError, IllConditionedError
 
 
 def random_int_matrix(rng, r, c, lo=-5, hi=5):
@@ -90,6 +90,10 @@ def test_vol_sq_matches_singular_values():
         assert len(pivots) == len(nz)
         approx = float(np.prod(nz * nz)) if len(nz) else 1.0
         assert abs(lx.vol_float(lx.to_float(m)) - np.sqrt(approx)) <= 1e-8 * max(approx, 1.0)
+    # near-singular: det(C^T C) squares the condition number (4e7 at e = 1e-7), losing 1%
+    for e in (1e-4, 1e-7):
+        want = (1 + e) - 1  # the determinant of the float matrix, exactly
+        assert abs(lx.vol_float(np.array([[1, 1], [1, 1 + e]])) - want) <= 1e-7 * want
 
 
 def test_smith_normal_form_properties():
@@ -129,47 +133,43 @@ def test_frac_rejects_floats():
     assert lx.frac("3/7") == Fraction(3, 7)
 
 
-def test_echelon_float_scale_guard():
+def test_vol_float_scale_guard():
+    # entries far below the cutoff 1e-10 * scale are dropped: the matrix has rank 0
     noise = np.full((3, 3), 1e-16)
-    rows, piv = lx.echelon_float(noise, scale=1.0)
-    assert piv == [] and rows.shape == (0, 3)
+    assert lx._float_pivots(noise, 1e-10)[0] == []
     assert lx.vol_float(noise, scale=1.0) == 1.0
+    with pytest.raises(IllConditionedError, match="guard band"):
+        lx.vol_float(np.full((3, 3), 5e-10), scale=1.0)
 
 
-def all_rows_echelon_float(m, rtol=1e-10, scale=None):
-    """echelon_float with the rank-1 update applied to every other row, as a reference."""
-    a = np.array(m, dtype=float)
-    r, c = a.shape
-    own = np.max(np.abs(a), initial=0.0)
-    scale = max(own, scale or 0.0)
-    if r == 0 or c == 0 or scale == 0.0 or own <= rtol * scale:
-        return np.zeros((0, c)), []
-    pivots, row = [], 0
-    for col in range(c):
-        if row >= r:
-            break
-        i = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[i, col]) <= rtol * scale:
-            continue
-        a[[row, i]] = a[[i, row]]
-        a[row] = a[row] / a[row, col]
-        mask = np.arange(r) != row
-        a[mask] -= np.outer(a[mask, col], a[row])
-        pivots.append(col)
-        row += 1
-    return a[:row], pivots
-
-
-def test_echelon_float_updates_only_rows_in_the_pivot_column():
+def test_float_markowitz_rank_pivot_block_and_kernel():
+    # integer matrices of every rank, eliminated in floats: the rank is the exact one, the
+    # log |det| is that of the pivot block, and back-substitution gives the kernel
     rng = np.random.default_rng(17)
     for _ in range(40):
         r, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        m = rng.standard_normal((r, c)) * (rng.random((r, c)) < rng.uniform(0.1, 0.9))
-        if rng.random() < 0.3:  # a repeated row makes the matrix rank deficient
-            m[-1] = m[0]
-        rows, piv = lx.echelon_float(m)
-        want_rows, want_piv = all_rows_echelon_float(m)
-        assert piv == want_piv and np.array_equal(rows, want_rows)
+        k = int(rng.integers(1, min(r, c) + 1))
+        ints = rng.integers(-3, 4, (r, k)) @ rng.integers(-3, 4, (k, c))
+        ints *= rng.random((r, c)) < 0.7
+        m = ints.tolist()
+        pivots, log_det = lx._float_pivots(ints.astype(float), 1e-10 * max(1, int(np.abs(ints).max())))
+        prows, pcols = [i for i, _, _ in pivots], [j for _, j, _ in pivots]
+        assert len(pivots) == len(lx._echelon(lx.fmat(m))[1])
+        if pivots:
+            block = lx.scaled(lx.fmat([[m[i][j] for j in pcols] for i in prows]))
+            assert abs(log_det - math.log(abs(lx.scaled_det(block)))) <= 1e-12 * max(1.0, abs(log_det))
+        free = [j for j in range(c) if j not in pcols]
+        for f, (x, s) in zip(free, lx._kernel(pivots, free)):
+            assert s == x[f] == 1 and all(x.get(g, 0) == 0 for g in free if g != f)
+            assert np.abs(ints @ [x.get(j, 0.0) for j in range(c)]).max() <= 1e-9
+
+
+def test_float_markowitz_threshold_pivoting():
+    # column 0 comes first; its shortest row holds 1e-14, under 0.1 x the column's largest
+    m = np.array([[1e-14, 1 / 3, 0.0], [1.0, 1.0, 1 / 7], [0.0, 1.0, 1 / 7]])
+    pivots, log_det = lx._float_pivots(m, 1e-20)
+    assert [(i, j) for i, j, _ in pivots] == [(1, 0), (2, 1), (0, 2)]
+    assert abs(log_det - math.log(abs(np.linalg.det(m)))) <= 1e-15 * abs(log_det)
 
 
 def test_markowitz_kernel_and_pivot_block_at_every_rank():
@@ -214,8 +214,7 @@ def test_vol_float_log_domain():
         lx.vol_float(1e100 * np.eye(4))
     with pytest.raises(FloatRangeError):
         lx.vol_float(1e-100 * np.eye(4), scale=1e-100)
-    assert abs(lx.log_vol_float(1e100 * np.eye(4)) / (400 * math.log(10)) - 1.0) <= 1e-12
-    assert lx.log_vol_float(np.zeros((2, 3))) == 0.0
+    assert lx.vol_float(np.zeros((2, 3))) == 1.0
 
 
 def test_singular_float_is_scale_free_and_overflow_free():

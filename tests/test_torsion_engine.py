@@ -38,7 +38,6 @@ from torsionlab.torsion_engine import (
     _laplacian,
     assemble,
     det_of_class,
-    det_prime,
     euler_action_on_torsion,
     ft_torsion,
     ft_torsion_of_tcc,
@@ -392,32 +391,24 @@ class TestLaplacians:
 
 
 class TestDetPrime:
-    def test_zero_matrix(self):
-        assert det_prime(np.zeros((3, 3))) == 1.0
-
-    def test_diag_zero_four(self):
-        assert abs(det_prime(np.diag([0.0, 4.0])) - 4.0) <= 1e-12
-
-    def test_circle_three_laplacian(self):
-        cx, _, spray = triple("circle-1cell")
-        tcc = assemble(cx, FlatBundle(1, {"e": [[3]]}), spray)
-        assert abs(det_prime(laplacians(tcc)[1]) - 4.0) <= 1e-12
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(TorsionLabError):
-            det_prime(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_guard_band_raises(self):
-        m = np.diag([1.0, 5e-10])  # inside [0.1, 10] x (1e-10 * lambda_max)
-        with pytest.raises(IllConditionedError):
-            det_prime(m)
+        # holonomy 1 + 5e-10 on the float circle: the one pivot of D_1 lies inside
+        # (0.1, 10) x the cutoff 1e-10 * max(1, largest |entry|)
+        cx, _, spray = triple("circle-1cell")
+        tcc = assemble(cx, FlatBundle(1, {"e": np.array([[1 + 5e-10]])}, exact=False), spray)
+        with pytest.raises(IllConditionedError, match="guard band"):
+            t_comb(tcc, "det")
+        tcc = assemble(cx, FlatBundle(1, {"e": np.array([[1 + 5e-8]])}, exact=False), spray)
+        want = (1 + 5e-8) - 1  # past the band: the pivot itself
+        assert abs(t_comb(tcc, "det") - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0])
     def test_rank_tolerance_outside_zero_one_rejected(self, tol):
-        # nan and inf used to read every eigenvalue as zero: klein gave betti {1, 2, 1}
+        # nan and inf used to read every eigenvalue as zero: klein gave betti {1, 2, 1};
+        # the det route ignored the tolerance, and gave 0.5 at nan
         cx, bundle, spray = triple("klein")
         tcc = assemble(cx, bundle, spray)
-        for cutoff in (lambda: det_prime(np.zeros((2, 2)), tol), lambda: harmonic_data(tcc, tol),
+        for cutoff in (lambda: t_comb(tcc, "det", tol), lambda: harmonic_data(tcc, tol),
                        lambda: t_comb(tcc, "eig", tol)):
             with pytest.raises(ValueError, match=r"rank tolerance must be a finite number in \(0, 1\)"):
                 cutoff()
@@ -568,18 +559,6 @@ class TestLogDomainRange:
             with pytest.raises(FloatRangeError):
                 t_comb(tcc, method)
 
-    def test_det_prime_past_float_range_raises(self):
-        assert det_prime(np.diag([0.0, 1e200])) == 1e200
-        with pytest.raises(FloatRangeError):
-            det_prime(np.diag([1e200, 1e200]))
-        with pytest.raises(FloatRangeError):
-            det_prime(np.diag([1e-200, 1e-200]))
-
-    def test_det_prime_partial_products_leave_the_range(self):
-        # ascending, the first 80 factors multiply to 2**-1120, below every double
-        w = [2.0**-14] * 80 + [2.0**14] * 80
-        assert det_prime(np.diag(w)) == 1.0
-
     def test_subdivided_torus_864_cells(self):
         # rounds 0-2 give 1 and subdivision invariance says round 3 does too
         cx, _, spray = triple("torus")
@@ -677,16 +656,47 @@ class TestComposedGrams:
             sizes.append(tcc.dims[2] * tcc.dims[1])
         assert sizes[0] <= torsion_engine._GRAM_DENSE_ENTRIES < sizes[1]
 
-    def test_ft_route_lays_out_no_dense_boundary(self):
+    def test_ft_route_lays_out_no_dense_boundary(self, monkeypatch):
         cx, bundle, spray = torus_triple()
         bundle = bundle.as_float()  # the spectral route: a rational bundle takes the tau-chain
         for _ in range(3):
             cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+        layouts = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
         res = ft_torsion(cx, bundle, spray)
         tcc = assemble(cx, bundle, spray)  # the bundle's kept assembly
         assert len(tcc.cell_order[2]) == 288 and len(res.spectra[2]) == 576
-        assert tcc._dense == {} and "boundaries_exact" not in vars(tcc)
+        assert layouts == [] and "boundaries_exact" not in vars(tcc)
         assert abs(res.t_comb - 1.0) <= 1e-9
+
+
+class TestFloatTauChain:
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_det_route_matches_exact_and_eig(self, name, monkeypatch):
+        # seeded rational bundles at ranks 1-3 and their float copies, after 0-2 rounds;
+        # tetra-solid@2 (2745 cells) at rank 1 only.  The det route eliminates every
+        # record's floats, rational ones included, and lays out no dense boundary.
+        layouts = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
+        item = corpus_get(name)
+        for bundle in corpus_bundles(name, 47, (1, 2, 3)):
+            cx, spray = item.complex, item.spray
+            for rounds in range(3):
+                if bundle.rank * len(cx.cells) > 3000:
+                    break
+                tcc = assemble(cx, bundle, spray)
+                before = len(layouts)
+                got, betti = t_comb(tcc, "det"), torsion_engine._tau_chain(tcc, 1e-10)[1]
+                assert len(layouts) == before
+                if tcc.exact:
+                    want, want_betti = t_comb(tcc, "exact"), torsion_engine._tau_chain(tcc)[1]
+                else:
+                    want, want_betti = t_comb(tcc, "eig"), harmonic_data(tcc)[1]
+                assert abs(got - want) <= 1e-9 * want and betti == want_betti
+                if rounds == 2:
+                    break
+                try:
+                    cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+                except UnsupportedStructureError:
+                    break
 
 
 class TestOneSpectralPass:
