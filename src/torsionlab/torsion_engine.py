@@ -106,19 +106,21 @@ class TwistedChainComplex:
 
     ``blocks`` is the only stored form, with each record's float view once
     read.  The tau-chains eliminate the blocks' sparse columns, and the
-    spectral route composes its Gram matrices and Laplacians from the blocks
-    (``_gram``); no route reads a dense boundary.  ``boundary(d)`` lays out
-    a fresh dense float D_d for inspection, the tests and the suites.
-    ``assemble`` hands the same object to every caller of the same triple,
-    so all arrays are read-only; build a changed complex with
+    spectral oracle composes its Gram matrices and Laplacians from the
+    blocks (``_gram``); no route reads a dense boundary.  ``boundary(d)``
+    lays out a fresh dense float D_d for inspection, the tests and the
+    suites.  ``assemble`` hands the same object to every caller of the same
+    triple, so all arrays are read-only; build a changed complex with
     ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with
-    no tau-chain and an empty ``harmonic_data`` memo.
+    no tau-chain and empty ``_ft`` and ``harmonic_data`` memos.
     """
 
     rank: int
     cell_order: dict  # d -> list of cell ids
     blocks: dict  # d >= 1 -> BlockRecord of D_d
     frame: np.ndarray | None = None  # fiber frame applied at every cell
+    # rank_tol (None for the exact tau-chain) -> (log t_comb, betti, bases) of the ft route
+    _ft: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # rank_tol -> (spectra, betti, bases) of harmonic_data
     _harmonic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -149,19 +151,6 @@ class TwistedChainComplex:
     def _tau(self):
         """The exact ``_tau_chain`` of this complex, run once: every exact route reads it."""
         return _tau_chain(self)
-
-    @functools.cached_property
-    def _exact_bases(self):
-        """d -> canonical orthonormal rows (read-only) spanning the tau-chain's harmonic basis."""
-        out = {}
-        for d, h in self._tau[2].items():
-            a = np.zeros((len(h), self.dims[d]))
-            for row, x in zip(a, h):  # over its largest entry, by exact int / int: no overflow
-                top = max(map(abs, x.values()))
-                row[list(x)] = [v / top for v in x.values()]
-            out[d] = _canonical_basis(np.linalg.qr(a.T)[0].T) if h else a
-            out[d].flags.writeable = False
-        return out
 
     def boundary(self, d):
         """Dense float D_d (empty past either end), laid out afresh on each call, read-only."""
@@ -196,8 +185,9 @@ class DetLineMetric:
 
 @dataclass
 class TorsionResult:
-    """ft_torsion of tcc.  t_comb, betti and harmonic_bases come from the tau-chain of a
-    rational tcc and from ``harmonic_data`` of a float one; ``spectra`` waits for a read."""
+    """ft_torsion of tcc.  t_comb, betti and harmonic_bases come from the exact tau-chain of a
+    rational tcc and from the float tau-chain of a float one; ``spectra``, the eigensolver
+    oracle, waits for a read, and ``to_jsonable`` writes it as null past the dense budget."""
 
     t_comb: float
     harmonic_metric: DetLineMetric
@@ -211,7 +201,7 @@ class TorsionResult:
     @functools.cached_property
     def spectra(self):
         """``harmonic_data``'s spectra of tcc, computed on first read under the dense budget;
-        IllConditionedError if their zero counts disagree with betti (exact on rational data)."""
+        IllConditionedError if their zero counts disagree with the tau-chain's betti."""
         tcc, tol = self.tcc, self.rank_tol
         spectra, betti = (tcc._harmonic.get(tol) or _spectra(tcc, tol, {}))[:2]
         if betti != self.betti:
@@ -219,6 +209,10 @@ class TorsionResult:
         return {d: tuple(float(x) for x in w) for d, w in spectra.items()}
 
     def to_jsonable(self):
+        try:
+            spectra = {str(d): list(s) for d, s in sorted(self.spectra.items())}
+        except DenseSizeError:  # a Gram past the budget: every other key still holds
+            spectra = None
         return {
             "t_comb": self.t_comb,
             "ft_value": self.ft_metric.value,
@@ -227,9 +221,7 @@ class TorsionResult:
             "reference": self.ft_metric.reference,
             "acyclic": self.acyclic,
             "betti": {str(d): b for d, b in sorted(self.betti.items())},
-            "spectra": {
-                str(d): list(s) for d, s in sorted(self.spectra.items())
-            },
+            "spectra": spectra,
         }
 
 
@@ -464,8 +456,10 @@ def _spectral_log_t(spectra, betti):
 def harmonic_data(tcc, rank_tol=RANK_TOL):
     """Spectra, Betti numbers, and deterministic orthonormal kernel bases, by eigensolvers.
 
-    The ft route of float complexes; for rational ones the tau-chain's oracle,
-    whose spectra are ``TorsionResult.spectra``.  spectra[d] holds b_d exact
+    The eigensolver oracle of the ft route, which reads a tau-chain on either
+    field; its spectra are ``TorsionResult.spectra``, and ``t_comb(tcc, "eig")``
+    reads its memo.  The cutoff is rank_tol * lambda_max per degree, not the
+    tau-chains' rank_tol * max(1, largest |entry|).  spectra[d] holds b_d exact
     zeros, then the Gram eigenvalues above the cutoff (``_spectra``).  Only
     degrees with b_d > 0 build Delta_d and run eigh; Delta_d = D_d D_d^T +
     D_{d+1}^T D_{d+1} is composed from the block records and checked against
@@ -497,6 +491,21 @@ def _harmonic_data(tcc, rank_tol):
     for b in bases.values():
         b.flags.writeable = False
     return spectra, betti, bases
+
+
+def _orthonormal(rows, n):
+    """Canonical orthonormal rows (read-only) spanning sparse {index: value} rows over n indices.
+
+    Each row is scaled by its largest |entry| (exact int / int for integers: no
+    overflow), then one QR and ``_canonical_basis``; for both fields' tau-chains.
+    """
+    a = np.zeros((len(rows), n))
+    for row, x in zip(a, rows):
+        top = max(map(abs, x.values()))
+        row[list(x)] = [v / top for v in x.values()]
+    out = _canonical_basis(np.linalg.qr(a.T)[0].T) if rows else a
+    out.flags.writeable = False
+    return out
 
 
 def _canonical_basis(q):
@@ -654,7 +663,7 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
     """(metric, betti, bases): the scalar product on the homology determinant line.
 
     betti and the deterministic orthonormal harmonic bases come from the
-    tau-chain of a rational complex and ``harmonic_data`` of a float one.
+    exact tau-chain of a rational complex and the float tau-chain of a float one.
     With no reference those bases are the reference and the value is 1.
     With reference cycles (rows per degree, in default chain coordinates) the
     value is prod_d det(Gram_d)^{(-1)^d} of their harmonic projections; a
@@ -664,15 +673,23 @@ def harmonic_metric(tcc, reference_cycles=None, rank_tol=RANK_TOL):
 
 
 def _harmonic_metric(tcc, reference_cycles, rank_tol):
-    """(log t_comb, metric, betti, bases): a rational complex reads its tau-chain (``tcc._tau``,
-    ``tcc._exact_bases``) and runs no eigensolver, a float one reads ``harmonic_data``."""
-    if tcc.exact:
-        _require_rank_tol(rank_tol)
-        (t2, betti, _), bases = tcc._tau, dict(tcc._exact_bases)
-        betti, log_t = dict(betti), 0.5 * (math.log(t2.numerator) - math.log(t2.denominator))
-    else:
-        spectra, betti, bases = harmonic_data(tcc, rank_tol)
-        log_t = _spectral_log_t(spectra, betti)
+    """(log t_comb, metric, betti, bases) from a tau-chain, with no eigensolver and no Gram.
+
+    A rational complex reads its exact tau-chain (``tcc._tau``), a float one
+    the float tau-chain at rank_tol; either is kept in ``tcc._ft`` (keyed by
+    None or rank_tol) with the canonical orthonormal bases of its H rows.
+    """
+    _require_rank_tol(rank_tol)
+    key = None if tcc.exact else rank_tol
+    if key not in tcc._ft:
+        if tcc.exact:
+            t2, betti, h = tcc._tau
+            log_t = 0.5 * (math.log(t2.numerator) - math.log(t2.denominator))
+        else:
+            log_t, betti, h = _tau_chain(tcc, rank_tol)
+        tcc._ft[key] = log_t, betti, {d: _orthonormal(x, tcc.dims[d]) for d, x in h.items()}
+    log_t, betti, bases = tcc._ft[key]
+    betti, bases = dict(betti), dict(bases)
     if reference_cycles is None:
         ref = "deterministic orthonormal kernel basis; fiber frame at base"
         return log_t, DetLineMetric(value=1.0, reference=ref), betti, bases
@@ -723,8 +740,9 @@ def ft_torsion(complex_, bundle, spray, reference_cycles=None, rank_tol=RANK_TOL
     carried by the (orthonormal-by-declaration) reference frame, which is why
     a frame change S at the base vertex moves the value by |det S|^(-2 chi).
 
-    t_comb, betti and the harmonic bases come from the tau-chain (once per complex, with no
-    eigensolver) for a rational bundle, from ``harmonic_data`` for a float one.
+    t_comb, betti and the harmonic bases come from a tau-chain, with no eigensolver and no
+    Gram matrix: the exact one for a rational bundle, the float one (cutoff rank_tol *
+    max(1, largest |entry|) on pivots) for a float bundle, each kept on the complex.
     """
     tcc = assemble(complex_, bundle, spray)
     return ft_torsion_of_tcc(tcc, reference_cycles, rank_tol)

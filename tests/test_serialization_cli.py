@@ -10,6 +10,7 @@ import pytest
 from torsionlab.barycentric import barycentric_subdivide
 from torsionlab.cli import main as cli_main
 from torsionlab.corpus import corpus_get, corpus_list, random_flat_bundle
+from torsionlab.errors import DenseSizeError
 from torsionlab.flat_bundle import FlatBundle
 from torsionlab.serialization import (
     FormatError,
@@ -166,6 +167,36 @@ class TestCli:
         assert len(calls) == 1
         assert abs(out["t_comb_det_route"] - out["t_comb"]) <= 1e-9
         assert out["t_comb_exact_route"] == out["t_comb"] == 1.0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_json_spectra_null_past_the_dense_budget(self, tmp_path, capsys, monkeypatch, exact):
+        # the trivial rank-1 torus after one round has b = {0: 1, 1: 2, 2: 1}; an 8-byte budget
+        # fits no Gram matrix, so only the spectra go, on either field's tau-chain
+        import torsionlab.torsion_engine as te
+
+        item = corpus_get("torus")
+        trivial = FlatBundle(1, {"a": [[1]], "b": [[1]]})
+        cx, bundle, spray, _ = barycentric_subdivide(item.complex, trivial, item.spray)
+        bundle = bundle if exact else bundle.as_float()
+        argv = ["torsion", "compute", "--json"]
+        for kind, payload in (("complex", complex_to_jsonable(cx)),
+                              ("bundle", bundle_to_jsonable(bundle)), ("spray", spray_to_jsonable(spray))):
+            save_json(tmp_path / f"{kind}.json", payload)
+            argv += [f"--{kind}", str(tmp_path / f"{kind}.json")]
+        assert self.run(*argv) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert len(want["spectra"]["1"]) == len(cx.cells_of_dim(1))
+        monkeypatch.setattr(te, "DENSE_BUDGET_BYTES", 8)
+        assert self.run(*argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["spectra"] is None and sorted(got) == sorted(want)
+        assert ("t_comb_exact_route" in got) == exact
+        for key in ("t_comb", "betti", "ft_value", "t_comb_det_route"):
+            assert got[key] == want[key], key
+        res = te.ft_torsion(cx, bundle, spray)
+        assert res.to_jsonable()["spectra"] is None and res.to_jsonable()["betti"] == want["betti"]
+        with pytest.raises(DenseSizeError, match="budget"):
+            res.spectra
 
     def test_transport_and_kt(self, torus_files, capsys):
         path_arg = json.dumps(

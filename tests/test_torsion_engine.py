@@ -658,7 +658,7 @@ class TestComposedGrams:
 
     def test_ft_route_lays_out_no_dense_boundary(self, monkeypatch):
         cx, bundle, spray = torus_triple()
-        bundle = bundle.as_float()  # the spectral route: a rational bundle takes the tau-chain
+        bundle = bundle.as_float()  # the spectra compose Grams alike on either field
         for _ in range(3):
             cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
         layouts = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
@@ -700,26 +700,30 @@ class TestFloatTauChain:
 
 
 class TestOneSpectralPass:
-    # float copies of rational bundles: ft_torsion runs eigensolvers on float data only
+    # float copies of rational bundles: ft_torsion reads the float tau-chain on either field,
+    # and only the eig route, harmonic_data and TorsionResult.spectra run eigensolvers
     def test_acyclic_torus_runs_no_eigh(self, monkeypatch):
         cx, _, spray = triple("torus")
         bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]}).as_float()
         eighs = counting(monkeypatch, np.linalg, "eigh")
         eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
+        grams = counting(monkeypatch, torsion_engine, "_gram")
         tcc = assemble(cx, bundle, spray)
-        assert ft_torsion_of_tcc(tcc).acyclic
+        res = ft_torsion_of_tcc(tcc)
+        assert res.acyclic and eighs == eigvalshs == grams == []
+        assert abs(t_comb(tcc, "eig") - res.t_comb) <= 1e-9 * res.t_comb  # one values-only pass
         assert len(eighs) == 0 and len(eigvalshs) == tcc.top_dim == 2
-        t_comb(tcc, "eig")  # reads the ft pass's spectra
-        assert len(eighs) == 0 and len(eigvalshs) == tcc.top_dim
-        t_comb(replace(tcc), "eig")  # a cold copy: one values-only pass, still no eigh
+        t_comb(tcc, "eig")  # the ft memo does not serve it: another values-only pass, still no eigh
         assert len(eighs) == 0 and len(eigvalshs) == 2 * tcc.top_dim
 
     def test_sphere_eigh_only_in_kernel_degrees(self, monkeypatch):
+        # ft runs no eigh; its oracle harmonic_data runs eigh only where b_d > 0
         cx, _, spray = triple("sphere")
         tcc = assemble(cx, FlatBundle(1, {e.id: [[1]] for e in cx.cells_of_dim(1)}).as_float(), spray)
         eighs = counting(monkeypatch, np.linalg, "eigh")
         res = ft_torsion_of_tcc(tcc)
-        assert res.betti == {0: 1, 1: 0, 2: 1}
+        assert res.betti == {0: 1, 1: 0, 2: 1} and eighs == []
+        assert harmonic_data(tcc)[1] == res.betti
         laps = laplacians(tcc)
         assert [args[0].shape for args in eighs] == [laps[0].shape, laps[2].shape]
         for (lap,), d in zip(eighs, (0, 2)):
@@ -754,11 +758,18 @@ class TestOneSpectralPass:
                     break
 
     def test_guard_band_fires_through_ft_torsion(self):
-        # D_1 = diag(2, 2e-5): Gram eigenvalue 4e-10 sits at the cutoff 1e-10 * 4
+        # holonomy 1 + 5e-10 on the float circle, as in TestDetPrime: the one pivot of D_1 lies
+        # inside (0.1, 10) x the eliminator's cutoff 1e-10 * max(1, largest |entry|)
         cx, _, spray = triple("circle-1cell")
-        bundle = FlatBundle(2, {"e": [[3.0, 0.0], [0.0, 1.0 + 2e-5]]})
-        with pytest.raises(IllConditionedError, match="guard band"):
+        bundle = FlatBundle(1, {"e": np.array([[1 + 5e-10]])}, exact=False)
+        with pytest.raises(IllConditionedError, match="pivot .* guard band"):
             ft_torsion(cx, bundle, spray)
+        # D_1 = diag(2, 2e-5) sits at the spectral cutoff (Gram eigenvalue 4e-10 against
+        # 1e-10 * 4), far above the eliminator's 3e-10: ft succeeds and only the spectra raise
+        res = ft_torsion(cx, FlatBundle(2, {"e": [[3.0, 0.0], [0.0, 1.0 + 2e-5]]}), spray)
+        assert res.acyclic and rel_gap(res.t_comb, 2 * ((1.0 + 2e-5) - 1.0)) <= 1e-12
+        with pytest.raises(IllConditionedError, match="eigenvalue .* guard band"):
+            res.spectra
 
     def test_euler_action_assembles_each_spray_once(self, monkeypatch):
         cx, _, spray = triple("torus")
@@ -1281,8 +1292,8 @@ class TestTauChain:
 
 class TestDenseBudget:
     def test_over_budget_is_typed_error_before_allocating(self, monkeypatch):
-        # the budget bites at the dense arrays: assemble and the exact route read blocks only,
-        # and the ft route builds Gram matrices, never the boundaries
+        # the budget bites at the dense arrays: assemble and both fields' tau-chains read blocks
+        # only, and the spectra build Gram matrices, never the boundaries
         def torus_at_2():
             cx, bundle, spray = triple("torus")
             for _ in range(2):
@@ -1304,13 +1315,16 @@ class TestDenseBudget:
         zeros = counting(monkeypatch, np, "zeros")
         with pytest.raises(DenseSizeError, match="budget"):
             tcc.boundary(big)
-        with pytest.raises(DenseSizeError, match="budget"):
-            ft_torsion_of_tcc(float_tcc)  # the spectral route: a rational bundle takes the tau-chain
         assert zeros == []
+        float_res = ft_torsion_of_tcc(float_tcc)  # the float tau-chain: no Gram, no n x n array
+        assert zeros and all(min(args[0]) <= max(float_res.betti.values()) for args in zeros)
+        assert abs(float_res.t_comb**2 - want) <= 1e-9 * want
+        with pytest.raises(DenseSizeError, match="Gram matrix .* budget"):
+            float_res.spectra
         with pytest.raises(DenseSizeError):
             tcc.boundaries_exact
         res = ft_torsion_of_tcc(tcc)  # the tau-chain builds no dense array; the spectra do
-        assert abs(res.t_comb**2 - want) <= 1e-12 * want
+        assert abs(res.t_comb**2 - want) <= 1e-12 * want and res.betti == float_res.betti
         with pytest.raises(DenseSizeError, match="budget"):
             res.spectra
         monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", biggest)
@@ -1455,17 +1469,26 @@ class TestHarmonicMemo:
         assert eighs == eigvalshs == []
         assert got.ft_metric == want.ft_metric and got.spectra == want.spectra
 
-    def test_eig_route_reads_the_ft_spectra(self, monkeypatch):
+    def test_eig_route_keeps_its_own_memo(self, monkeypatch):
+        # float ft keeps its tau-chain per rank_tol; t_comb(..., "eig") reads harmonic_data's memo
         cx, bundle, spray = klein_triple()
-        tcc = assemble(cx, bundle.as_float(), spray)  # a rational bundle's ft takes the tau-chain
+        tcc = assemble(cx, bundle.as_float(), spray)
         cold = t_comb(replace(tcc), "eig")
-        ft_torsion_of_tcc(tcc)
         eighs = counting(monkeypatch, np.linalg, "eigh")
         eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
-        assert t_comb(tcc, "eig") == cold == ft_torsion_of_tcc(tcc).t_comb
-        assert eighs == eigvalshs == []
+        runs = counting(monkeypatch, torsion_engine, "_tau_chain")
+        res = ft_torsion_of_tcc(tcc)
+        assert ft_torsion_of_tcc(tcc).t_comb == res.t_comb and len(runs) == 1
+        assert eighs == eigvalshs == [] and abs(res.t_comb - cold) <= 1e-9 * cold
+        assert t_comb(tcc, "eig") == cold  # the ft memo does not serve it: values only
+        assert eighs == [] and len(eigvalshs) == tcc.top_dim
+        harmonic_data(tcc)
+        del eighs[:], eigvalshs[:]
+        assert t_comb(tcc, "eig") == cold and eighs == eigvalshs == []
         t_comb(tcc, "eig", rank_tol=1e-9)  # another cutoff has no memo: values only
         assert eighs == [] and len(eigvalshs) == tcc.top_dim
+        ft_torsion_of_tcc(tcc, rank_tol=1e-9)  # nor has the ft route
+        assert len(runs) == 2 and eighs == []
 
 
 class TestFlatnessThroughTheSlot:
@@ -1583,10 +1606,27 @@ def rel_gap(a, b):
     return abs(a - b) / abs(b)
 
 
+def walk_with_references(check, cx, bundle, spray, rounds, label):
+    """check(cx, bundle, spray, refs, label) at rounds 0 .. rounds - 1 of subdivision, with round
+    0's harmonic bases transported as references; stops where subdivision is unsupported."""
+    refs = {}
+    for r in range(rounds):
+        res = check(cx, bundle, spray, refs, f"{label} @{r}")
+        if r == 0:
+            refs = {d: b for d, b in res.harmonic_bases.items() if b.size}
+        if r < rounds - 1:
+            try:
+                cx, bundle, spray, smap = barycentric_subdivide(cx, bundle, spray)
+            except UnsupportedStructureError:  # the lens spaces
+                break
+            refs = smap.transport_reference(refs, bundle.rank)
+
+
 class TestExactFtRoute:
     """ft_torsion of rational bundles (the tau-chain) against the spectral route."""
 
-    def assert_routes_agree(self, tcc, float_tcc, refs, label):
+    def assert_routes_agree(self, cx, bundle, spray, refs, label):
+        tcc, float_tcc = assemble(cx, bundle, spray), assemble(cx, bundle.as_float(), spray)
         res = ft_torsion_of_tcc(tcc, refs or None)
         spectra, betti, bases = harmonic_data(tcc)
         assert res.betti == betti, label
@@ -1598,18 +1638,6 @@ class TestExactFtRoute:
         assert rel_gap(res.ft_metric.value, want) <= 1e-9, label
         return res
 
-    def walk(self, cx, bundle, spray, rounds, label):
-        """Rounds 0 .. rounds - 1 of subdivision, with round 0's bases transported as references."""
-        refs = {}
-        for r in range(rounds):
-            tcc, float_tcc = assemble(cx, bundle, spray), assemble(cx, bundle.as_float(), spray)
-            res = self.assert_routes_agree(tcc, float_tcc, refs, f"{label} @{r}")
-            if r == 0:
-                refs = {d: b for d, b in res.harmonic_bases.items() if b.size}
-            if r < rounds - 1:
-                cx, bundle, spray, smap = barycentric_subdivide(cx, bundle, spray)
-                refs = smap.transport_reference(refs, bundle.rank)
-
     def test_seeded_bundles_on_every_exact_corpus_item(self):
         # tetra-solid@2 runs at rank 1 only, as in TestTauChain
         for name in corpus_list():
@@ -1619,13 +1647,14 @@ class TestExactFtRoute:
             for rank in (1, 2, 3):
                 bundle = random_flat_bundle(name, item.complex, np.random.default_rng(rank), rank=rank)
                 rounds = 3 if rank == 1 or name != "tetra-solid" else 2
-                self.walk(item.complex, bundle, item.spray, rounds, f"{name} rank {rank}")
+                walk_with_references(self.assert_routes_agree, item.complex, bundle, item.spray,
+                                     rounds, f"{name} rank {rank}")
 
     def test_trivial_bundles_with_harmonic_classes(self):
         for name in ("torus", "klein", "sphere"):
             cx, _, spray = triple(name)
             bundle = FlatBundle(1, {c.id: [[1]] for c in cx.cells_of_dim(1)})
-            self.walk(cx, bundle, spray, 3, name)
+            walk_with_references(self.assert_routes_agree, cx, bundle, spray, 3, name)
 
     @pytest.mark.parametrize("name, rank", [("klein", 2), ("sphere", 1), ("torus", 2), ("rp2", 3)])
     def test_runs_no_eigensolver_and_spectra_on_read(self, name, rank, monkeypatch):
@@ -1664,6 +1693,64 @@ class TestExactFtRoute:
         assert abs(euler_action_on_torsion(cx, bundle, spray, h1_zero(cx)) - 1.0) <= 1e-12
         assert len(runs) == 1
         assert ft_torsion_of_tcc(replace(tcc)).t_comb == res.t_comb and len(runs) == 2
+
+
+def harmonic_value(bases, refs):
+    """prod_d det(Gram_d)^{(-1)^d} of reference rows projected on orthonormal kernel rows B:
+    the projections' Gram is (z B^T)(z B^T)^T."""
+    value = 1.0
+    for d, z in refs.items():
+        c = z @ bases[d].T
+        value *= np.linalg.det(c @ c.T) ** (1 if d % 2 == 0 else -1)
+    return value
+
+
+class TestFloatFtRoute:
+    """ft_torsion of float bundles (the float tau-chain) against the eigensolver oracle: the
+    benchmark's round-0 and random-triples oracles take the det route, the same algorithm."""
+
+    def assert_routes_agree(self, cx, bundle, spray, refs, label):
+        tcc = assemble(cx, bundle, spray)
+        res = ft_torsion_of_tcc(tcc, refs or None)
+        _, betti, bases = harmonic_data(tcc)
+        t = t_comb(tcc, "eig")
+        assert res.betti == betti, label
+        assert rel_gap(res.t_comb, t) <= 1e-9, label
+        for d, b in bases.items():
+            got = res.harmonic_bases[d]
+            assert got.shape == b.shape, label
+            assert np.abs(got.T @ got - b.T @ b).max(initial=0.0) <= 1e-9, label  # projectors
+            assert np.abs(got - b).max(initial=0.0) <= 1e-9, label  # the canonical rows
+        assert rel_gap(res.ft_metric.value, t * t * harmonic_value(bases, refs)) <= 1e-9, label
+        return res
+
+    @pytest.mark.parametrize("name", corpus_list())
+    def test_float_copies_of_seeded_bundles_and_lens_rotations(self, name):
+        # float copies of seeded ranks 1-3 after 0-2 rounds, tetra-solid@2 at rank 1 only
+        item = corpus_get(name)
+        for bundle in corpus_bundles(name, 11, (1, 2, 3)):
+            if bundle.exact:
+                continue
+            rounds = 3 if bundle.rank == 1 or name != "tetra-solid" else 2
+            walk_with_references(self.assert_routes_agree, item.complex, bundle, item.spray,
+                                 rounds, f"{name} rank {bundle.rank}")
+
+    def test_trivial_float_bundles_with_harmonic_classes(self):
+        # b_1 = 2 on the torus, whose tied column norms the canonical rule breaks alike
+        for name in ("torus", "klein", "sphere"):
+            cx, _, spray = triple(name)
+            bundle = FlatBundle(1, {c.id: [[1.0]] for c in cx.cells_of_dim(1)})
+            walk_with_references(self.assert_routes_agree, cx, bundle, spray, 3, name)
+
+    def test_torus_r2_float_at_round_3(self):
+        # the benchmark ladder's float torus: a = 1.5 R(0.7), b = R(1.1), 864 cells at round 3
+        def rot(s, a):
+            return [[s * math.cos(a), -s * math.sin(a)], [s * math.sin(a), s * math.cos(a)]]
+
+        cx, _, spray = triple("torus")
+        bundle = FlatBundle(2, {"a": rot(1.5, 0.7), "b": rot(1.0, 1.1)})
+        assert not bundle.exact
+        walk_with_references(self.assert_routes_agree, cx, bundle, spray, 4, "torus-r2-float")
 
 
 class TestCanonicalBasis:
