@@ -8,9 +8,9 @@ Lists of ``fractions.Fraction`` rows exist only at the edges: serialization
 and views (``frac``, ``fmat``, ``scaled``, ``unscaled``, ``to_float``).  List
 arithmetic remains only where the benchmark's tracer binds it (``matmul``,
 ``inverse``, ``det_prime_psd``, ``product_is_zero``); it converts through
-``scaled`` and ``unscaled``.  Nothing here touches floats
-except the float kernels, the float mode of the eliminator and the checked
-conversions; the Smith normal form works over Python ints, so there is no
+``scaled`` and ``unscaled``, and no other module of the library calls it.
+Nothing here touches floats except the float kernels, the float mode of the
+eliminator and the checked conversions; the Smith normal form works over Python ints, so there is no
 overflow anywhere.
 
 Every exact product goes through one kernel, ``_int_matmul``: numpy int64
@@ -324,7 +324,7 @@ def det_prime_psd(a):
     rows, piv = _echelon(a)
     if not piv:
         return Fraction(1)
-    return scaled_det(scaled(matmul(rows, [[row[j] for j in piv] for row in a])))
+    return scaled_det(scaled_matmul(scaled(rows), scaled([[row[j] for j in piv] for row in a])))
 
 
 def _markowitz(rows, cutoff=None):

@@ -46,10 +46,6 @@ GRADING_CONVENTION = "chain_even_straight"
 # that is built; beyond it DenseSizeError is raised before allocating.
 DENSE_BUDGET_BYTES = 2**31
 
-# Up to this many dense entries of D_d, a Gram matrix is one dense product of
-# a transient layout: composing blocks costs more numpy calls than it saves.
-_GRAM_DENSE_ENTRIES = 27_000
-
 
 def _require_dense_fits(rows, cols, what):
     if rows * cols * 8 > DENSE_BUDGET_BYTES:
@@ -105,14 +101,13 @@ class TwistedChainComplex:
     """Twisted boundaries of one (complex, bundle, spray) triple, stored as blocks.
 
     ``blocks`` is the only stored form, with each record's float view once
-    read.  The tau-chains eliminate the blocks' sparse columns, and the
-    spectral oracle composes its Gram matrices and Laplacians from the
-    blocks (``_gram``); no route reads a dense boundary.  ``boundary(d)``
-    lays out a fresh dense float D_d for inspection, the tests and the
-    suites.  ``assemble`` hands the same object to every caller of the same
-    triple, so all arrays are read-only; build a changed complex with
+    read.  The tau-chains eliminate the blocks' sparse columns; only the
+    spectral oracle (``_gram``), the suites, the tests and inspection lay
+    out a dense float D_d, afresh on each call (``boundary``, ``_layout``).
+    ``assemble`` hands the same object to every caller of the same triple,
+    so all arrays are read-only; build a changed complex with
     ``dataclasses.replace``, as ``to_frame`` does.  Such a copy starts with
-    no tau-chain and empty ``_ft`` and ``harmonic_data`` memos.
+    no tau-chain and an empty ``_ft`` memo.
     """
 
     rank: int
@@ -121,8 +116,6 @@ class TwistedChainComplex:
     frame: np.ndarray | None = None  # fiber frame applied at every cell
     # rank_tol (None for the exact tau-chain) -> (log t_comb, betti, bases) of the ft route
     _ft: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # rank_tol -> (spectra, betti, bases) of harmonic_data
-    _harmonic: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self):
@@ -187,7 +180,7 @@ class DetLineMetric:
 class TorsionResult:
     """ft_torsion of tcc.  t_comb, betti and harmonic_bases come from the exact tau-chain of a
     rational tcc and from the float tau-chain of a float one; ``spectra``, the eigensolver
-    oracle, waits for a read, and ``to_jsonable`` writes it as null past the dense budget."""
+    oracle, waits for a read, and ``to_jsonable`` writes it as null where the read raises."""
 
     t_comb: float
     harmonic_metric: DetLineMetric
@@ -202,8 +195,7 @@ class TorsionResult:
     def spectra(self):
         """``harmonic_data``'s spectra of tcc, computed on first read under the dense budget;
         IllConditionedError if their zero counts disagree with the tau-chain's betti."""
-        tcc, tol = self.tcc, self.rank_tol
-        spectra, betti = (tcc._harmonic.get(tol) or _spectra(tcc, tol, {}))[:2]
+        spectra, betti, _ = _spectra(self.tcc, self.rank_tol)
         if betti != self.betti:
             raise IllConditionedError(f"the spectra give Betti numbers {betti}, not {self.betti}")
         return {d: tuple(float(x) for x in w) for d, w in spectra.items()}
@@ -211,7 +203,7 @@ class TorsionResult:
     def to_jsonable(self):
         try:
             spectra = {str(d): list(s) for d, s in sorted(self.spectra.items())}
-        except DenseSizeError:  # a Gram past the budget: every other key still holds
+        except (DenseSizeError, IllConditionedError):  # the oracle failed; the tau-chain holds
             spectra = None
         return {
             "t_comb": self.t_comb,
@@ -286,36 +278,25 @@ def _check_boundary_squared(tcc):
             raise TorsionLabError(f"twisted boundary squared is nonzero in degree {d}")
 
 
-def _meeting_pairs(up, dn):
-    """The (up block, dn block) pairs of two block records that meet in a shared cell.
+def _composes_to_zero(up, dn):
+    """Whether up . dn vanishes for two block records, composed through shared faces.
 
-    Returns index arrays (p, q), the distinct (up row, dn column) keys as
-    row * width + column, width and where each key's run starts; pairs are
-    sorted stably by key, so each key's terms keep up's record order.
+    Every (up block, dn block) pair that meets in a face is one product of a
+    stacked matmul; the pairs are sorted by (up row, dn column) and summed
+    per key by one reduceat.  Integer sums must be 0 (Python ints past the
+    int64 bound); float sums within 1e-9 of the largest entry product (at
+    least 1).
     """
     lo = dn.rows.searchsorted(up.cols)  # dn.rows ascend
     count = dn.rows.searchsorted(up.cols, "right") - lo
     p = np.arange(len(count)).repeat(count)
-    q = (lo - count.cumsum() + count).repeat(count) + np.arange(len(p))
-    width = int(dn.cols.max(initial=0)) + 1
-    keys = up.rows[p] * width + dn.cols[q]
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return p[order], q[order], keys[first], width, first
-
-
-def _composes_to_zero(up, dn):
-    """Whether up . dn vanishes for two block records, composed through shared faces.
-
-    Every pair that meets in a face (``_meeting_pairs``) is one product of a
-    stacked matmul, summed per (row, column) by one reduceat.  Integer sums
-    must be 0 (Python ints past the int64 bound); float sums within 1e-9 of
-    the largest entry product (at least 1).
-    """
-    p, q, _, _, first = _meeting_pairs(up, dn)
     if not len(p):
         return True
+    q = (lo - count.cumsum() + count).repeat(count) + np.arange(len(p))
+    keys = up.rows[p] * (int(dn.cols.max()) + 1) + dn.cols[q]
+    order = keys.argsort(kind="stable")
+    p, q, keys = p[order], q[order], keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     a, b = up.nums[p], dn.nums[q]
     if a.dtype.kind == "f":
         scale = max(np.abs(up.nums).max() * np.abs(dn.nums).max(), 1.0)
@@ -356,48 +337,24 @@ def frame_coords(tcc, z_rows):
 
 def laplacians(tcc):
     """Degree-wise combinatorial Laplacians D_d D_d^T + D_{d+1}^T D_{d+1}."""
-    layouts = {}
-    return {d: _laplacian(tcc, d, layouts) for d in range(tcc.top_dim + 1)}
+    return {d: _laplacian(tcc, d) for d in range(tcc.top_dim + 1)}
 
 
-def _laplacian(tcc, d, layouts):
+def _laplacian(tcc, d):
     n = tcc.dims.get(d, 0)
     _require_dense_fits(n, n, f"degree-{d} Laplacian")
-    lap = _gram(tcc, d, d, layouts)
-    lap += _gram(tcc, d + 1, d, layouts)
+    lap = _gram(tcc, d, d)
+    lap += _gram(tcc, d + 1, d)
     return lap
 
 
-def _gram(tcc, d, on, layouts):
-    """D_d D_d^T (on == d) or D_d^T D_d (on == d - 1), dense and exactly symmetric.
+def _gram(tcc, d, on):
+    """D_d D_d^T (on == d) or D_d^T D_d (on == d - 1) of one dense layout of D_d.
 
-    D_d and D_d^T are composed from ``tcc.blocks[d]`` as the D.D check
-    composes two degrees (``_meeting_pairs``): one stacked product per pair
-    of blocks that meet in a shared cell, summed per result block in record
-    order and scattered.  Block (j, i) sums the transposes of the terms of
-    (i, j) in the same order, hence the exact symmetry.  A record of at most
-    ``_GRAM_DENSE_ENTRIES`` dense entries is multiplied from a transient
-    dense layout instead, kept in the caller's ``layouts`` dict for the rest
-    of its pass and never on tcc.  Past either end D_d is empty and its Gram
-    zero.
+    Past either end D_d is empty and its Gram zero.
     """
-    n, k, rec = tcc.dims.get(on, 0), tcc.rank, tcc.blocks.get(d)
-    if rec is None or not len(rec.rows):
-        return np.zeros((n, n))
-    if tcc.dims[d] * tcc.dims[d - 1] <= _GRAM_DENSE_ENTRIES:
-        if d not in layouts:
-            layouts[d] = tcc._layout(d)
-        b = layouts[d]
-        return b @ b.T if on == d else b.T @ b
-    x = rec.floats
-    t = np.lexsort((rec.rows, rec.cols))  # the blocks of D_d^T in (row, column) order
-    fwd = BlockRecord(rec.rows, rec.cols, x, 1)
-    bwd = BlockRecord(rec.cols[t], rec.rows[t], x[t].transpose(0, 2, 1), 1)
-    up, dn = (fwd, bwd) if on == d else (bwd, fwd)
-    p, q, keys, width, first = _meeting_pairs(up, dn)
-    g = np.zeros((n // k, k, n // k, k))
-    g[keys // width, :, keys % width, :] = np.add.reduceat(up.nums[p] @ dn.nums[q], first)
-    return g.reshape(n, n)
+    b = tcc._layout(d)
+    return b @ b.T if on == d else b.T @ b
 
 
 def _require_rank_tol(rank_tol):
@@ -419,20 +376,22 @@ def _nonzero(w, lam_max, rank_tol):
     return np.sort(w[w > cutoff])
 
 
-def _spectra(tcc, rank_tol, layouts):
+def _spectra(tcc, rank_tol):
     """Laplacian spectra (b_d zeros, then ascending), Betti numbers and lambda_max per degree.
 
     D_{d+1} D_d = 0, so the nonzero spectrum of Delta_d is that of D_d D_d^T
     together with that of D_{d+1}^T D_{d+1}: one values-only eigensolve per
     boundary, on the smaller of its two Gram matrices, serves both degrees.
-    Each Gram is composed from the degree's block record (``_gram``); the
-    dense budget counts these n x n Grams, and every one is checked before
-    any is built.  No dense boundary is read.
+    Each Gram is the product of a dense layout of D_d (``_gram``); every
+    boundary and every Gram is checked against the dense budget before any
+    is built.
     """
     side = {d: d - 1 if tcc.dims[d - 1] < tcc.dims[d] else d for d in tcc.blocks}
     for d, on in side.items():
         _require_dense_fits(tcc.dims[on], tcc.dims[on], f"degree-{d} Gram matrix")
-    grams = {d: np.linalg.eigvalsh(_gram(tcc, d, on, layouts)) for d, on in side.items()}
+    for d in side:
+        _require_dense_fits(tcc.dims[d], tcc.dims[d - 1], f"degree-{d} boundary")
+    grams = {d: np.linalg.eigvalsh(_gram(tcc, d, on)) for d, on in side.items()}
     spectra, betti, lam_max = {}, {}, {}
     for d in range(tcc.top_dim + 1):
         w = np.concatenate([grams.get(d, []), grams.get(d + 1, [])])
@@ -457,26 +416,17 @@ def harmonic_data(tcc, rank_tol=RANK_TOL):
     """Spectra, Betti numbers, and deterministic orthonormal kernel bases, by eigensolvers.
 
     The eigensolver oracle of the ft route, which reads a tau-chain on either
-    field; its spectra are ``TorsionResult.spectra``, and ``t_comb(tcc, "eig")``
-    reads its memo.  The cutoff is rank_tol * lambda_max per degree, not the
-    tau-chains' rank_tol * max(1, largest |entry|).  spectra[d] holds b_d exact
-    zeros, then the Gram eigenvalues above the cutoff (``_spectra``).  Only
-    degrees with b_d > 0 build Delta_d and run eigh; Delta_d = D_d D_d^T +
-    D_{d+1}^T D_{d+1} is composed from the block records and checked against
-    the dense budget as one n_d x n_d array, and no dense boundary is read.
-    ``_canonical_basis`` makes the kernel basis independent of the eigensolver.
-
-    The result is kept on tcc per rank_tol, so a repeat call runs no
-    eigensolver; every call returns fresh dicts, and the bases are read-only.
+    field; its spectra are ``TorsionResult.spectra`` and those of
+    ``t_comb(tcc, "eig")``, and every call runs afresh.  The cutoff is
+    rank_tol * lambda_max per degree, not the tau-chains' rank_tol * max(1,
+    largest |entry|).  spectra[d] holds b_d exact zeros, then the Gram
+    eigenvalues above the cutoff (``_spectra``).  Only degrees with b_d > 0
+    build Delta_d = D_d D_d^T + D_{d+1}^T D_{d+1}, from the two boundaries laid
+    out dense, and run eigh; Delta_d is checked against the dense
+    budget before it is built.  ``_canonical_basis`` makes the kernel basis
+    independent of the eigensolver; the bases are read-only.
     """
-    if rank_tol not in tcc._harmonic:
-        tcc._harmonic[rank_tol] = _harmonic_data(tcc, rank_tol)
-    return tuple(dict(m) for m in tcc._harmonic[rank_tol])
-
-
-def _harmonic_data(tcc, rank_tol):
-    layouts = {}  # transient layouts of small records, shared by this pass's Grams
-    spectra, betti, lam_max = _spectra(tcc, rank_tol, layouts)
+    spectra, betti, lam_max = _spectra(tcc, rank_tol)
     bases = {}
     for d, kdim in betti.items():
         n = len(spectra[d])
@@ -484,7 +434,7 @@ def _harmonic_data(tcc, rank_tol):
         if kdim == 0:
             bases[d] = np.zeros((0, n))
             continue
-        w, v = np.linalg.eigh(_laplacian(tcc, d, layouts))
+        w, v = np.linalg.eigh(_laplacian(tcc, d))
         if n - len(_nonzero(w, lam_max[d], rank_tol)) != kdim:
             raise IllConditionedError(f"degree {d}: Laplacian kernel disagrees with Gram spectra")
         bases[d] = _canonical_basis(v[:, :kdim].T)
@@ -537,8 +487,7 @@ def t_comb(tcc, method="eig", rank_tol=RANK_TOL):
     outside the double range raises FloatRangeError.
     """
     if method == "eig":
-        memo = tcc._harmonic.get(rank_tol)  # harmonic_data's spectra, when it has run
-        return lx.exp_float(_spectral_log_t(*(memo or _spectra(tcc, rank_tol, {}))[:2]), "t_comb")
+        return lx.exp_float(_spectral_log_t(*_spectra(tcc, rank_tol)[:2]), "t_comb")
     if method == "det":
         return lx.exp_float(_tau_chain(tcc, rank_tol)[0], "t_comb")
     if method == "exact":

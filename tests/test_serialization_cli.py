@@ -198,6 +198,26 @@ class TestCli:
         with pytest.raises(DenseSizeError, match="budget"):
             res.spectra
 
+    def test_json_spectra_null_where_the_spectra_are_ill_conditioned(self, tmp_path, capsys):
+        # float circle, e = diag(3, 1.00002): D_1 = diag(2, 2e-5), so the Gram eigenvalue 4e-10
+        # sits in the spectral guard band while the tau-chain's pivot 2e-5 is far from its
+        # cutoff 3e-10; both verbs report t = 4e-5 and write the spectra as null
+        cx = corpus_get("circle-1cell").complex
+        bundle = {"rank": 2, "edges": [{"edge": "e", "matrix": [3.0, 0.0, 0.0, 1.00002]}]}
+        save_json(tmp_path / "c.json", complex_to_jsonable(cx))
+        save_json(tmp_path / "b.json", bundle)
+        files = ["--complex", str(tmp_path / "c.json"), "--bundle", str(tmp_path / "b.json")]
+        assert self.run("torsion", "compute", "--json", *files) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["t_comb"] - 4e-5) <= 1e-9 * 4e-5 and out["spectra"] is None
+        assert out["betti"] == {"0": 0, "1": 0} and "t_comb_exact_route" not in out
+        second = [k + "2" if k.startswith("--") else k for k in files]
+        assert self.run("torsion", "compare", "--json", *files, *second) == 0
+        out = json.loads(capsys.readouterr().out)
+        for side in ("first", "second"):
+            assert abs(out[side]["t_comb"] - 4e-5) <= 1e-9 * 4e-5 and out[side]["spectra"] is None
+        assert out["t_comb_ratio"] == 1.0
+
     def test_transport_and_kt(self, torus_files, capsys):
         path_arg = json.dumps(
             {"src": "v", "steps": [{"edge": "a", "dir": 1}, {"edge": "a", "dir": -1}]}

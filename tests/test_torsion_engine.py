@@ -589,8 +589,8 @@ def counting(monkeypatch, owner, name):
 def eigh_reference(tcc, rank_tol=1e-10):
     """d -> (Betti number, nonzero spectrum, kernel projector) from eigh of every Delta_d.
 
-    Delta_d is formed from dense products of the laid-out boundaries, so it
-    shares no code with the composed Laplacians of ``laplacians``.
+    Delta_d is formed from the public dense boundaries and solved by one eigh: no Gram
+    eigvalsh, guard band or canonical basis of ``harmonic_data``.
     """
     out = {}
     for d in range(tcc.top_dim + 1):
@@ -612,12 +612,11 @@ def corpus_bundles(name, seed, ranks):
     return bundles + [b.as_float() for b in bundles]
 
 
-class TestComposedGrams:
+class TestGrams:
     @pytest.mark.parametrize("name", corpus_list())
     def test_grams_and_laplacians_equal_dense_products(self, name):
-        # ranks 1-3 after 0-2 rounds hold records on both sides of the size dispatch;
-        # tetra-solid@2 (2745 cells) runs at rank 1 only, since at rank 2 its dense
-        # references take ~400 MB and at rank 3 ~1 GB
+        # ranks 1-3 after 0-2 rounds; tetra-solid@2 (2745 cells) runs at rank 1 only, since at
+        # rank 2 its dense references take ~400 MB and at rank 3 ~1 GB
         def check(g, ref):
             assert np.array_equal(g, g.T)
             assert np.abs(g - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
@@ -632,11 +631,11 @@ class TestComposedGrams:
                 for d in range(tcc.top_dim + 1):
                     dn, up = tcc.boundary(d), tcc.boundary(d + 1)
                     lower = dn @ dn.T
-                    check(_gram(tcc, d, d, {}), lower)
+                    check(_gram(tcc, d, d), lower)
                     upper = up.T @ up
-                    check(_gram(tcc, d + 1, d, {}), upper)
+                    check(_gram(tcc, d + 1, d), upper)
                     lower += upper
-                    check(_laplacian(tcc, d, {}), lower)
+                    check(_laplacian(tcc, d), lower)
                 if rounds == 2:
                     break
                 try:
@@ -644,29 +643,19 @@ class TestComposedGrams:
                 except UnsupportedStructureError:
                     break
 
-    def test_dispatch_crosses_inside_the_corpus_ladder(self):
-        # tetra-solid@1 rank 2 (D_2 is 120 x 100) is laid out, rp2@3 rank 1 (144 x 216) composed
-        sizes = []
-        for name, rank, rounds in (("tetra-solid", 2, 1), ("rp2", 1, 3)):
-            cx, _, spray = triple(name)
-            bundle = random_flat_bundle(name, cx, np.random.default_rng(3), rank=rank)
-            for _ in range(rounds):
-                cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
-            tcc = assemble(cx, bundle, spray)
-            sizes.append(tcc.dims[2] * tcc.dims[1])
-        assert sizes[0] <= torsion_engine._GRAM_DENSE_ENTRIES < sizes[1]
-
     def test_ft_route_lays_out_no_dense_boundary(self, monkeypatch):
         cx, bundle, spray = torus_triple()
-        bundle = bundle.as_float()  # the spectra compose Grams alike on either field
+        bundle = bundle.as_float()  # ft reads the float tau-chain, the spectra a layout per degree
         for _ in range(3):
             cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
-        layouts = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
+        laid = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
         res = ft_torsion(cx, bundle, spray)
         tcc = assemble(cx, bundle, spray)  # the bundle's kept assembly
-        assert len(tcc.cell_order[2]) == 288 and len(res.spectra[2]) == 576
-        assert layouts == [] and "boundaries_exact" not in vars(tcc)
+        assert laid == [] and "boundaries_exact" not in vars(tcc)
         assert abs(res.t_comb - 1.0) <= 1e-9
+        # a later spectra read lays out each boundary once, for its one Gram matrix
+        assert len(tcc.cell_order[2]) == 288 and len(res.spectra[2]) == 576
+        assert [args[1:] for args in laid] == [(1,), (2,)]
 
 
 class TestFloatTauChain:
@@ -675,7 +664,7 @@ class TestFloatTauChain:
         # seeded rational bundles at ranks 1-3 and their float copies, after 0-2 rounds;
         # tetra-solid@2 (2745 cells) at rank 1 only.  The det route eliminates every
         # record's floats, rational ones included, and lays out no dense boundary.
-        layouts = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
+        laid = counting(monkeypatch, torsion_engine.TwistedChainComplex, "_layout")
         item = corpus_get(name)
         for bundle in corpus_bundles(name, 47, (1, 2, 3)):
             cx, spray = item.complex, item.spray
@@ -683,9 +672,9 @@ class TestFloatTauChain:
                 if bundle.rank * len(cx.cells) > 3000:
                     break
                 tcc = assemble(cx, bundle, spray)
-                before = len(layouts)
+                before = len(laid)
                 got, betti = t_comb(tcc, "det"), torsion_engine._tau_chain(tcc, 1e-10)[1]
-                assert len(layouts) == before
+                assert len(laid) == before
                 if tcc.exact:
                     want, want_betti = t_comb(tcc, "exact"), torsion_engine._tau_chain(tcc)[1]
                 else:
@@ -752,6 +741,7 @@ class TestOneSpectralPass:
                     assert np.allclose(spectra[d][kdim:], nonzero, rtol=1e-10, atol=0.0)
                     assert np.allclose(bases[d].T @ bases[d], proj)
                     assert np.allclose(bases[d] @ bases[d].T, np.eye(kdim))
+                    assert not bases[d].flags.writeable
                 try:
                     cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
                 except UnsupportedStructureError:
@@ -1290,16 +1280,18 @@ class TestTauChain:
         self.assert_matches_references(assemble(cx, FlatBundle(2, {"e": [[1, 0], [0, 1]]}), spray), "")
 
 
+def torus_at_2():
+    """The corpus torus triple after two rounds of subdivision."""
+    cx, bundle, spray = triple("torus")
+    for _ in range(2):
+        cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
+    return cx, bundle, spray
+
+
 class TestDenseBudget:
     def test_over_budget_is_typed_error_before_allocating(self, monkeypatch):
         # the budget bites at the dense arrays: assemble and both fields' tau-chains read blocks
-        # only, and the spectra build Gram matrices, never the boundaries
-        def torus_at_2():
-            cx, bundle, spray = triple("torus")
-            for _ in range(2):
-                cx, bundle, spray, _ = barycentric_subdivide(cx, bundle, spray)
-            return cx, bundle, spray
-
+        # only, and the spectra lay out the boundaries and their Gram matrices
         tcc = assemble(*torus_at_2())
         want = t_comb_squared_exact(tcc)
         big = max(tcc.blocks, key=lambda d: tcc.dims[d] * tcc.dims[d - 1])
@@ -1331,23 +1323,39 @@ class TestDenseBudget:
         assert tcc.boundary(big).shape == (tcc.dims[big], tcc.dims[big - 1])
         assert issubclass(DenseSizeError, TorsionLabError)
 
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_spectra_check_every_boundary_before_any_layout(self, as_float, monkeypatch):
+        # every Gram matrix fits and the largest boundary does not: the spectral pass needs
+        # that boundary too, so it raises before it lays out or allocates anything
+        cx, bundle, spray = torus_at_2()
+        tcc = assemble(cx, bundle.as_float() if as_float else bundle, spray)
+        big = max(tcc.blocks, key=lambda d: tcc.dims[d] * tcc.dims[d - 1])
+        gram = 8 * max(min(tcc.dims[d], tcc.dims[d - 1]) ** 2 for d in tcc.blocks)
+        assert gram < 8 * tcc.dims[big] * tcc.dims[big - 1]
+        monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", gram)
+        res = ft_torsion_of_tcc(tcc)
+        zeros = counting(monkeypatch, np, "zeros")
+        laid = counting(monkeypatch, type(tcc), "_layout")
+        with pytest.raises(DenseSizeError, match=f"degree-{big} boundary .* budget"):
+            res.spectra
+        assert zeros == laid == []
+        out = res.to_jsonable()
+        assert out["spectra"] is None and out["t_comb"] == res.t_comb
+
     def test_laplacian_over_budget_raises_where_the_boundaries_fit(self, monkeypatch):
         # rank-1 trivial torus: D_1 is 2 x 1 and D_2 is 1 x 2 (16 bytes each), Delta_1 is 2 x 2
         cx, _, spray = triple("torus")
         tcc = assemble(cx, FlatBundle(1, {"a": [[1]], "b": [[1]]}), spray)
         monkeypatch.setattr(torsion_engine, "DENSE_BUDGET_BYTES", 16)
         assert tcc.boundary(1).shape == (2, 1) and tcc.boundary(2).shape == (1, 2)
-        zeros = counting(monkeypatch, np, "zeros")
-        reads = counting(monkeypatch, type(tcc), "boundary")
-        grams = counting(monkeypatch, torsion_engine, "_gram")
+        laid = counting(monkeypatch, type(tcc), "_layout")
         with pytest.raises(DenseSizeError, match="degree-1 Laplacian is 2 x 2"):
             laplacians(tcc)
-        # only Delta_0 was composed: the zero Gram of the empty D_0, then D_1^T D_1 of a
-        # transient 2 x 1 layout; no boundary is read
-        assert [args[1:3] for args in grams] == [(0, 0), (1, 0)]
-        assert zeros == [((1, 1),), ((2, 1),)] and reads == []
+        # Delta_0 was built, from the empty D_0 and D_1; Delta_1 raised before any layout
+        assert [args[1:] for args in laid] == [(0,), (1,)]
+        # the spectra fit (their Grams are 1 x 1), but b_1 = 2 needs eigh of Delta_1
         with pytest.raises(DenseSizeError, match="degree-1 Laplacian"):
-            harmonic_data(tcc)  # b_1 = 2, so degree 1 needs eigh of Delta_1
+            harmonic_data(tcc)
 
 
 def torus_triple():
@@ -1427,38 +1435,6 @@ def klein_triple():
 
 
 class TestHarmonicMemo:
-    def test_repeat_call_runs_no_eigensolver(self, monkeypatch):
-        cx, bundle, spray = klein_triple()
-        tcc = assemble(cx, bundle, spray)
-        first = harmonic_data(tcc)
-        eighs = counting(monkeypatch, np.linalg, "eigh")
-        eigvalshs = counting(monkeypatch, np.linalg, "eigvalsh")
-        again = harmonic_data(tcc)
-        assert eighs == eigvalshs == []
-        assert first[1] == again[1] == {0: 1, 1: 1, 2: 0}
-        assert first[0] == again[0] and sorted(first[2]) == sorted(again[2])
-        for d, b in first[2].items():
-            assert np.array_equal(b, again[2][d])
-            with pytest.raises(ValueError):
-                b[...] = 0.0
-        assert all(x is not y for x, y in zip(first, again))  # fresh dicts
-        again[0].clear()
-        again[2][1] = None
-        spectra, _, bases = harmonic_data(tcc)
-        assert spectra == first[0] and bases[1] is first[2][1]
-
-    def test_new_rank_tol_and_copies_miss(self, monkeypatch):
-        cx, bundle, spray = klein_triple()
-        tcc = assemble(cx, bundle, spray)
-        want = harmonic_data(tcc)
-        eighs = counting(monkeypatch, np.linalg, "eigh")
-        harmonic_data(tcc, rank_tol=1e-9)
-        assert len(eighs) == 2  # degrees 0 and 1
-        for copy in (replace(tcc), to_frame(tcc, np.eye(2))):
-            del eighs[:]
-            got = harmonic_data(copy)
-            assert len(eighs) == 2 and got[:2] == want[:2]
-
     def test_ft_torsion_reuses_the_ft_pass(self, monkeypatch):
         cx, bundle, spray = klein_triple()
         want = ft_torsion(cx, bundle, spray)
@@ -1469,8 +1445,9 @@ class TestHarmonicMemo:
         assert eighs == eigvalshs == []
         assert got.ft_metric == want.ft_metric and got.spectra == want.spectra
 
-    def test_eig_route_keeps_its_own_memo(self, monkeypatch):
-        # float ft keeps its tau-chain per rank_tol; t_comb(..., "eig") reads harmonic_data's memo
+    def test_float_ft_keeps_its_pass_and_the_eig_route_runs_afresh(self, monkeypatch):
+        # float ft keeps its tau-chain per rank_tol; t_comb(..., "eig") and harmonic_data
+        # keep nothing, and the eig route runs one values-only pass per call
         cx, bundle, spray = klein_triple()
         tcc = assemble(cx, bundle.as_float(), spray)
         cold = t_comb(replace(tcc), "eig")
@@ -1480,14 +1457,11 @@ class TestHarmonicMemo:
         res = ft_torsion_of_tcc(tcc)
         assert ft_torsion_of_tcc(tcc).t_comb == res.t_comb and len(runs) == 1
         assert eighs == eigvalshs == [] and abs(res.t_comb - cold) <= 1e-9 * cold
-        assert t_comb(tcc, "eig") == cold  # the ft memo does not serve it: values only
-        assert eighs == [] and len(eigvalshs) == tcc.top_dim
         harmonic_data(tcc)
         del eighs[:], eigvalshs[:]
-        assert t_comb(tcc, "eig") == cold and eighs == eigvalshs == []
-        t_comb(tcc, "eig", rank_tol=1e-9)  # another cutoff has no memo: values only
+        assert t_comb(tcc, "eig") == cold  # neither memo serves it: values only
         assert eighs == [] and len(eigvalshs) == tcc.top_dim
-        ft_torsion_of_tcc(tcc, rank_tol=1e-9)  # nor has the ft route
+        ft_torsion_of_tcc(tcc, rank_tol=1e-9)  # another cutoff eliminates again
         assert len(runs) == 2 and eighs == []
 
 
