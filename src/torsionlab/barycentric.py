@@ -36,7 +36,7 @@ from .complex_core import (
 )
 from .errors import UnsupportedDimensionError, UnsupportedStructureError
 from .euler_struct import Spray, validate_spray
-from .flat_bundle import FlatBundle, _require_far_anchors_consistent, _vouched, require_flat
+from .flat_bundle import FlatBundle, _flatness_walks, _require_flat_rows, _vouched
 
 
 @dataclass
@@ -114,8 +114,8 @@ def barycentric_subdivide(complex_, bundle, spray):
     if not spray_ok:
         validate_spray(complex_, spray)
     if not flat:
-        require_flat(complex_, bundle)
-        _require_far_anchors_consistent(complex_, bundle)
+        cells, far, walks = _flatness_walks(complex_)
+        _require_flat_rows(bundle, cells, far, bundle.transports(walks))
     if complex_.dim > 3:
         raise UnsupportedDimensionError(
             f"subdivision supports dimension <= 3, got {complex_.dim}"
@@ -136,10 +136,11 @@ def barycentric_subdivide(complex_, bundle, spray):
 
 def _shared_transports(bundle, walks):
     """{steps: (transport, its inverse)}, one shared pair of (nums, den) objects per distinct
-    walk, each over its own least denominator, int64 where it fits and read-only, as the edge
-    pairs of a bundle are: the new bundle checks each once and inverts none."""
+    walk, both stacks from one ``transports`` call, each pair over its own least denominator,
+    int64 where it fits and read-only, as the edge pairs of a bundle are: the new bundle
+    checks each once and inverts none."""
     distinct = list(dict.fromkeys(walks))
-    fwd, inv = (_own_denominators(bundle.transports(distinct, inverse=i)) for i in (False, True))
+    fwd, inv = map(_own_denominators, bundle.transports(distinct, inverses=len(distinct)))
     return dict(zip(distinct, zip(fwd, inv)))
 
 

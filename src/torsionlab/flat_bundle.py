@@ -9,8 +9,11 @@ inverses and determinants stay exact, and (float array, 1) for a float one,
 which is compared with a relative flatness tolerance.  The same dict caches
 each inverse on first use.  ``FlatBundle.transports`` is the one transport
 kernel: it takes many walks at once, one stacked product per depth of their
-prefix trie.  ``edge_matrices``, ``matrix`` and ``transport`` are views as
-Fraction rows or float arrays.
+prefix trie, and the inverses of the first of them from the same trie.
+``edge_matrices``, ``matrix`` and ``transport`` are views as Fraction rows or
+float arrays.  ``_flatness_report`` reads flatness off holonomies, whether
+``check_flatness`` walks them alone or ``torsion_engine.assemble`` takes them
+in its one ``transports`` call.
 """
 
 from __future__ import annotations
@@ -138,19 +141,27 @@ class FlatBundle:
         each must be the read-only exact (or float) inverse of the edge's matrix."""
         self._pairs.update(((e, -1), m) for e, m in inverses.items())
 
-    def transports(self, paths, inverse=False):
-        """Scaled transports along step tuples, or their inverses: one stack (nums[n, k, k], den).
+    def transports(self, paths, inverses=None):
+        """Scaled transports along step tuples: one stack (nums[n, k, k], den), row i for paths[i].
 
-        Row i belongs to paths[i].  The distinct paths form a trie of shared
-        prefixes, and each depth of it is one stacked product, prefix . matrix(s)
-        or, for inverses, matrix(s reversed) . prefix from the cached edge
-        inverses.  These are the products of a walk taken one step at a time
-        from I, so float rows are bit for bit the same.
+        With ``inverses=m`` it returns (that stack, the stack of the inverse
+        transports of paths[:m]).  The distinct paths form a trie of shared
+        prefixes, built in path order, and each depth of it is one stacked
+        product prefix . matrix(s).  The nodes of the first m paths come first
+        at every depth, so their inverses, matrix(s reversed) . prefix from the
+        cached edge inverses, are one more product per depth over a slice of
+        the same level.  These are the products of a walk taken one step at a
+        time from I, so float rows are bit for bit the same.
         """
         distinct = {}  # path -> its index among the distinct paths
         of_path = [distinct.setdefault(p, len(distinct)) for p in paths]
+        # the number of distinct paths among paths[:inverses]; they are the first ones
+        first = len(distinct) if inverses is None else max(of_path[:inverses], default=-1) + 1
         node, levels, ends = {}, [], []  # levels[t]: parents and steps of the nodes at depth t + 1
+        cut = None  # cut[t]: how many nodes of levels[t] the first paths made
         for steps in distinct:
+            if len(ends) == first:
+                cut = [len(taken) for _, taken in levels]
             at = 0  # the prefix so far, as an index among the nodes of its depth
             for depth, step in enumerate(steps):
                 nxt = node.get((depth, at, step))
@@ -162,17 +173,36 @@ class FlatBundle:
                     levels[depth][1].append(step)
                 at = nxt
             ends.append((len(steps), at))
-        prods = [None]  # prods[t]: the stack of the nodes at depth t
-        for parents, taken in levels:
-            mats = [self.scaled(e, -d if inverse else d) for e, d in taken]
+        fwd = self._stack(self._products(levels, None), ends, of_path)
+        if inverses is None:
+            return fwd
+        if cut is None:  # every distinct path is among the first
+            cut = [len(taken) for _, taken in levels]
+        return fwd, self._stack(self._products(levels, cut), ends[:first], of_path[:inverses])
+
+    def _products(self, levels, cut):
+        """prods[t]: the stack of the trie's nodes at depth t (t >= 1), forward if cut is None,
+        else the inverses of the first cut[t - 1] nodes of each depth."""
+        prods = [None]
+        for t, (parents, taken) in enumerate(levels):
+            if cut is not None:
+                if t == len(cut) or not cut[t]:
+                    break
+                parents, taken = parents[: cut[t]], taken[: cut[t]]
+            mats = [self.scaled(e, d if cut is None else -d) for e, d in taken]
             step = (mats[0][0][None], mats[0][1]) if len(mats) == 1 else lx.scaled_concat(
                 [(m[None], q) for m, q in mats])
-            if len(prods) == 1:  # I . M is M, with a zero's sign cleared as + 0.0 clears it
+            if not t:  # I . M is M, with a zero's sign cleared as + 0.0 clears it
                 prods.append(step if self.exact else (step[0] + 0.0, 1))
                 continue
             nums, den = prods[-1]
             prev = (nums if len(nums) == 1 else nums[parents], den)  # one matrix broadcasts
-            prods.append(lx.scaled_matmul(step, prev) if inverse else lx.scaled_matmul(prev, step))
+            prods.append(lx.scaled_matmul(prev, step) if cut is None else lx.scaled_matmul(step, prev))
+        return prods
+
+    def _stack(self, prods, ends, of_path):
+        """The rows of ``of_path`` (indices into ends, the (depth, node) of each distinct path),
+        as one stack over the levels of prods that hold an end."""
         depths = sorted({d for d, _ in ends}) or [0]
         if not depths[0]:
             prods[0] = (np.eye(self.rank, dtype=np.int64 if self.exact else float)[None], 1)
@@ -215,17 +245,23 @@ def transport(bundle, path):
 
 
 def check_flatness(complex_, bundle):
-    """Per-2-cell deviation of the attaching-walk transport from the identity.
+    """Per-2-cell deviation of the attaching-walk transport from the identity."""
+    complex_.require_valid()
+    cells = [c.id for c in complex_.cells_of_dim(2)]
+    hol = bundle.transports([complex_.attaching_walk(c).steps for c in cells]) if cells else None
+    return _flatness_report(bundle, cells, hol)
+
+
+def _flatness_report(bundle, cells, hol):
+    """FlatnessReport of the 2-cells from their holonomies, a scaled stack with a row per cell.
 
     Exact: den times the largest |hol - I| entry, then one division that
     rounds as float(Fraction).
     """
-    complex_.require_valid()
-    cells = [c.id for c in complex_.cells_of_dim(2)]
     report = FlatnessReport(mode="exact" if bundle.exact else "float")
     if not cells:
         return report
-    hol, den = bundle.transports([complex_.attaching_walk(c).steps for c in cells])
+    hol, den = hol
     if bundle.exact:
         big = hol.dtype == object or lx._peak(hol) + den >= 2**63
         dev = np.abs(hol - den * np.eye(bundle.rank, dtype=object if big else np.int64))
@@ -236,11 +272,9 @@ def check_flatness(complex_, bundle):
     return report
 
 
-def require_flat(complex_, bundle):
-    rep = check_flatness(complex_, bundle)
-    if not rep.ok:
-        raise NotFlatError(f"bundle is not flat around 2-cells {rep.failing_cells()}")
-    return rep
+def _require_ok(report):
+    if not report.ok:
+        raise NotFlatError(f"bundle is not flat around 2-cells {report.failing_cells()}")
 
 
 def _vouched(bundle, complex_, spray):
@@ -254,17 +288,32 @@ def _vouched(bundle, complex_, spray):
     return flat and last[1] == spray, flat
 
 
-def _require_far_anchors_consistent(complex_, bundle):
-    """A 1-cell anchored off its endpoints enters the twisted boundary only through its two
+def _flatness_walks(complex_):
+    """(2-cells, far-anchored 1-cells, walks) whose transports decide ``_require_flat_rows``:
+    each 2-cell's attaching walk, then for each far-anchored 1-cell its tail connector
+    followed by the edge, and its head connector."""
+    cells = [c.id for c in complex_.cells_of_dim(2)]
+    far = complex_.far_anchored_edges()
+    conn = [{r.coeff: r.path.steps for r in complex_.records_of(e)} for e in far]
+    walks = [complex_.attaching_walk(c).steps for c in cells]
+    walks += [w for e, c in zip(far, conn) for w in (c[-1] + ((e, 1),), c[1])]
+    return cells, far, walks
+
+
+def _require_flat_rows(bundle, cells, far, rows):
+    """NotFlatError unless the bundle is flat around every 2-cell, then UnsupportedStructureError
+    for the first far-anchored 1-cell whose connectors disagree with its edge; rows are the
+    transports of ``_flatness_walks``' walks, in order.
+
+    A 1-cell anchored off its endpoints enters the twisted boundary only through its two
     connectors; its subdivision follows the tail connector and then the edge itself.  Both
     read the same bundle only if the head connector's transport is the tail connector's
-    times the edge's, so a 1-cell that breaks this is refused (``validate`` lists them)."""
-    far = complex_.far_anchored_edges()
-    if not far:
-        return
-    conn = [{r.coeff: r.path.steps for r in complex_.records_of(e)} for e in far]
-    nums, _ = bundle.transports([w for e, c in zip(far, conn) for w in (c[-1] + ((e, 1),), c[1])])
-    for e, via_tail, head in zip(far, nums[::2], nums[1::2]):
+    times the edge's, so a 1-cell that breaks this is refused (``validate`` lists them).
+    """
+    nums, den = rows
+    _require_ok(_flatness_report(bundle, cells, (nums[: len(cells)], den)))
+    pairs = nums[len(cells) :]
+    for e, via_tail, head in zip(far, pairs[::2], pairs[1::2]):
         # one denominator for the whole stack: exact matrices are equal if their numerators are
         same = np.array_equal(via_tail, head) if bundle.exact else np.allclose(
             via_tail, head, rtol=0.0, atol=EPS_FLAT * max(np.abs(head).max(), 1.0))
@@ -305,7 +354,7 @@ class KTClass:
 
 def kt_class(complex_, bundle):
     """Evaluate the volume-distortion class on the SNF generators of H1."""
-    require_flat(complex_, bundle)
+    _require_ok(check_flatness(complex_, bundle))
     lat = complex_.h1_lattice()
     vals = tuple(kt_evaluate(bundle, loop) for loop in lat.generator_loops())
     return KTClass(vals, tuple(lat.torsion))

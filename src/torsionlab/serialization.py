@@ -209,7 +209,13 @@ def load_json(path):
         return json.load(fh)
 
 
-def save_json(path, obj, indent=2):
+def save_json(path, obj, indent=None):
+    """Write obj with sorted keys and a final newline: compact (``canonical_dumps``) unless
+    ``indent`` is given.  One ``json.dumps`` call, since ``json.dump`` streams through the
+    pure-Python encoder."""
+    if indent is None:
+        text = canonical_dumps(obj)
+    else:
+        text = json.dumps(obj, indent=indent, sort_keys=True, default=numpy_scalar)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True, default=numpy_scalar)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg_exact as lx
 from .errors import DenseSizeError, FloatRangeError, IllConditionedError, TorsionLabError
 from .euler_struct import act, leg_shift_loops, validate_spray
-from .flat_bundle import _require_far_anchors_consistent, _vouched, require_flat
+from .flat_bundle import _flatness_walks, _require_flat_rows, _vouched
 
 RANK_TOL = 1e-10
 GUARD_LOW, GUARD_HIGH = lx._GUARD_LOW, lx._GUARD_HIGH  # the eliminator's band too
@@ -220,37 +220,41 @@ class TorsionResult:
 def assemble(complex_, bundle, spray):
     """Twisted chain complex from complex + bundle + spray.
 
-    One ``FlatBundle.transports`` call takes every leg and incidence path,
-    and one more every inverse leg; each degree's blocks leg . path . leg^-1
-    are two stacked products of rows of those stacks, summed per (cell,
-    face) pair in incidence order.  No dense boundary is built here.
+    One ``FlatBundle.transports`` call takes every leg, its inverse and every
+    incidence path; each degree's blocks leg . path . leg^-1 are two stacked
+    products of rows of those stacks, summed per (cell, face) pair in
+    incidence order.  No dense boundary is built here.  Unless the bundle's
+    last assembly vouches for flatness (``flat_bundle._vouched``), the same
+    call takes every 2-cell's attaching walk and the two walks that check
+    each far-anchored 1-cell (``flat_bundle._flatness_walks``), and their
+    rows decide ``NotFlatError`` and ``UnsupportedStructureError`` before
+    anything is assembled.
 
     The bundle keeps its last result: asked again for the same complex (by
     identity) and an equal spray, it returns that object.  All three inputs
     are immutable, so the spray, flatness, far-anchor and D.D checks are not
     repeated; validity is checked on every call.  A result for the same
-    complex and another spray skips only the flatness and far-anchor checks
-    (``flat_bundle._require_far_anchors_consistent``), which do not depend
-    on the spray.
+    complex and another spray skips only the flatness and far-anchor checks,
+    which do not depend on the spray.
     """
     complex_.require_valid()
     spray_ok, flat = _vouched(bundle, complex_, spray)
     if spray_ok:
         return bundle.last_assembly[2]
     validate_spray(complex_, spray)
-    if not flat:
-        require_flat(complex_, bundle)
-        _require_far_anchors_consistent(complex_, bundle)
     k = bundle.rank
     order = {d: [c.id for c in complex_.cells_of_dim(d)] for d in range(complex_.dim + 1)}
     recs = {d: [] for d in order if d}
     for r in complex_.incidences:
         recs[complex_.cell(r.coface).dim].append(r)
     leg = {cid: i for i, (cid, _) in enumerate(spray.legs)}
-    fwd, fden = bundle.transports(
-        [p.steps for _, p in spray.legs] + [r.path.steps for d in recs for r in recs[d]]
-    )
-    inv = bundle.transports([p.steps for _, p in spray.legs], inverse=True)
+    walks = [p.steps for _, p in spray.legs] + [r.path.steps for d in recs for r in recs[d]]
+    if not flat:
+        cells, far, checks = _flatness_walks(complex_)
+        walks += checks
+    (fwd, fden), inv = bundle.transports(walks, inverses=len(spray.legs))
+    if not flat:
+        _require_flat_rows(bundle, cells, far, (fwd[len(fwd) - len(checks) :], fden))
     blocks, at = {}, len(spray.legs)
     for d, rs in recs.items():
         ri = {c: i for i, c in enumerate(order[d])}

@@ -180,21 +180,27 @@ class TestCheckReuse:
         bundle = FlatBundle(2, {"a": [[2, 1], [1, 1]], "b": [[1, 0], [0, 1]]})
         wound = act(cx, h1_class_for(cx, (0, 1)), spray)
         calls = []
-        for name in ("validate_spray", "require_flat"):
+        for name in ("validate_spray", "_require_flat_rows"):
             fn = getattr(barycentric, name)
             monkeypatch.setattr(barycentric, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
 
+        walks, transports = [], FlatBundle.transports
+        monkeypatch.setattr(FlatBundle, "transports", lambda *a, **k: walks.append(k) or transports(*a, **k))
+
         def checks(spray):
             calls.clear()
+            walks.clear()
             barycentric_subdivide(cx, bundle, spray)
             return sorted(calls)
 
-        assert checks(spray) == ["require_flat", "validate_spray"]  # nothing assembled yet
+        assert checks(spray) == ["_require_flat_rows", "validate_spray"]  # nothing assembled yet
+        assert len(walks) == 2  # flatness; the new edges' walks with their inverses
         assemble(cx, bundle, spray)
-        assert checks(spray) == checks(canonical_spray(cx)) == []  # the same or an equal spray
+        assert checks(spray) == [] and len(walks) == 1
+        assert checks(canonical_spray(cx)) == []  # the same or an equal spray
         assert checks(wound) == ["validate_spray"]  # another spray on the same complex
         assemble(corpus_get("torus").complex, bundle, spray)  # the slot now holds another complex
-        assert checks(spray) == ["require_flat", "validate_spray"]
+        assert checks(spray) == ["_require_flat_rows", "validate_spray"]
 
 
 class TestTorsionInvariance:

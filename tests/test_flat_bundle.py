@@ -58,67 +58,91 @@ def one_at_a_time(bundle, steps, inverse=False):
     return out
 
 
-def assert_rows_are_the_reference(bundle, paths, inverse=False):
-    nums, den = bundle.transports(paths, inverse=inverse)
-    assert nums.shape == (len(paths), bundle.rank, bundle.rank) and type(den) is int
-    for i, steps in enumerate(paths):
-        want = one_at_a_time(bundle, steps, inverse)
-        if bundle.exact:
-            assert lx.unscaled((nums[i], den)) == want
-        else:  # bit for bit, the sign of a zero included
-            assert den == 1 and nums[i].tobytes() == want.tobytes()
+def assert_rows_are_the_reference(bundle, paths, inverses):
+    """Both stacks of one call against one_at_a_time: bit for bit for floats, exactly for
+    rationals; the forward stack is the one a call without inverses returns."""
+    fwd, inv = bundle.transports(paths, inverses=inverses)
+    for (nums, den), rows, inverse in ((fwd, paths, False), (inv, paths[:inverses], True)):
+        assert nums.shape == (len(rows), bundle.rank, bundle.rank) and type(den) is int
+        for i, steps in enumerate(rows):
+            want = one_at_a_time(bundle, steps, inverse)
+            if bundle.exact:
+                assert lx.unscaled((nums[i], den)) == want
+            else:  # bit for bit, the sign of a zero included
+                assert den == 1 and nums[i].tobytes() == want.tobytes()
+    nums, den = bundle.transports(paths)
+    assert den == fwd[1] and nums.dtype == fwd[0].dtype and np.array_equal(nums, fwd[0])
+    return fwd, inv
 
 
 class TestTransports:
     A, B, AI, BI = ("a", 1), ("b", 1), ("a", -1), ("b", -1)
+    # duplicates: rows 0 and 4, rows 3 and 8; rows 1 and 2 are prefixes of row 0
     PATHS = [
         (A, B, AI, BI), (A, B, AI), (A, B), (), (A, B, AI, BI), (B, B, B), (BI, A), (A,), (),
         (BI, BI, AI, B),
     ]
+    EXACT = [
+        {"a": [[-1]], "b": [[2]]},  # klein: b^-1 has denominator 2
+        {"a": [[2, 1], [1, 1]], "b": [[Fraction(1, 3), 0], [0, 3]]},
+        {"a": [[0, Fraction(-2, 3)], [Fraction(2, 3), 0]], "b": [[-3, Fraction(-2, 3)], [1, 4]]},
+    ]
 
-    @pytest.mark.parametrize("inverse", [False, True])
-    @pytest.mark.parametrize(
-        "mats",
-        [
-            {"a": [[-1]], "b": [[2]]},  # klein: b^-1 has denominator 2
-            {"a": [[2, 1], [1, 1]], "b": [[Fraction(1, 3), 0], [0, 3]]},
-            {"a": [[0, Fraction(-2, 3)], [Fraction(2, 3), 0]], "b": [[-3, Fraction(-2, 3)], [1, 4]]},
-        ],
-    )
-    def test_exact_rows_equal_one_at_a_time_products(self, mats, inverse):
-        bundle = FlatBundle(len(mats["a"]), mats)
-        assert bundle.exact
-        assert_rows_are_the_reference(bundle, self.PATHS, inverse)
-        for steps in self.PATHS:  # alone, with no shared prefix
-            assert_rows_are_the_reference(bundle, [steps], inverse)
-
-    @pytest.mark.parametrize("inverse", [False, True])
-    def test_float_rows_are_bit_identical(self, inverse):
+    def float_bundle(self):
         rng = np.random.default_rng(4)
         mats = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 3))}
         mats["b"][0, 1] = -0.0  # I . M clears the sign of this zero
-        bundle = FlatBundle(3, mats)
+        return FlatBundle(3, mats)
+
+    # 1: later rows share row 0's prefixes or repeat it; 5: rows 1-2 are prefixes of row 0
+    @pytest.mark.parametrize("inverses", [0, 1, 5, len(PATHS), len(PATHS) + 2])
+    @pytest.mark.parametrize("mats", EXACT)
+    def test_exact_rows_equal_one_at_a_time_products(self, mats, inverses):
+        bundle = FlatBundle(len(mats["a"]), mats)
+        assert bundle.exact
+        assert_rows_are_the_reference(bundle, self.PATHS, inverses)
+        for steps in self.PATHS:  # alone, with no shared prefix
+            assert_rows_are_the_reference(bundle, [steps], inverses)
+
+    @pytest.mark.parametrize("inverses", [0, 1, 5, len(PATHS)])
+    def test_float_rows_are_bit_identical(self, inverses):
+        bundle = self.float_bundle()
         assert not bundle.exact
-        assert_rows_are_the_reference(bundle, self.PATHS, inverse)
-        assert_rows_are_the_reference(bundle, [(self.B,)], inverse)
-        nums, _ = bundle.transports([(self.B,)])
-        assert math.copysign(1.0, nums[0, 0, 1]) == 1.0
+        assert_rows_are_the_reference(bundle, self.PATHS, inverses)
+        fwd, _ = assert_rows_are_the_reference(bundle, [(self.B,)], inverses)
+        assert math.copysign(1.0, fwd[0][0, 0, 1]) == 1.0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_later_paths_extend_and_repeat_the_inverted_ones(self, exact):
+        bundle = FlatBundle(2, self.EXACT[1]) if exact else self.float_bundle()
+        a, b, ai, bi = self.A, self.B, self.AI, self.BI
+        # the inverted rows' nodes come first at every depth; later rows branch off them,
+        # run past them, repeat them, and reach depths they do not
+        paths = [(a, b), (b,), (a, b, ai), (b, bi), (a, b), (b,), (ai, ai, ai, ai), (a,)]
+        assert_rows_are_the_reference(bundle, paths, 2)
+        assert_rows_are_the_reference(bundle, paths[::-1], 3)
 
     def test_empty_request_and_empty_paths(self):
         for bundle in (FlatBundle(2, {"a": [[1, 2], [0, 1]]}), FlatBundle(2, {"a": np.eye(2)})):
             nums, den = bundle.transports([])
             assert nums.shape == (0, 2, 2) and den == 1
-            nums, den = bundle.transports([(), ()], inverse=True)
+            for inverses in (0, 3):
+                (nums, den), (inums, iden) = bundle.transports([], inverses=inverses)
+                assert nums.shape == inums.shape == (0, 2, 2) and den == iden == 1
+            (nums, den), (inums, iden) = bundle.transports([(), ()], inverses=2)
             assert np.array_equal(nums, [np.eye(2), np.eye(2)]) and den == 1
+            assert np.array_equal(inums, [np.eye(2), np.eye(2)]) and iden == 1
+            assert_rows_are_the_reference(bundle, [(), (("a", 1),), ()], 1)
+            assert_rows_are_the_reference(bundle, [(("a", 1),), ()], 2)
 
     def test_entries_past_int64_stay_exact(self):
         a, b = [[2**40, 1], [2**40 - 1, 1]], [[1, 0], [Fraction(1, 5), 1]]
         bundle = FlatBundle(2, {"a": a, "b": b})
         paths = [(self.A,) * 4, (self.A,) * 2 + (self.B,), (self.A, self.A, self.BI, self.A), ()]
-        for inverse in (False, True):
-            nums, den = bundle.transports(paths, inverse=inverse)
-            assert nums.dtype == object and max(abs(x) for x in nums.ravel()) > 2**63
-            assert_rows_are_the_reference(bundle, paths, inverse)
+        for inverses in (1, len(paths)):
+            fwd, inv = assert_rows_are_the_reference(bundle, paths, inverses)
+            for nums, _ in (fwd, inv):
+                assert nums.dtype == object and max(abs(x) for x in nums.ravel()) > 2**63
 
     def test_missing_edge_matrix(self):
         bundle = FlatBundle(1, {"a": [[3]]})

@@ -19,6 +19,7 @@ from torsionlab.serialization import (
     canonical_dumps,
     complex_from_jsonable,
     complex_to_jsonable,
+    load_json,
     save_json,
     spray_from_jsonable,
     spray_to_jsonable,
@@ -600,9 +601,22 @@ def test_json_writers_pin_numpy_scalars_and_extreme_floats(tmp_path, capsys):
     assert canonical_dumps(payload) == compact
     indented = json.dumps(json.loads(compact), indent=2, sort_keys=True)
     save_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_text() == compact + "\n"
+    save_json(tmp_path / "p.json", payload, indent=2)
     assert (tmp_path / "p.json").read_text() == indented + "\n"
     _emit(Namespace(json=False), payload)
     _emit(Namespace(json=True), payload)
     assert capsys.readouterr().out == indented + "\n" + compact + "\n"
     with pytest.raises(TypeError):
         canonical_dumps({"x": np.array([1.0])})
+
+
+@pytest.mark.parametrize("name", ["torus", "tetra-solid"])
+def test_save_json_writes_a_subdivided_complex_compactly_and_it_loads_back(tmp_path, name):
+    item = corpus_get(name)
+    data = complex_to_jsonable(barycentric_subdivide(item.complex, item.bundle, item.spray)[0])
+    save_json(tmp_path / "c.json", data)
+    text = (tmp_path / "c.json").read_text()
+    assert text == canonical_dumps(data) + "\n" and text.count("\n") == 1
+    assert load_json(tmp_path / "c.json") == data
+    assert complex_to_jsonable(complex_from_jsonable(load_json(tmp_path / "c.json"))) == data

@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from torsionlab import linalg_exact as lx
-from torsionlab.complex_core import Cell, ComplexDescription, EdgePath, Incidence
+from torsionlab.complex_core import Cell, ComplexDescription, EdgePath, Incidence, cw_complex_from_words
 from torsionlab.corpus import (
     build_lens,
     companion_matrix_cyclotomic,
@@ -1469,28 +1469,57 @@ class TestFlatnessThroughTheSlot:
     def test_second_spray_skips_flatness_and_new_complex_checks_it(self, monkeypatch):
         cx, bundle, spray = torus_triple()
         assemble(cx, bundle, spray)
-        flatness = counting(monkeypatch, flat_bundle, "check_flatness")
+        verdicts = counting(monkeypatch, torsion_engine, "_require_flat_rows")
+        walks = counting(monkeypatch, FlatBundle, "transports")
         beta = act(cx, h1_class_for(cx, (0, 1)), spray)
         got = assemble(cx, bundle, beta)
-        assert flatness == []
+        assert verdicts == [] and len(walks) == 1
         fresh_cx, fresh_bundle, fresh_spray = torus_triple()
         fresh_beta = act(fresh_cx, h1_class_for(fresh_cx, (0, 1)), fresh_spray)
         assert_same_complex(got, assemble(fresh_cx, fresh_bundle, fresh_beta))
         other_cx = torus_triple()[0]
-        del flatness[:]
+        del verdicts[:], walks[:]
         assemble(other_cx, bundle, canonical_spray(other_cx))
-        assert len(flatness) == 1
+        assert len(verdicts) == 1 and len(walks) == 1  # one trie for legs, paths and holonomies
 
     def test_non_flat_bundle_raises_on_every_call(self, monkeypatch):
         cx, _, spray = torus_triple()
         # a and b do not commute, so the torus face's holonomy is not the identity
         bundle = FlatBundle(2, {"a": [[1, 1], [0, 1]], "b": [[1, 0], [1, 1]]})
-        flatness = counting(monkeypatch, flat_bundle, "check_flatness")
+        verdicts = counting(monkeypatch, torsion_engine, "_require_flat_rows")
         sprays = [spray, spray, act(cx, h1_class_for(cx, (1, 0)), spray)]
         for s in sprays:
             with pytest.raises(NotFlatError):
                 assemble(cx, bundle, s)
-        assert len(flatness) == len(sprays) and bundle.last_assembly is None
+        assert len(verdicts) == len(sprays) and bundle.last_assembly is None
+
+    # F3 and F10 fail and F2 holds wherever c commutes with b; F10 sorts before F3 by name
+    THREE_FACES = {
+        "F3": [("a", 1), ("b", 1), ("a", -1), ("b", -1)],
+        "F2": [("b", 1), ("c", 1), ("b", -1), ("c", -1)],
+        "F10": [("b", 1), ("a", 1), ("b", -1), ("a", -1)],
+    }
+
+    @pytest.mark.parametrize("mats, nan", [
+        ({"a": [[1, 1], [0, 1]], "b": [[1, 0], [1, 1]], "c": [[2, 0], [0, 2]]}, False),
+        ({"a": np.array([[1.5, 1.0], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [0.5, 1.0]]),
+          "c": 2 * np.eye(2)}, False),
+        # F3's holonomy overflows to inf and then meets 0, so one of its entries is nan
+        ({"a": np.diag([1e300, 1e-300]), "b": np.array([[1.0, 1.0], [0.0, 1.0]]),
+          "c": np.eye(2)}, True),
+    ], ids=["exact", "float", "nan"])
+    def test_the_error_names_the_failing_cells_of_check_flatness(self, mats, nan):
+        cx = cw_complex_from_words("three-faces", ["v"], {e: ("v", "v") for e in "abc"},
+                                   self.THREE_FACES, "v")
+        bundle = FlatBundle(2, mats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = flat_bundle.check_flatness(cx, bundle)
+            with pytest.raises(NotFlatError) as err:
+                assemble(cx, bundle, canonical_spray(cx))
+        assert report.failing_cells() == ["F10", "F3"]
+        assert str(err.value) == "bundle is not flat around 2-cells ['F10', 'F3']"
+        assert bundle.last_assembly is None
+        assert math.isnan(report.deviations["F3"]) == nan
 
 
 def dense_transport_reference(tcc_alpha, bundle, alpha, beta, refs):
